@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench doccheck chaos chaos-leases flight-smoke trace-race wire-fuzz sweep sweep-smoke sweep-check sweep-classes sweep-reads check clean
+.PHONY: build test race vet bench loc doccheck chaos chaos-leases flight-smoke trace-race wire-fuzz sweep sweep-smoke sweep-check sweep-classes sweep-reads check clean
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,11 @@ vet:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./
+
+# Non-test Go lines outside benchmark/ — the size ROADMAP aim 2 tracks. A
+# simplification PR quotes this number before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # Doc comments on vsync/simnet/faults are normative (FAULTS.md, PROTOCOL.md).
 doccheck:

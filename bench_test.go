@@ -52,28 +52,6 @@ func BenchmarkE16SystemCompetitive(b *testing.B) {
 	benchExperiment(b, experiments.E16SystemCompetitive)
 }
 
-// BenchmarkThroughputTCP is the end-to-end throughput benchmark: a real
-// 3-machine TCP cluster under a concurrent insert/read/read&del mix from
-// 8 workers, exercising the batched transport and vsync send paths.
-// cmd/paso-loadgen runs the same harness standalone and appends trajectory
-// points to BENCH_paso.json.
-func BenchmarkThroughputTCP(b *testing.B) {
-	res, err := experiments.RunThroughput(experiments.ThroughputConfig{
-		Machines: 3,
-		Workers:  8,
-		TotalOps: b.N,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Ops != int64(b.N) {
-		b.Fatalf("ran %d ops, want %d", res.Ops, b.N)
-	}
-	b.ReportMetric(res.OpsPerSec, "ops/sec")
-	b.ReportMetric(res.Total.P50Ms, "p50ms")
-	b.ReportMetric(res.Total.P99Ms, "p99ms")
-}
-
 // --- primitive micro-benchmarks on a live space ---
 
 func benchSpace(b *testing.B, opts Options) *Space {

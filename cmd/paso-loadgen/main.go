@@ -1,34 +1,30 @@
-// Command paso-loadgen drives the end-to-end load experiments: a real
-// TCP cluster under concurrent Insert/Read/ReadDel load, measuring
-// ops/sec and latency quantiles from the obs histograms. Each run appends
-// one trajectory point to a JSON file (BENCH_paso.json by default), so
-// the repo tracks its performance over time — the measured counterpart of
-// the §3.3 msg-cost model.
+// Command paso-loadgen drives the open-loop load experiments: a PASO
+// cluster under a scheduled Insert/Read/ReadDel arrival stream, measuring
+// the latency-vs-offered-load curve with per-stage attribution. Each run
+// appends one trajectory point to a JSON file (BENCH_paso.json by
+// default), so the repo tracks its performance over time — the measured
+// counterpart of the §3.3 msg-cost model. The closed-loop throughput and
+// tracing-overhead measurements live in the repo benchmark (`go run
+// ./benchmark`: workload mixed-sat, metric obs.trace_overhead_ratio); the
+// closed-loop points recorded before that are kept in the trajectory file
+// as history.
 //
 // Usage:
 //
-//	paso-loadgen                          # 3 machines, 8 workers, 2s
-//	paso-loadgen -machines 5 -workers 32 -duration 10s
-//	paso-loadgen -out BENCH_paso.json -label "PR 2 batched send path"
-//	paso-loadgen -trace-overhead -out BENCH_paso.json
 //	paso-loadgen -sweep 500,1000,2000,4000,8000 -rung 2s -out BENCH_paso.json
 //	paso-loadgen -rate 1000 -rung 2s       # one open-loop rung
 //	paso-loadgen -classes 8 -sweep 500,1000,2000  # sharded multi-class mode
 //	paso-loadgen -compare "PR 6" "PR 7"    # diff two recorded sweep points
 //
-// With -trace-overhead the same workload runs twice — operation tracing
-// off, then on — and both points are appended, so the trajectory records
-// what the tracing plane costs (the PR 4 budget is ≤ 5% on ops/sec).
-//
-// With -sweep (a comma-separated rate ladder) or -rate (a single rung)
-// the closed-loop workers are replaced by the open-loop generator of
-// internal/load: arrivals are scheduled at fixed offsets and latency is
-// measured from the *intended* start, so coordinated omission cannot hide
-// saturation. The appended point has kind "sweep" and carries the full
-// latency-vs-offered-load curve with per-stage attribution. -transport
-// simnet runs the same sweep on the in-process simulated LAN (the CI
-// smoke path); -sweep-min-achieved fails the run (exit 1) when the first
-// rung's achieved rate falls below the given fraction of offered.
+// -sweep (a comma-separated rate ladder) or -rate (a single rung) runs the
+// open-loop generator of internal/load: arrivals are scheduled at fixed
+// offsets and latency is measured from the *intended* start, so
+// coordinated omission cannot hide saturation. The appended point has kind
+// "sweep" and carries the full latency-vs-offered-load curve with
+// per-stage attribution. -transport simnet runs the same sweep on the
+// in-process simulated LAN (the CI smoke path); -sweep-min-achieved fails
+// the run (exit 1) when the first rung's achieved rate falls below the
+// given fraction of offered.
 //
 // With -classes N (> 1) the workload runs N independent object classes
 // with sharded coordinator placement (internal/placement): each class gets
@@ -61,6 +57,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -77,20 +74,20 @@ import (
 )
 
 // trajectory is the BENCH_paso.json schema: an append-only series of
-// measured points, newest last.
+// measured points, newest last. Point bodies stay raw so an append writes
+// every earlier point back byte for byte, whatever kind it is — the file
+// also holds closed-loop throughput points (kind "") this command no longer
+// produces.
 type trajectory struct {
-	Schema string  `json:"schema"`
-	Points []point `json:"points"`
+	Schema string            `json:"schema"`
+	Points []json.RawMessage `json:"points"`
 }
 
-// point is one trajectory entry. Kind "" (historical) or "throughput"
-// carries the embedded ThroughputResult fields inline; kind "sweep"
-// leaves them nil and fills Sweep instead.
+// point is the one kind this command writes and -compare reads back.
 type point struct {
-	Label string    `json:"label,omitempty"`
-	Date  time.Time `json:"date"`
-	Kind  string    `json:"kind,omitempty"`
-	*experiments.ThroughputResult
+	Label string                   `json:"label,omitempty"`
+	Date  time.Time                `json:"date"`
+	Kind  string                   `json:"kind,omitempty"`
 	Sweep *experiments.SweepResult `json:"sweep,omitempty"`
 }
 
@@ -104,20 +101,17 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("paso-loadgen", flag.ContinueOnError)
 	machines := fs.Int("machines", 3, "cluster size")
-	workers := fs.Int("workers", 8, "concurrent client goroutines (sweep default: 64)")
+	workers := fs.Int("workers", 0, "issuing goroutines per rung (0: the sweep default, 64)")
 	classes := fs.Int("classes", 0, "object classes; >1 runs the sharded multi-class mode (E19)")
-	duration := fs.Duration("duration", 2*time.Second, "measurement window (closed-loop mode)")
 	insertFrac := fs.Float64("insert-frac", 0.4, "fraction of inserts")
 	readFrac := fs.Float64("read-frac", 0.4, "fraction of reads (the rest is read&del)")
 	readHeavy := fs.Bool("read-heavy", false, "preset the mix to 90% reads / 10% inserts (E21; explicit -insert-frac/-read-frac win)")
 	leases := fs.Bool("leases", false, "enable the leased-read fast path (implies placement)")
 	label := fs.String("label", "", "label recorded with the trajectory point")
 	out := fs.String("out", "", "append the point to this JSON trajectory file")
-	traceOps := fs.Bool("trace-ops", false, "run with cross-machine operation tracing enabled")
-	traceOverhead := fs.Bool("trace-overhead", false, "run twice (tracing off, then on) and report the overhead")
 	sweep := fs.String("sweep", "", "comma-separated rate ladder (ops/sec); runs the open-loop sweep")
 	rate := fs.Float64("rate", 0, "single offered rate (ops/sec); runs one open-loop rung")
-	rung := fs.Duration("rung", 2*time.Second, "per-rung arrival window (open-loop modes)")
+	rung := fs.Duration("rung", 2*time.Second, "per-rung arrival window")
 	transport := fs.String("transport", "tcp", "cluster fabric for sweeps: tcp or simnet")
 	minAchieved := fs.Float64("sweep-min-achieved", 0,
 		"fail unless the first rung achieves at least this fraction of its offered rate")
@@ -163,53 +157,24 @@ func run(args []string) error {
 		}
 		return runCompare(path, *compare, labelB, *slack, *floor)
 	}
-	if *sweep != "" || *rate > 0 {
-		rates, err := parseRates(*sweep, *rate)
-		if err != nil {
-			return err
-		}
-		sweepWorkers := *workers
-		if !flagSet(fs, "workers") {
-			sweepWorkers = 0 // let SweepConfig default to 64
-		}
-		return runSweep(experiments.SweepConfig{
-			Machines:     *machines,
-			Workers:      sweepWorkers,
-			Classes:      *classes,
-			Leases:       *leases,
-			Rates:        rates,
-			RungDuration: *rung,
-			InsertFrac:   *insertFrac,
-			ReadFrac:     *readFrac,
-			Transport:    *transport,
-		}, *label, *out, *minAchieved, *sampleEvery)
+	if *sweep == "" && *rate <= 0 {
+		return fmt.Errorf("nothing to run: give -sweep, -rate or -compare")
 	}
-	cfg := experiments.ThroughputConfig{
-		Machines:   *machines,
-		Workers:    *workers,
-		Duration:   *duration,
-		Classes:    *classes,
-		Leases:     *leases,
-		InsertFrac: *insertFrac,
-		ReadFrac:   *readFrac,
-		TraceOps:   *traceOps,
-	}
-	if *traceOverhead {
-		return runTraceOverhead(cfg, *label, *out)
-	}
-	res, err := experiments.RunThroughput(cfg)
+	rates, err := parseRates(*sweep, *rate)
 	if err != nil {
 		return err
 	}
-	fmt.Println(res.Table().Render())
-	if *out == "" {
-		return nil
-	}
-	return appendPoint(*out, point{
-		Label:            *label,
-		Date:             time.Now().UTC().Truncate(time.Second),
-		ThroughputResult: res,
-	})
+	return runSweep(experiments.SweepConfig{
+		Machines:     *machines,
+		Workers:      *workers,
+		Classes:      *classes,
+		Leases:       *leases,
+		Rates:        rates,
+		RungDuration: *rung,
+		InsertFrac:   *insertFrac,
+		ReadFrac:     *readFrac,
+		Transport:    *transport,
+	}, *label, *out, *minAchieved, *sampleEvery)
 }
 
 // flagSet reports whether the named flag was given explicitly.
@@ -293,9 +258,12 @@ func runSweep(cfg experiments.SweepConfig, label, out string, minAchieved float6
 // findSweep returns the newest kind=="sweep" point with the given label.
 func findSweep(tr *trajectory, label string) (*point, error) {
 	for i := len(tr.Points) - 1; i >= 0; i-- {
-		p := &tr.Points[i]
+		var p point
+		if err := json.Unmarshal(tr.Points[i], &p); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i+1, err)
+		}
 		if p.Kind == "sweep" && p.Label == label && p.Sweep != nil {
-			return p, nil
+			return &p, nil
 		}
 	}
 	return nil, fmt.Errorf("no sweep point labeled %q", label)
@@ -382,47 +350,8 @@ func runCompare(path, labelA, labelB string, slack, floor float64) error {
 	return nil
 }
 
-// runTraceOverhead measures the tracing plane's cost: the identical
-// workload with tracing off and on, both points appended to the
-// trajectory, and the ops/sec delta printed.
-func runTraceOverhead(cfg experiments.ThroughputConfig, label, out string) error {
-	cfg.TraceOps = false
-	off, err := experiments.RunThroughput(cfg)
-	if err != nil {
-		return fmt.Errorf("tracing-off run: %w", err)
-	}
-	cfg.TraceOps = true
-	on, err := experiments.RunThroughput(cfg)
-	if err != nil {
-		return fmt.Errorf("tracing-on run: %w", err)
-	}
-	fmt.Println("tracing off:")
-	fmt.Println(off.Table().Render())
-	fmt.Println("tracing on:")
-	fmt.Println(on.Table().Render())
-	overhead := (off.OpsPerSec - on.OpsPerSec) / off.OpsPerSec * 100
-	fmt.Printf("tracing overhead: %.1f%% ops/sec (%.0f → %.0f)\n",
-		overhead, off.OpsPerSec, on.OpsPerSec)
-	if out == "" {
-		return nil
-	}
-	if label == "" {
-		label = "trace-overhead"
-	}
-	now := time.Now().UTC().Truncate(time.Second)
-	if err := appendPoint(out, point{
-		Label: label + " tracing=off", Date: now, ThroughputResult: off,
-	}); err != nil {
-		return err
-	}
-	return appendPoint(out, point{
-		Label: label + " tracing=on", Date: now, ThroughputResult: on,
-	})
-}
-
 // appendPoint loads (or creates) the trajectory file and appends one
-// point. The encoder keeps HTML escaping off so op names like "read&del"
-// stay literal in the file instead of the HTML-safe \u0026 escape.
+// point, leaving every earlier point's bytes as they were.
 func appendPoint(path string, p point) error {
 	tr := trajectory{Schema: "paso-bench-trajectory/v1"}
 	if raw, err := os.ReadFile(path); err == nil {
@@ -432,17 +361,32 @@ func appendPoint(path string, p point) error {
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	tr.Points = append(tr.Points, p)
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(tr); err != nil {
+	body, err := encodeJSON(p)
+	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+	tr.Points = append(tr.Points, body)
+	file, err := encodeJSON(tr)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("appended point %d to %s\n", len(tr.Points), path)
 	return nil
+}
+
+// encodeJSON renders v indented with HTML escaping off, so op names like
+// "read&del" stay literal in the file instead of the HTML-safe \u0026
+// escape.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

@@ -8,14 +8,29 @@ import (
 	"testing"
 )
 
-// TestTrajectoryAppend runs the loadgen twice against the same output file
-// and verifies the trajectory accumulates points instead of overwriting.
+// TestTrajectoryAppend appends two sweep points to a copy of the recorded
+// BENCH_paso.json and verifies the trajectory accumulates instead of
+// overwriting, and that every recorded point — including the closed-loop
+// throughput points this command no longer knows the fields of — comes back
+// byte for byte.
 func TestTrajectoryAppend(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spins up a real TCP cluster; skipped in -short mode")
+		t.Skip("runs two load sweeps; skipped in -short mode")
+	}
+	recorded, err := os.ReadFile("../../BENCH_paso.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before trajectory
+	if err := json.Unmarshal(recorded, &before); err != nil {
+		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "BENCH_paso.json")
-	args := []string{"-machines", "2", "-workers", "2", "-duration", "100ms", "-out", out, "-label", "test"}
+	if err := os.WriteFile(out, recorded, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-machines", "2", "-workers", "2", "-transport", "simnet",
+		"-rate", "200", "-rung", "100ms", "-out", out, "-label", "test"}
 	for i := 0; i < 2; i++ {
 		if err := run(args); err != nil {
 			t.Fatal(err)
@@ -24,6 +39,11 @@ func TestTrajectoryAppend(t *testing.T) {
 	raw, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Everything up to the end of the last recorded point is untouched.
+	history := bytes.TrimSuffix(recorded, []byte("\n  ]\n}\n"))
+	if len(history) == len(recorded) || !bytes.HasPrefix(raw, history) {
+		t.Error("appending rewrote recorded points")
 	}
 	// The writer disables HTML escaping: the per-op key must appear as
 	// "read&del", never as the \u0026 escape.
@@ -40,13 +60,20 @@ func TestTrajectoryAppend(t *testing.T) {
 	if tr.Schema != "paso-bench-trajectory/v1" {
 		t.Fatalf("schema = %q", tr.Schema)
 	}
-	if len(tr.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(tr.Points))
+	if len(tr.Points) != len(before.Points)+2 {
+		t.Fatalf("points = %d, want %d", len(tr.Points), len(before.Points)+2)
 	}
-	for _, p := range tr.Points {
-		if p.Label != "test" || p.Ops <= 0 || p.OpsPerSec <= 0 {
-			t.Fatalf("bad point: %+v", p)
+	for _, body := range tr.Points[len(before.Points):] {
+		var p point
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Fatal(err)
 		}
+		if p.Label != "test" || p.Kind != "sweep" || p.Sweep == nil || len(p.Sweep.Rungs) != 1 {
+			t.Fatalf("bad point: %s", body)
+		}
+	}
+	if _, err := findSweep(&tr, "sweep-smoke seed"); err != nil {
+		t.Errorf("recorded sweep point no longer found: %v", err)
 	}
 }
 
@@ -81,12 +108,12 @@ func TestSweepTrajectoryAppend(t *testing.T) {
 	if len(tr.Points) != 1 {
 		t.Fatalf("points = %d, want 1", len(tr.Points))
 	}
-	p := tr.Points[0]
+	var p point
+	if err := json.Unmarshal(tr.Points[0], &p); err != nil {
+		t.Fatal(err)
+	}
 	if p.Kind != "sweep" || p.Sweep == nil {
 		t.Fatalf("point kind = %q, sweep = %v", p.Kind, p.Sweep)
-	}
-	if p.ThroughputResult != nil {
-		t.Error("sweep point carries throughput fields")
 	}
 	if len(p.Sweep.Rungs) != 2 {
 		t.Fatalf("rungs = %d, want 2", len(p.Sweep.Rungs))

@@ -5,7 +5,6 @@
 //	pasoctl -addr 127.0.0.1:7201 read point ?s ?i ?i
 //	pasoctl -addr 127.0.0.1:7201 take point ?s i:0..10 ?i
 //	pasoctl -addr 127.0.0.1:7201 takewait 5s point ?s ?i ?i
-//	pasoctl -addr 127.0.0.1:7201 stat
 //	pasoctl -addr 127.0.0.1:7201 stats
 //	pasoctl -addr 127.0.0.1:7201 stats -stages
 //

@@ -33,8 +33,8 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	if err := run([]string{"-addr", addr, "take", "point", "i:0..9", "?i"}); err != nil {
 		t.Fatalf("take: %v", err)
 	}
-	if err := run([]string{"-addr", addr, "stat"}); err != nil {
-		t.Fatalf("stat: %v", err)
+	if err := run([]string{"-addr", addr, "stats"}); err != nil {
+		t.Fatalf("stats: %v", err)
 	}
 }
 

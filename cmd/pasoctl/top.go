@@ -117,7 +117,7 @@ func topOnce(client *http.Client, addrs []string, out io.Writer) error {
 		}
 	}
 	if len(newest) == 0 {
-		fmt.Fprintln(out, "\nno ownership records (placed mode off, or no /placement endpoint)")
+		fmt.Fprintln(out, "\nno ownership records (no /placement endpoint?)")
 		return nil
 	}
 	rows := make([]groupRow, 0, len(newest))

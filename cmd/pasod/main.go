@@ -49,7 +49,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -91,7 +90,7 @@ func run(args []string) error {
 		traceCap  = fs.Int("trace-cap", 2048, "event trace ring capacity")
 		traceOps  = fs.Bool("trace-ops", false, "trace every PASO operation across machines (/trace/ops, pasoctl trace)")
 		spanCap   = fs.Int("span-cap", 8192, "operation span ring capacity")
-		placed    = fs.Bool("placement", false, "shard per-class sequencing across machines (placed mode)")
+		placed    = fs.Bool("placement", false, "shard per-class sequencing across machines (off: the lowest live machine sequences every class)")
 		leases    = fs.Bool("leases", false, "read via the epoch-fenced leased fast path when not a member (needs -placement to derive targets)")
 
 		sampleEvery = fs.Duration("sample-interval", 250*time.Millisecond, "time-series sampler interval (0 disables /timeseries and the flight recorder's rules)")
@@ -136,9 +135,8 @@ func run(args []string) error {
 		ep.AddPeer(pid, addr)
 	}
 
-	// Flight-recorder plane: the placement audit trail is always wired (it
-	// only records in placed mode); the sampler and recorder arm on their
-	// flags. All of it is observer-only — nothing here feeds back into the
+	// Flight-recorder plane: the placement audit trail is always wired;
+	// the sampler and recorder arm on their flags. All of it is observer-only — nothing here feeds back into the
 	// protocol.
 	trail := flight.NewAuditTrail(0)
 	cfg := core.Config{
@@ -152,37 +150,32 @@ func run(args []string) error {
 		Obs:         o,
 		Audit:       trail,
 	}
-	var basics []class.ID
+	self := transport.NodeID(*id)
+	ensemble := []transport.NodeID{self}
+	for pid := range peerMap {
+		ensemble = append(ensemble, pid)
+	}
 	var assignFn func() any
 	if *placed {
-		// Placed mode co-locates each class's basic support with its placed
-		// coordinator (the same rule core.NewCluster applies): basics follow
-		// the placement assignment over the configured ensemble, so every
-		// wg(C) is exactly the members the placement function names — which
-		// is also where leased reads look for their targets. -support is
-		// subsumed; the assignment decides per class.
+		// Basics follow the placement assignment over the configured
+		// ensemble (core.Config.SupportMap), so every wg(C) is exactly the
+		// members the placement function names — which is also where leased
+		// reads look for their targets. -support is subsumed.
 		pol := placement.New(cfg.Classifier.Classes(), cfg.Lambda)
-		self := transport.NodeID(*id)
-		all := make([]transport.NodeID, 0, len(peerMap)+1)
-		all = append(all, self)
-		for pid := range peerMap {
-			all = append(all, pid)
-		}
-		for cls, members := range pol.Assign(all).Members {
-			for _, mid := range members {
-				if mid == self {
-					basics = append(basics, cls)
-					break
-				}
-			}
-		}
-		sort.Slice(basics, func(i, j int) bool { return basics[i] < basics[j] })
 		assignFn = func() any {
 			return pol.Assign(append(ep.Alive(), self))
 		}
-	} else if *support {
-		basics = cfg.Classifier.Classes()
+	} else {
+		// Without -placement the operator pins supports per daemon: -support
+		// puts this one in every B(C), its absence in none.
+		cfg.Support = make(map[class.ID][]transport.NodeID)
+		if *support {
+			for _, cls := range cfg.Classifier.Classes() {
+				cfg.Support[cls] = []transport.NodeID{self}
+			}
+		}
 	}
+	basics := cfg.BasicClasses(self, ensemble)
 	var sampler *flight.Sampler
 	if *sampleEvery > 0 {
 		sampler = flight.NewSampler(o.Reg(), flight.SamplerOptions{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,12 +12,46 @@ import (
 	"paso/internal/transport"
 )
 
-// Cluster assembles n machines over a simulated LAN into a PASO system and
-// orchestrates crashes and restarts.
+// Fabric is the network a Cluster stands on: it attaches a machine ID to
+// the network, returning once the ID's endpoint and every attached peer can
+// exchange messages, and it crashes an attached ID (queued messages lost).
+// SimFabric wraps the simulated LAN; tcp.Loopback is real loopback sockets.
+type Fabric interface {
+	Join(id transport.NodeID) (transport.Endpoint, error)
+	Crash(id transport.NodeID)
+}
+
+// SimFabric adapts a simulated LAN to Fabric (simnet's Join returns its
+// concrete endpoint type). The caller keeps net for fault injection and
+// cost metering.
+func SimFabric(net *simnet.Net) Fabric { return simFabric{net} }
+
+type simFabric struct{ *simnet.Net }
+
+func (f simFabric) Join(id transport.NodeID) (transport.Endpoint, error) {
+	ep, err := f.Net.Join(id)
+	if err != nil {
+		return nil, err
+	}
+	return ep, nil
+}
+
+// Ensemble returns the machine IDs 1..n every in-process cluster uses.
+func Ensemble(n int) []transport.NodeID {
+	ids := make([]transport.NodeID, n)
+	for i := range ids {
+		ids[i] = transport.NodeID(i + 1)
+	}
+	return ids
+}
+
+// Cluster assembles n machines over a Fabric into a PASO system and
+// orchestrates crashes and restarts. A unit test, a load sweep, and a chaos
+// plan all run this one assembly; only the fabric differs.
 type Cluster struct {
-	cfg Config
-	net *simnet.Net
-	n   int
+	cfg    Config
+	fabric Fabric
+	n      int
 
 	mu           sync.Mutex
 	machines     map[transport.NodeID]*Machine
@@ -30,10 +65,21 @@ type Cluster struct {
 	replacements int
 }
 
-// NewCluster builds and starts a PASO system with machine IDs 1..n. Every
-// class's basic support B(C) is either taken from cfg.Support or assigned
-// round-robin with |B(C)| = λ+1.
+// NewCluster builds and starts a PASO system with machine IDs 1..n over a
+// fresh simulated LAN priced by cfg.Model.
 func NewCluster(cfg Config, n int) (*Cluster, error) {
+	cfg, err := cfg.withDefaults(n)
+	if err != nil {
+		return nil, err
+	}
+	return NewClusterOn(SimFabric(simnet.New(cfg.Model)), cfg, n)
+}
+
+// NewClusterOn builds and starts a PASO system with machine IDs 1..n over
+// the given fabric. Every class's basic support B(C) comes from
+// Config.SupportMap. Machines start in ID order, each joining a system
+// whose earlier machines are already serving.
+func NewClusterOn(fabric Fabric, cfg Config, n int) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: cluster size %d < 1", n)
 	}
@@ -41,38 +87,14 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	ensemble := Ensemble(n)
 	c := &Cluster{
 		cfg:          cfg,
-		net:          simnet.New(cfg.Model),
+		fabric:       fabric,
 		n:            n,
 		machines:     make(map[transport.NodeID]*Machine, n),
-		support:      make(map[class.ID][]transport.NodeID),
+		support:      cfg.SupportMap(ensemble),
 		incarnations: make(map[transport.NodeID]uint64, n),
-	}
-	if cfg.Support != nil {
-		for cls, ids := range cfg.Support {
-			c.support[cls] = append([]transport.NodeID(nil), ids...)
-		}
-	} else if pol := cfg.placementPolicy(); pol != nil {
-		// Sharded mode: co-locate each class's support with its placed
-		// coordinator (the coordinator plus the next λ preferred machines).
-		all := make([]transport.NodeID, n)
-		for i := range all {
-			all[i] = transport.NodeID(i + 1)
-		}
-		for cls, members := range pol.Assign(all).Members {
-			c.support[cls] = append([]transport.NodeID(nil), members...)
-		}
-	} else {
-		classes := cfg.Classifier.Classes()
-		sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-		for i, cls := range classes {
-			ids := make([]transport.NodeID, 0, cfg.Lambda+1)
-			for k := 0; k <= cfg.Lambda; k++ {
-				ids = append(ids, transport.NodeID((i+k)%n+1))
-			}
-			c.support[cls] = ids
-		}
 	}
 	for cls, ids := range c.support {
 		if len(ids) != cfg.Lambda+1 {
@@ -83,8 +105,9 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 	if cfg.SupportSelector != nil {
 		cfg.SupportSelector.Reset(n)
 	}
-	for id := transport.NodeID(1); id <= transport.NodeID(n); id++ {
+	for _, id := range ensemble {
 		if err := c.startMachine(id); err != nil {
+			c.Shutdown()
 			return nil, err
 		}
 	}
@@ -93,26 +116,18 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 
 // startMachine attaches and initializes one machine.
 func (c *Cluster) startMachine(id transport.NodeID) error {
-	ep, err := c.net.Join(id)
+	ep, err := c.fabric.Join(id)
 	if err != nil {
 		return fmt.Errorf("cluster: attach %d: %w", id, err)
 	}
-	var basics []class.ID
-	for cls, ids := range c.support {
-		for _, sid := range ids {
-			if sid == id {
-				basics = append(basics, cls)
-				break
-			}
-		}
-	}
-	sort.Slice(basics, func(i, j int) bool { return basics[i] < basics[j] })
 	c.mu.Lock()
+	basics := basicsOf(c.support, id)
 	c.incarnations[id]++
 	inc := c.incarnations[id]
 	c.mu.Unlock()
 	m := newMachine(id, ep, c.cfg, basics, inc)
 	if err := m.start(); err != nil {
+		c.fabric.Crash(id)
 		m.stop()
 		return err
 	}
@@ -149,9 +164,6 @@ func (c *Cluster) Machines() []*Machine {
 // Size returns the configured machine count n.
 func (c *Cluster) Size() int { return c.n }
 
-// Net exposes the simulated LAN (for transport-level cost metering).
-func (c *Cluster) Net() *simnet.Net { return c.net }
-
 // Support returns B(C) for a class.
 func (c *Cluster) Support(cls class.ID) []transport.NodeID {
 	c.mu.Lock()
@@ -176,7 +188,7 @@ func (c *Cluster) Crash(id transport.NodeID) {
 	if m == nil {
 		return
 	}
-	c.net.Crash(id)
+	c.fabric.Crash(id)
 	m.stop()
 	if c.cfg.SupportSelector != nil {
 		c.maintainSupport(id)
@@ -291,32 +303,17 @@ func (c *Cluster) Down() int {
 // CheckFaultTolerance verifies the §4.1 fault-tolerance condition: with k
 // failed machines, every class has more than λ−k live write-group members.
 func (c *Cluster) CheckFaultTolerance() error {
-	c.mu.Lock()
-	machines := make([]*Machine, 0, len(c.machines))
-	for _, m := range c.machines {
-		machines = append(machines, m)
-	}
-	support := make(map[class.ID][]transport.NodeID, len(c.support))
-	for cls, ids := range c.support {
-		support[cls] = ids
-	}
-	k := c.n - len(machines)
-	lambda := c.cfg.Lambda
-	c.mu.Unlock()
-
-	for cls := range support {
+	machines := c.Machines()
+	// The paper's condition is |wg(C)| > λ−k for k ≤ λ; beyond the
+	// tolerated crash count the bound goes vacuous, but losing the last
+	// replica is always a violation worth reporting.
+	need := max(c.cfg.Lambda-(c.n-len(machines)), 0)
+	for _, cls := range c.Classes() {
 		count := 0
 		for _, m := range machines {
 			if m.MemberOf(cls) {
 				count++
 			}
-		}
-		// The paper's condition is |wg(C)| > λ−k for k ≤ λ; beyond the
-		// tolerated crash count the bound goes vacuous, but losing the
-		// last replica is always a violation worth reporting.
-		need := lambda - k
-		if need < 0 {
-			need = 0
 		}
 		if count <= need {
 			return fmt.Errorf("core: class %s has %d live replicas, need > %d",
@@ -339,14 +336,8 @@ func (c *Cluster) CheckInvariants() error {
 	if !c.cfg.UseReadGroups {
 		return nil
 	}
-	c.mu.Lock()
-	machines := make([]*Machine, 0, len(c.machines))
-	for _, m := range c.machines {
-		machines = append(machines, m)
-	}
-	classes := c.cfg.Classifier.Classes()
-	c.mu.Unlock()
-	for _, cls := range classes {
+	machines := c.Machines()
+	for _, cls := range c.Classes() {
 		live := 0
 		for _, m := range machines {
 			if m.node.Member(rgName(cls)) {
@@ -360,11 +351,65 @@ func (c *Cluster) CheckInvariants() error {
 	return nil
 }
 
+// CheckConverged asserts replica convergence at quiescence, on top of
+// CheckInvariants: every live machine's failure detector sees exactly the
+// live machines, and for every class exactly one machine sequences wg(C)
+// (and rg(C)), the machines that count themselves members are exactly the
+// ones on that sequencer's member list, and they report the same ClassLen.
+// A machine healed out of a partition still counts itself a member of its
+// stale series until the coordinator restates it; this is the check that
+// sees it. Same calling rule as CheckInvariants.
+func (c *Cluster) CheckConverged() error {
+	if err := c.CheckInvariants(); err != nil {
+		return err
+	}
+	machines := c.Machines()
+	for _, m := range machines {
+		if alive := m.node.Alive(); len(alive) != len(machines) {
+			return fmt.Errorf("core: machine %d sees %v alive, %d machines are up", m.id, alive, len(machines))
+		}
+	}
+	for _, cls := range c.Classes() {
+		groups := []string{wgName(cls)}
+		if c.cfg.UseReadGroups {
+			groups = append(groups, rgName(cls))
+		}
+		for _, g := range groups {
+			var members []*Machine
+			var self, listed []transport.NodeID
+			owners := 0
+			for _, m := range machines {
+				if m.node.Member(g) {
+					members = append(members, m)
+					self = append(self, m.id)
+				}
+				if l, ok := m.node.Sequenced(g); ok {
+					listed = l
+					owners++
+				}
+			}
+			slices.Sort(listed)
+			if owners != 1 || !slices.Equal(listed, self) {
+				return fmt.Errorf("core: %s: %d sequencer(s) listing %v, self-declared members are %v", g, owners, listed, self)
+			}
+			for _, m := range members {
+				if a, b := members[0].ClassLen(cls), m.ClassLen(cls); a != b {
+					return fmt.Errorf("core: %s: machine %d holds %d objects, machine %d holds %d", g, self[0], a, m.id, b)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // BusTotals returns the simulated LAN's raw transport meter (actual frames
 // sent by the protocol, as opposed to the Figure 1 model costs kept per
-// machine).
+// machine). Zero on a fabric that does not meter.
 func (c *Cluster) BusTotals() cost.Totals {
-	return c.net.Meter().Snapshot()
+	if f, ok := c.fabric.(simFabric); ok {
+		return f.Meter().Snapshot()
+	}
+	return cost.Totals{}
 }
 
 // Shutdown stops every machine. The cluster is unusable afterwards.
@@ -379,7 +424,7 @@ func (c *Cluster) Shutdown() {
 	c.machines = make(map[transport.NodeID]*Machine)
 	c.mu.Unlock()
 	for i, m := range ms {
-		c.net.Crash(ids[i])
+		c.fabric.Crash(ids[i])
 		m.stop()
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"paso/internal/adaptive"
@@ -47,17 +48,16 @@ type Config struct {
 	// whole write group (§4.3's read-group optimization).
 	UseReadGroups bool
 
-	// Placement enables sharded coordinator placement (PROTOCOL.md,
-	// "Sharded groups"): each class's write and read groups are sequenced
-	// by the machine the deterministic placement policy
-	// (internal/placement) maps the class to, spreading ordering load
-	// across the cluster instead of funneling every group through one
-	// global lowest-ID sequencer. Every machine derives the same placement
-	// locally from (Classifier.Classes(), Lambda) — no coordination is
-	// needed to agree on it. When set and Support is nil, basic supports
-	// B(C) are likewise taken from the placement (the coordinator plus the
-	// next λ machines in the class's preference order), so sequencing and
-	// storage co-locate.
+	// Placement chooses the coordinator placement function (PROTOCOL.md,
+	// "Coordinator placement and takeover"). Off, every group is sequenced
+	// by the lowest-ID live machine (vsync.LowestLive). On, each class's
+	// write and read groups are sequenced by the machine the deterministic
+	// capped-rendezvous policy (internal/placement) maps the class to,
+	// spreading ordering load across the cluster. Every machine derives
+	// the same placement locally from (Classifier.Classes(), Lambda) — no
+	// coordination is needed to agree on it. When set and Support is nil,
+	// basic supports B(C) are likewise taken from the placement (see
+	// SupportMap).
 	Placement bool
 
 	// LeasedReads enables the sequencer-free read fast path (PROTOCOL.md,
@@ -87,7 +87,7 @@ type Config struct {
 	NewPolicy func(cls class.ID) adaptive.Policy
 
 	// Support fixes the basic support B(C) per class. If nil, supports
-	// are assigned round-robin over machine IDs at cluster construction.
+	// are derived by SupportMap (placement assignment or round-robin).
 	Support map[class.ID][]transport.NodeID
 
 	// PollInterval is the busy-wait retry period for blocking operations.
@@ -120,7 +120,7 @@ type Config struct {
 
 	// Audit, when non-nil, receives the machine's view of group-ownership
 	// transitions (fresh placement, takeover with recovery duration,
-	// handoff, abdication) in placed mode — the flight recorder's
+	// handoff, abdication) — the flight recorder's
 	// placement/rebalance audit trail (internal/obs/flight.AuditTrail).
 	// Purely an observer: nothing recorded feeds back into placement.
 	Audit vsync.PlacementAudit
@@ -168,6 +168,56 @@ func (c Config) placementPolicy() *placement.Policy {
 		return nil
 	}
 	return placement.New(c.Classifier.Classes(), c.Lambda)
+}
+
+// SupportMap derives every class's basic support B(C) over an ensemble of
+// machine IDs — the one place the tree decides it, shared by Cluster,
+// cmd/pasod and the experiments: the pinned Support when set; else, with
+// Placement, the class's placed coordinator plus the next λ machines in its
+// preference order, so sequencing and storage co-locate; else round-robin
+// over the sorted IDs with |B(C)| = λ+1. The returned lists are copies.
+func (c Config) SupportMap(ensemble []transport.NodeID) map[class.ID][]transport.NodeID {
+	out := make(map[class.ID][]transport.NodeID)
+	if c.Support != nil {
+		for cls, ids := range c.Support {
+			out[cls] = slices.Clone(ids)
+		}
+		return out
+	}
+	if pol := c.placementPolicy(); pol != nil {
+		for cls, ids := range pol.Assign(ensemble).Members {
+			out[cls] = slices.Clone(ids)
+		}
+		return out
+	}
+	ids := slices.Clone(ensemble)
+	slices.Sort(ids)
+	classes := c.Classifier.Classes()
+	slices.Sort(classes)
+	for i, cls := range classes {
+		for k := 0; k <= c.Lambda && k < len(ids); k++ {
+			out[cls] = append(out[cls], ids[(i+k)%len(ids)])
+		}
+	}
+	return out
+}
+
+// BasicClasses returns the classes machine id basically supports within
+// the ensemble (SupportMap restricted to one machine), sorted.
+func (c Config) BasicClasses(id transport.NodeID, ensemble []transport.NodeID) []class.ID {
+	return basicsOf(c.SupportMap(ensemble), id)
+}
+
+// basicsOf lists the classes whose support contains id, sorted.
+func basicsOf(support map[class.ID][]transport.NodeID, id transport.NodeID) []class.ID {
+	var basics []class.ID
+	for cls, ids := range support {
+		if slices.Contains(ids, id) {
+			basics = append(basics, cls)
+		}
+	}
+	slices.Sort(basics)
+	return basics
 }
 
 // policyFor instantiates the policy for a class, defaulting to Static.

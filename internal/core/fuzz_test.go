@@ -71,7 +71,7 @@ func FuzzProtocolParse(f *testing.F) {
 	f.Add("take task i:0..9")
 	f.Add("swap task ?i -- i:2")
 	f.Add("readwait 1ms task ?i")
-	f.Add("stat")
+	f.Add("stats")
 	f.Add("insert task s:" + string([]byte{0xff, 0xfe}))
 	f.Fuzz(func(t *testing.T, line string) {
 		resp := ExecuteCommand(m, line)

@@ -38,9 +38,10 @@ type Machine struct {
 	idgen *tuple.IDGen
 	ops   *opMeter
 
-	// pol is the sharded-placement policy (nil in legacy mode); leased-read
-	// target selection derives wg membership from it when no Support pins
-	// the groups. lease is the leased-read fast path's bookkeeping.
+	// pol is the sharded-placement policy (nil without Config.Placement);
+	// leased-read target selection derives wg membership from it when no
+	// Support pins the groups. lease is the leased-read fast path's
+	// bookkeeping.
 	pol   *placement.Policy
 	lease leaseState
 
@@ -106,8 +107,9 @@ var _ vsync.LeaseReader = machineHandler{}
 // StartMachine wires a standalone machine over any transport endpoint and
 // runs its initialization phase. It is the entry point for deployments
 // where each machine is its own process (cmd/pasod over the TCP
-// transport); in-process clusters use NewCluster instead. The caller owns
-// the endpoint's lifetime; Stop the machine before closing it.
+// transport), with basics from Config.BasicClasses; in-process clusters use
+// NewCluster or NewClusterOn instead. The caller owns the endpoint's
+// lifetime; Stop the machine before closing it.
 func StartMachine(ep transport.Endpoint, cfg Config, basics []class.ID, incarnation uint64) (*Machine, error) {
 	cfg, err := cfg.withDefaults(0)
 	if err != nil {
@@ -169,11 +171,12 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 	m.lease.rr = make(map[class.ID]uint32)
 	m.lease.cLeased = make(map[class.ID]*obs.Counter)
 	m.lease.cFallback = make(map[class.ID]*obs.Counter)
-	nodeOpts := vsync.NodeOptions{Obs: o, Audit: cfg.Audit}
+	coord := vsync.CoordFn(vsync.LowestLive)
 	if m.pol != nil {
-		nodeOpts.Coord = m.pol.CoordFn()
+		coord = m.pol.CoordFn()
 	}
-	m.node = vsync.NewNodeOpts(ep, machineHandler{m: m}, nodeOpts)
+	m.node = vsync.NewNodeOpts(ep, machineHandler{m: m},
+		vsync.NodeOptions{Obs: o, Audit: cfg.Audit, Coord: coord})
 	// Namespaced per machine so in-process clusters sharing one Obs keep
 	// every machine's collector registered (names replace on collision).
 	o.AddCollector(fmt.Sprintf("core.audit.m%d", id), m.collectAudit)

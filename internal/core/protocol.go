@@ -23,7 +23,6 @@ import (
 //	take   <name> <matcher>...          → OK <tuple> | FAIL | ERR <msg>
 //	readwait <dur> <name> <matcher>...  → OK <tuple> | FAIL | ERR <msg>
 //	takewait <dur> <name> <matcher>...  → OK <tuple> | FAIL | ERR <msg>
-//	stat                                → OK <op counts and costs>
 //	stats                               → OK, then the Figure-1-style
 //	                                      per-op table (plus the per-class
 //	                                      leased-read table when the fast
@@ -234,8 +233,6 @@ func ExecuteCommand(m *Machine, line string) string {
 			return "FAIL"
 		}
 		return "OK " + renderTuple(old)
-	case "stat":
-		return "OK " + renderStatsLine(m.Report())
 	case "stats":
 		// Multi-line response: the table rows, then a lone "." terminator
 		// so line-oriented clients know where it ends. "stats -stages"

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"net"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -100,16 +101,19 @@ func TestExecuteCommandWaits(t *testing.T) {
 	}
 }
 
-func TestExecuteCommandStat(t *testing.T) {
+func TestExecuteCommandStats(t *testing.T) {
 	c := protoCluster0(t)
 	m := c.Machine(1)
-	if resp := ExecuteCommand(m, "stat"); !strings.HasPrefix(resp, "OK") {
-		t.Fatalf("stat = %q", resp)
+	if resp := ExecuteCommand(m, "stats"); !strings.HasPrefix(resp, "OK\n") || !strings.HasSuffix(resp, "\n.") {
+		t.Fatalf("stats = %q", resp)
+	}
+	insertRow := regexp.MustCompile(`(?m)^insert +1 `)
+	if resp := ExecuteCommand(m, "stats"); insertRow.MatchString(resp) {
+		t.Fatalf("stats before any insert = %q", resp)
 	}
 	ExecuteCommand(m, "insert task i:1")
-	resp := ExecuteCommand(m, "stat")
-	if !strings.Contains(resp, "insert=1") {
-		t.Fatalf("stat after insert = %q", resp)
+	if resp := ExecuteCommand(m, "stats"); !insertRow.MatchString(resp) {
+		t.Fatalf("stats after insert = %q", resp)
 	}
 }
 

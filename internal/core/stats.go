@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"paso/internal/obs"
@@ -188,18 +187,4 @@ func ReportMetrics(rs []OpReport) map[string]float64 {
 		out[prefix+"time"] = r.Time
 	}
 	return out
-}
-
-// renderStatsLine renders reports as the single-line protocol form used by
-// the legacy "stat" verb.
-func renderStatsLine(rs []OpReport) string {
-	parts := make([]string, 0, len(rs))
-	for _, r := range rs {
-		parts = append(parts, fmt.Sprintf("%s=%d(msg=%.0f,work=%.0f)",
-			r.Kind, r.Count, r.MsgCost, r.Work))
-	}
-	if len(parts) == 0 {
-		return "no-ops"
-	}
-	return strings.Join(parts, " ")
 }

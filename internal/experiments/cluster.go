@@ -3,34 +3,26 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"paso/internal/class"
 	"paso/internal/core"
+	"paso/internal/cost"
 	"paso/internal/load"
 	"paso/internal/obs"
-	"paso/internal/placement"
+	"paso/internal/simnet"
 	"paso/internal/storage"
-	"paso/internal/transport"
 	"paso/internal/transport/tcp"
 	"paso/internal/tuple"
 )
 
-// benchCluster is a running loopback-TCP PASO cluster — the shared
-// standing for the load-plane experiments (throughput, sweep). Machines
-// share one Obs so transport and stage metrics aggregate cluster-wide.
-type benchCluster struct {
-	eps      []*tcp.Endpoint
-	machines []*core.Machine
-}
-
 // benchConfig builds the machine config every load experiment uses: λ=1
 // (λ=0 for single-machine clusters, which cannot replicate) over a hash
-// store. classes ≤ 1 keeps the historical single "job" class, so older
-// trajectory points stay comparable; classes > 1 switches to an exact
-// N-class universe with sharded coordinator placement — the multi-class
-// scaling mode (EXPERIMENTS.md, E19). leases turns on the leased-read fast
+// store. classes ≤ 1 keeps the historical single "job" class sequenced by
+// the lowest live machine, so older trajectory points stay comparable;
+// classes > 1 switches to an exact N-class universe with sharded
+// coordinator placement — the multi-class scaling mode (EXPERIMENTS.md,
+// E19). leases turns on the leased-read fast
 // path (E21); it needs a non-member membership source, so leased runs imply
 // placement even for one class.
 func benchConfig(machines, classes int, leases bool) core.Config {
@@ -112,128 +104,28 @@ func (bc *benchClassifier) Classes() []class.ID {
 	return append([]class.ID(nil), bc.classes...)
 }
 
-// startTCPCluster stands up n machines over loopback TCP: endpoints
-// listen, full-mesh peering, failure detectors converge, then the
-// machines start concurrently as separate pasod processes would. With
-// traceOps set, each machine records spans into its own sink (capacity
-// spanCap), matching the per-process shape of a real deployment. classes
-// > 1 runs the sharded multi-class config with placement-derived supports.
-func startTCPCluster(n, classes int, o *obs.Obs, traceOps bool, spanCap int, leases bool) (*benchCluster, error) {
-	topts := tcp.Options{
-		HeartbeatInterval: 10 * time.Millisecond,
-		FailTimeout:       500 * time.Millisecond,
-		Obs:               o,
+// startCluster stands the load experiments' cluster up on the named fabric
+// — "tcp" for real loopback sockets, "simnet" for the simulated LAN —
+// through the one assembly every harness shares (core.NewClusterOn).
+// Machines and endpoints share o, so transport and stage metrics aggregate
+// cluster-wide.
+func startCluster(transport string, machines, classes int, leases bool, o *obs.Obs) (*core.Cluster, error) {
+	var fabric core.Fabric
+	switch transport {
+	case "tcp":
+		fabric = tcp.NewLoopback(tcp.Options{
+			HeartbeatInterval: 10 * time.Millisecond,
+			FailTimeout:       500 * time.Millisecond,
+			Obs:               o,
+		})
+	case "simnet":
+		fabric = core.SimFabric(simnet.New(cost.DefaultModel()))
+	default:
+		return nil, fmt.Errorf("unknown transport %q (want tcp or simnet)", transport)
 	}
-	mcfg := benchConfig(n, classes, leases)
-	mcfg.Obs = o
-	basics := mcfg.Classifier.Classes()
-
-	// Sharded mode: each machine basically supports the classes placement
-	// maps to it (mirroring core.NewCluster's derivation), so supports
-	// co-locate with the placed coordinators.
-	var basicsFor map[transport.NodeID][]class.ID
-	if mcfg.Placement {
-		pol := placement.New(basics, mcfg.Lambda)
-		all := make([]transport.NodeID, n)
-		for i := range all {
-			all[i] = transport.NodeID(i + 1)
-		}
-		basicsFor = make(map[transport.NodeID][]class.ID, n)
-		for cls, members := range pol.Assign(all).Members {
-			for _, id := range members {
-				basicsFor[id] = append(basicsFor[id], cls)
-			}
-		}
-	}
-
-	bc := &benchCluster{eps: make([]*tcp.Endpoint, n)}
-	ok := false
-	defer func() {
-		if !ok {
-			bc.Close()
-		}
-	}()
-	for i := range bc.eps {
-		ep, err := tcp.Listen(transport.NodeID(i+1), "127.0.0.1:0", topts)
-		if err != nil {
-			return nil, err
-		}
-		bc.eps[i] = ep
-	}
-	for i, ep := range bc.eps {
-		for j, pep := range bc.eps {
-			if i != j {
-				ep.AddPeer(pep.ID(), pep.Addr())
-			}
-		}
-	}
-	// Let the failure detectors converge before joining groups.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		converged := true
-		for _, ep := range bc.eps {
-			if len(ep.Alive()) != n {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("detectors never converged")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// Machines start concurrently, as separate pasod processes would.
-	bc.machines = make([]*core.Machine, n)
-	errs := make([]error, n)
-	var swg sync.WaitGroup
-	for i := range bc.machines {
-		swg.Add(1)
-		go func(i int) {
-			defer swg.Done()
-			var b []class.ID
-			if basicsFor != nil {
-				b = basicsFor[transport.NodeID(i+1)]
-			} else if i < mcfg.Lambda+1 {
-				b = basics
-			}
-			c := mcfg
-			if traceOps {
-				// Each machine records spans into its own sink, the same
-				// shape as separate pasod processes, so overhead
-				// measurements include the real recording path.
-				c.TraceOps = true
-				c.Obs = obs.New(obs.Options{SpanCap: spanCap})
-			}
-			bc.machines[i], errs[i] = core.StartMachine(bc.eps[i], c, b, 1)
-		}(i)
-	}
-	swg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("machine %d: %w", i+1, err)
-		}
-	}
-	ok = true
-	return bc, nil
-}
-
-// Close stops the machines, then the endpoints. Safe on a partially
-// constructed cluster.
-func (bc *benchCluster) Close() {
-	for _, m := range bc.machines {
-		if m != nil {
-			m.Stop()
-		}
-	}
-	for _, ep := range bc.eps {
-		if ep != nil {
-			ep.Close()
-		}
-	}
+	cfg := benchConfig(machines, classes, leases)
+	cfg.Obs = o
+	return core.NewClusterOn(fabric, cfg, machines)
 }
 
 // jobTemplate matches any "job" tuple — the read/take query of the
@@ -293,49 +185,38 @@ func (wl *benchWorkload) pick(w int) int {
 }
 
 // op runs one operation of the standard mix for worker w against machine
-// m, Zipf-picking the class, and reports which kind ran.
-func (wl *benchWorkload) op(m *core.Machine, w int, seq int64, insertFrac, readFrac float64) (string, error) {
+// m, Zipf-picking the class.
+func (wl *benchWorkload) op(m *core.Machine, w int, seq int64, insertFrac, readFrac float64) (err error) {
 	r := wl.rngs[w%len(wl.rngs)]
 	c := wl.pick(w)
 	switch p := r.Float64(); {
 	case p < insertFrac:
-		_, err := m.Insert(tuple.Make(tuple.String(wl.names[c]), tuple.Int(seq)))
-		return "insert", err
+		_, err = m.Insert(tuple.Make(tuple.String(wl.names[c]), tuple.Int(seq)))
 	case p < insertFrac+readFrac:
-		_, _, err := m.Read(wl.tpls[c])
-		return "read", err
+		_, _, err = m.Read(wl.tpls[c])
 	default:
-		_, _, err := m.ReadDel(wl.tpls[c])
-		return "read&del", err
+		_, _, err = m.ReadDel(wl.tpls[c])
 	}
+	return err
 }
 
-// preloadJobs seeds the space with n tuples spread round-robin over the
+// preload seeds the space with n tuples spread round-robin over the
 // machines and classes so early reads hit everywhere.
-func preloadJobs(machines []*core.Machine, n, classes int) error {
-	names := []string{"job"}
-	if classes > 1 {
-		names = names[:0]
-		for i := 0; i < classes; i++ {
-			names = append(names, fmt.Sprintf("job%d", i))
-		}
-	}
+func (wl *benchWorkload) preload(machines []*core.Machine, n int) error {
 	for i := 0; i < n; i++ {
 		if _, err := machines[i%len(machines)].Insert(
-			tuple.Make(tuple.String(names[i%len(names)]), tuple.Int(int64(i)))); err != nil {
+			tuple.Make(tuple.String(wl.names[i%len(wl.names)]), tuple.Int(int64(i)))); err != nil {
 			return fmt.Errorf("preload: %w", err)
 		}
 	}
 	return nil
 }
 
-// opMix adapts the shared workload to the open-loop generator: worker w
-// drives machines[w mod M] with its own seeded RNG, so the mix is
-// reproducible and workers never share RNG state.
-func opMix(machines []*core.Machine, workers, classes int, insertFrac, readFrac float64, seed int64) load.Op {
-	wl := newWorkload(classes, workers, seed)
+// mix adapts the workload to the open-loop generator: worker w drives
+// machines[w mod M] with its own seeded RNG, so the mix is reproducible and
+// workers never share RNG state.
+func (wl *benchWorkload) mix(machines []*core.Machine, insertFrac, readFrac float64) load.Op {
 	return func(w int, seq int64) error {
-		_, err := wl.op(machines[w%len(machines)], w, seq, insertFrac, readFrac)
-		return err
+		return wl.op(machines[w%len(machines)], w, seq, insertFrac, readFrac)
 	}
 }

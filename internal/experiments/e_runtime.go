@@ -248,22 +248,14 @@ func E10AdaptiveVsStatic() *stats.Table {
 	return t
 }
 
-// newRestrictedCluster builds a cluster whose config carries an explicit
-// support map only for the classes it names; remaining classes get
-// round-robin supports computed here (Config.Support must cover every
-// class when provided).
+// newRestrictedCluster builds a cluster whose config pins supports only for
+// the classes it names; the remaining classes keep the default layout
+// (Config.Support must cover every class when provided).
 func newRestrictedCluster(cfg core.Config, n int) (*core.Cluster, error) {
-	full := make(map[class.ID][]transport.NodeID)
-	classes := cfg.Classifier.Classes()
-	for i, cls := range classes {
-		if ids, ok := cfg.Support[cls]; ok {
-			full[cls] = ids
-			continue
-		}
-		ids := make([]transport.NodeID, 0, cfg.Lambda+1)
-		for k := 0; k <= cfg.Lambda; k++ {
-			ids = append(ids, transport.NodeID((i+k)%n+1))
-		}
+	pinned := cfg.Support
+	cfg.Support = nil
+	full := cfg.SupportMap(core.Ensemble(n))
+	for cls, ids := range pinned {
 		full[cls] = ids
 	}
 	cfg.Support = full

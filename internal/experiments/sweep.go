@@ -30,7 +30,7 @@ type SweepConfig struct {
 	// Classes selects the multi-class sharded mode (EXPERIMENTS.md, E19):
 	// values > 1 run that many independent object classes with placed
 	// per-class coordinators and a Zipf-skewed class mix. 0 or 1 keeps the
-	// historical single-class, single-sequencer workload.
+	// historical single-class workload sequenced by the lowest live machine.
 	Classes int
 	// Leases enables the leased-read fast path (EXPERIMENTS.md, E21): reads
 	// from non-members go point-to-point to one wg member under the view
@@ -120,32 +120,18 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	cfg = cfg.withDefaults()
 	o := cfg.Obs
 
-	var machines []*core.Machine
-	switch cfg.Transport {
-	case "tcp":
-		bc, err := startTCPCluster(cfg.Machines, cfg.Classes, o, false, 0, cfg.Leases)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-		defer bc.Close()
-		machines = bc.machines
-	case "simnet":
-		mcfg := benchConfig(cfg.Machines, cfg.Classes, cfg.Leases)
-		mcfg.Obs = o
-		cl, err := core.NewCluster(mcfg, cfg.Machines)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-		defer cl.Shutdown()
-		machines = cl.Machines()
-	default:
-		return nil, fmt.Errorf("sweep: unknown transport %q (want tcp or simnet)", cfg.Transport)
+	cl, err := startCluster(cfg.Transport, cfg.Machines, cfg.Classes, cfg.Leases, o)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	if err := preloadJobs(machines, cfg.Preload, cfg.Classes); err != nil {
+	defer cl.Shutdown()
+	machines := cl.Machines()
+	wl := newWorkload(cfg.Classes, cfg.Workers, cfg.Seed)
+	if err := wl.preload(machines, cfg.Preload); err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 
-	op := opMix(machines, cfg.Workers, cfg.Classes, cfg.InsertFrac, cfg.ReadFrac, cfg.Seed)
+	op := wl.mix(machines, cfg.InsertFrac, cfg.ReadFrac)
 	res, err := load.Sweep(load.SweepConfig{
 		Rates:        cfg.Rates,
 		RungDuration: cfg.RungDuration,

@@ -12,6 +12,7 @@ import (
 	"paso/internal/obs"
 	"paso/internal/obs/flight"
 	"paso/internal/semantics"
+	"paso/internal/simnet"
 	"paso/internal/transport"
 	"paso/internal/tuple"
 )
@@ -117,6 +118,7 @@ type asyncOp struct {
 type runner struct {
 	sc      *Scenario
 	opt     RunOptions
+	net     *simnet.Net
 	cluster *core.Cluster
 	plan    *Plan
 	ck      *Checker
@@ -193,14 +195,15 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 		sampler.Start()
 		defer sampler.Stop()
 	}
-	cluster, err := core.NewCluster(ccfg, sc.N)
+	net := simnet.New(cost.DefaultModel())
+	cluster, err := core.NewClusterOn(core.SimFabric(net), ccfg, sc.N)
 	if err != nil {
 		return nil, fmt.Errorf("faults: cluster: %w", err)
 	}
 	ck.Bind(cluster)
-	cluster.Net().SetInjector(plan)
+	net.SetInjector(plan)
 	r := &runner{
-		sc: sc, opt: opt, cluster: cluster, plan: plan, ck: ck,
+		sc: sc, opt: opt, net: net, cluster: cluster, plan: plan, ck: ck,
 		rec: semantics.NewRecorder(), o: o, out: opt.Out,
 		pumpStop: make(chan struct{}), pumpDone: make(chan struct{}),
 	}
@@ -300,7 +303,7 @@ func (r *runner) pump() {
 		case <-r.pumpStop:
 			return
 		case <-t.C:
-			r.cluster.Net().Tick()
+			r.net.Tick()
 		}
 	}
 }
@@ -500,37 +503,32 @@ func (r *runner) exec(num int, st Step) {
 		r.o.Emit("fault-injected", obs.KV("kind", string(KindRestart)), obs.KV("node", st.Node))
 		line("restart m=%d: %s", st.Node, outcome)
 	case OpFlap:
-		r.cluster.Net().Flap(st.Node)
+		r.net.Flap(st.Node)
 		r.o.Emit("fault-injected", obs.KV("kind", string(KindFlap)), obs.KV("node", st.Node))
 		line("flap m=%d: ok", st.Node)
 	case OpPartition:
 		r.ck.Pause()
 		for _, a := range st.A {
 			for _, b := range st.B {
-				r.cluster.Net().Cut(a, b)
-				r.cluster.Net().Cut(b, a)
+				r.net.Cut(a, b)
+				r.net.Cut(b, a)
 			}
 		}
 		r.o.Emit("fault-injected", obs.KV("kind", string(KindPartition)),
 			obs.KV("sideA", st.A), obs.KV("sideB", st.B))
 		line("partition %v | %v: ok", st.A, st.B)
 	case OpHeal:
-		for _, a := range st.A {
-			for _, b := range st.B {
-				r.cluster.Net().Uncut(a, b)
-				r.cluster.Net().Uncut(b, a)
-			}
-		}
+		r.net.Heal(st.A, st.B)
 		outcome := r.settle()
 		r.ck.Resume()
 		line("heal %v | %v: %s", st.A, st.B, outcome)
 	case OpCutOneWay:
-		r.cluster.Net().Cut(st.From, st.To)
+		r.net.Cut(st.From, st.To)
 		r.o.Emit("fault-injected", obs.KV("kind", string(KindOneWay)),
 			obs.KV("from", st.From), obs.KV("to", st.To))
 		line("cut-oneway %d->%d: ok", st.From, st.To)
 	case OpHealOneWay:
-		r.cluster.Net().Uncut(st.From, st.To)
+		r.net.Uncut(st.From, st.To)
 		line("heal-oneway %d->%d: ok", st.From, st.To)
 	case OpRules:
 		time.Sleep(quiescePause)
@@ -552,13 +550,17 @@ func (r *runner) exec(num int, st Step) {
 	}
 }
 
-// settle polls the full invariant until it holds or the settle timeout
-// expires (which is a violation: recovery is supposed to converge).
+// settle polls the full invariant and replica convergence until both hold
+// or the settle timeout expires (which is a violation: recovery is supposed
+// to converge). Counting λ−k+1 members is not enough: a machine healed out
+// of a partition counts itself a wg(C) member of its stale series until its
+// detector sees the peers and the coordinator restates it, and a probe that
+// lands in that window reads the stale local replica.
 func (r *runner) settle() string {
 	deadline := time.Now().Add(r.opt.SettleTimeout)
 	var err error
 	for {
-		if err = r.cluster.CheckInvariants(); err == nil {
+		if err = r.cluster.CheckConverged(); err == nil {
 			return "ok"
 		}
 		if time.Now().After(deadline) {

@@ -2,9 +2,9 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 
 	"paso/internal/class"
+	"paso/internal/core"
 	"paso/internal/transport"
 )
 
@@ -91,8 +91,8 @@ type Scenario struct {
 	Lambda int // crash tolerance λ
 	Rounds int
 
-	// Support pins every class's basic support, mirroring the cluster's
-	// default round-robin layout; generating it here lets Build choose
+	// Support pins every class's basic support to the cluster's default
+	// layout (core.Config.SupportMap); generating it here lets Build choose
 	// victims and probers with full knowledge of who replicates what.
 	Support map[class.ID][]transport.NodeID
 
@@ -137,22 +137,6 @@ func (r *rng) pick(n int, excluded ...transport.NodeID) transport.NodeID {
 	}
 }
 
-// supportMap mirrors core.NewCluster's default layout: classes sorted,
-// class i supported by machines (i+k) mod n + 1 for k = 0..λ.
-func supportMap(n, lambda int) map[class.ID][]transport.NodeID {
-	classes := Classifier().Classes()
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	sup := make(map[class.ID][]transport.NodeID, len(classes))
-	for i, cls := range classes {
-		ids := make([]transport.NodeID, 0, lambda+1)
-		for k := 0; k <= lambda; k++ {
-			ids = append(ids, transport.NodeID((i+k)%n+1))
-		}
-		sup[cls] = ids
-	}
-	return sup
-}
-
 // Build generates a scenario schedule purely from its parameters.
 // Non-positive n, lambda, rounds take the defaults 5, 1, 2. The same
 // (name, seed, n, lambda, rounds) always yields the same scenario.
@@ -174,7 +158,7 @@ func Build(name string, seed uint64, n, lambda, rounds int) (*Scenario, error) {
 	}
 	sc := &Scenario{
 		Name: name, Seed: seed, N: n, Lambda: lambda, Rounds: rounds,
-		Support: supportMap(n, lambda),
+		Support: core.Config{Classifier: Classifier(), Lambda: lambda}.SupportMap(core.Ensemble(n)),
 	}
 	r := scenarioRng(seed, name)
 	slots := 0

@@ -23,7 +23,8 @@ import (
 // format"), transport defines the buffer-ownership contract the codec's
 // pooling relies on, simnet and faults define the fault plane (FAULTS.md),
 // and class + placement define the sharding contract (PROTOCOL.md
-// "Sharded groups"): which class a tuple falls in and which machine
+// "Coordinator placement and takeover"): which class a tuple falls in and
+// which machine
 // sequences it must be readable from the doc comments alone. core and
 // semantics joined with the leased-read fast path (PROTOCOL.md "Leased
 // reads"): the engine's op surface — including the lease fallback

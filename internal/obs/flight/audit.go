@@ -43,7 +43,7 @@ type OwnershipEvent struct {
 
 // AuditTrail is a bounded ring of ownership events — the placement and
 // rebalance history of the groups this machine participates in. vsync's
-// placed mode records into it through the vsync.PlacementAudit interface;
+// sequencers record into it through the vsync.PlacementAudit interface;
 // bundles and the /placement endpoint read it. It is an observer: nothing
 // recorded here feeds back into placement decisions.
 type AuditTrail struct {

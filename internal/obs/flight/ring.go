@@ -15,7 +15,7 @@
 //     manifest-indexed directory, fetchable with `pasoctl flight`;
 //   - a placement audit trail (AuditTrail): the per-class ownership
 //     timeline (live epoch, coordinator, claim kind, takeover duration)
-//     recorded by vsync's placed mode, included in bundles and served at
+//     recorded by vsync's sequencers, included in bundles and served at
 //     /placement.
 //
 // Everything here is an observer: nothing in this package appears on the

@@ -1,8 +1,9 @@
 // Package placement computes the deterministic per-class coordinator and
-// support placement for sharded groups (PROTOCOL.md, "Sharded groups").
+// support placement for sharded groups (PROTOCOL.md, "Coordinator placement
+// and takeover") — the spreading alternative to vsync.LowestLive.
 //
 // One global sequencer caps aggregate ordering throughput at one machine's
-// capacity; sharded mode runs the N object classes of §4.1 as N
+// capacity; sharding runs the N object classes of §4.1 as N
 // independently sequenced vsync groups. This package answers, for any
 // observer, "who sequences class C right now?" as a pure function of the
 // configured class universe and the observer's live machine set — no
@@ -162,15 +163,6 @@ func (p *Policy) assign(live []transport.NodeID) *Assignment {
 		a.Members[cls] = members
 	}
 	return a
-}
-
-// CoordOf returns the coordinator for one class under a live set, or 0 for
-// an empty live set or a class outside the universe.
-func (p *Policy) CoordOf(cls class.ID, live []transport.NodeID) transport.NodeID {
-	if !p.inUniv[cls] {
-		return 0
-	}
-	return p.Assign(live).Coord[cls]
 }
 
 // GroupCoord resolves a raw vsync group name to its coordinator under a

@@ -137,11 +137,32 @@ func (n *Net) Cut(from, to transport.NodeID) {
 // Uncut heals the directed link from→to. The receiver observes a
 // synthesized Up(from) event when both ends are live, re-priming its
 // failure detector (the group layer then interrogates the returning peer
-// and reconciles any divergence — PROTOCOL.md "Failure and recovery").
-// Uncutting a healthy link is a no-op.
+// and reconciles any divergence — PROTOCOL.md "Divergence
+// reconciliation"). Uncutting a healthy link is a no-op.
 func (n *Net) Uncut(from, to transport.NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.uncutLocked(from, to)
+}
+
+// Heal restores every link between the node sets a and b, both directions,
+// under one hold of the hub lock — the heal of a symmetric partition
+// (FAULTS.md §2.4). Link-by-link Uncut calls leave moments in which a node
+// has observed a peer's Up while a link the reconciliation needs is still
+// cut: the interrogation it sends on Up, or the state transfer of the
+// rejoin that follows, is dropped, and nothing ever repeats it.
+func (n *Net) Heal(a, b []transport.NodeID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, x := range a {
+		for _, y := range b {
+			n.uncutLocked(x, y)
+			n.uncutLocked(y, x)
+		}
+	}
+}
+
+func (n *Net) uncutLocked(from, to transport.NodeID) {
 	k := cutKey{from, to}
 	if !n.cuts[k] {
 		return

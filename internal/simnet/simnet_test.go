@@ -371,8 +371,7 @@ func TestCutPartitionsAndHeals(t *testing.T) {
 
 	// Heal: both sides see Up again, traffic flows, the cut-window frame
 	// stays lost (it was dropped, not queued).
-	n.Uncut(1, 2)
-	n.Uncut(2, 1)
+	n.Heal([]transport.NodeID{1}, []transport.NodeID{2})
 	recvEvent(t, b, transport.KindUp, 1)
 	recvEvent(t, a, transport.KindUp, 2)
 	if err := a.Send(2, []byte("after")); err != nil {

@@ -657,11 +657,6 @@ func writeFrameTo(w io.Writer, hdr *[12]byte, from transport.NodeID, payload []b
 	return nil
 }
 
-func writeFrame(w io.Writer, from transport.NodeID, payload []byte) error {
-	var hdr [12]byte
-	return writeFrameTo(w, &hdr, from, payload)
-}
-
 func readFrame(r io.Reader) (transport.NodeID, []byte, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

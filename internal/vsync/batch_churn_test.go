@@ -6,11 +6,87 @@ import (
 	"testing"
 	"time"
 
-	"paso/internal/cost"
-	"paso/internal/obs"
-	"paso/internal/simnet"
 	"paso/internal/transport"
 )
+
+// burst launches issuers goroutines on each listed node, each gcasting
+// perIssuer payloads to group "g", and records every acknowledged payload.
+// Errors and fails are tolerated — the callers crash the sequencer mid-burst
+// — but a success means every member acked before the reply.
+func burst(h *harness, ids []transport.NodeID, issuers, perIssuer int, succeeded *sync.Map) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for _, id := range ids {
+		for w := 0; w < issuers; w++ {
+			wg.Add(1)
+			go func(id transport.NodeID, nd *Node, w int) {
+				defer wg.Done()
+				for m := 0; m < perIssuer; m++ {
+					payload := fmt.Sprintf("n%d-w%d-m%d", id, w, m)
+					if res, err := nd.Gcast("g", []byte(payload)); err == nil && !res.Fail {
+						succeeded.Store(payload, true)
+					}
+				}
+			}(id, h.nds[id], w)
+		}
+	}
+	return &wg
+}
+
+// checkSurvivors quiesces group "g" and asserts the surviving members hold
+// identical, duplicate-free logs containing every acknowledged payload
+// exactly once.
+func checkSurvivors(t *testing.T, h *harness, succeeded *sync.Map) {
+	t.Helper()
+	var members []transport.NodeID
+	for id, nd := range h.nds {
+		if nd.Member("g") {
+			members = append(members, id)
+		}
+	}
+	if _, err := h.nds[members[0]].Gcast("g", []byte("final")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "logs converge", func() bool {
+		for _, id := range members[1:] {
+			if len(h.hs[id].log("g")) != len(h.hs[members[0]].log("g")) {
+				return false
+			}
+		}
+		return h.hs[members[0]].log("g")[len(h.hs[members[0]].log("g"))-1] == "final"
+	})
+	ref := h.hs[members[0]].log("g")
+	for _, id := range members[1:] {
+		got := h.hs[id].log("g")
+		if len(got) != len(ref) {
+			t.Fatalf("log length mismatch: node %d has %d, node %d has %d", id, len(got), members[0], len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("order divergence at %d: node %d %q vs node %d %q", i, id, got[i], members[0], ref[i])
+			}
+		}
+	}
+	seen := make(map[string]int, len(ref))
+	for _, m := range ref {
+		if seen[m]++; seen[m] > 1 {
+			t.Fatalf("duplicate delivery %q", m)
+		}
+	}
+	succeeded.Range(func(k, _ any) bool {
+		if seen[k.(string)] != 1 {
+			t.Errorf("successful gcast %q delivered %d times", k, seen[k.(string)])
+		}
+		return true
+	})
+}
+
+// counterSum adds one counter over every node's Obs, crashed ones included.
+func counterSum(h *harness, name string) (sum int64) {
+	for _, o := range h.os {
+		sum += o.Counter(name).Value()
+	}
+	return sum
+}
 
 // TestPipelinedGcastCoordinatorCrash drives many pipelined gcasts (several
 // concurrent issuers per node, so the coordinator's loop sees bursts and
@@ -25,145 +101,32 @@ func TestPipelinedGcastCoordinatorCrash(t *testing.T) {
 	// Force the per-destination send workers on: single-CPU CI hosts
 	// default to inline sends, and this test (with the race detector) is
 	// where the worker handoff plumbing earns its coverage.
-	t.Setenv("PASO_FANOUT", "1")
-	const (
-		nodes     = 5
-		issuers   = 4  // concurrent gcast goroutines per node
-		perIssuer = 20 // gcasts per goroutine
-	)
-	net := simnet.New(cost.DefaultModel())
-	nds := make(map[transport.NodeID]*Node, nodes)
-	hs := make(map[transport.NodeID]*testHandler, nodes)
-	os := make(map[transport.NodeID]*obs.Obs, nodes)
-	for id := transport.NodeID(1); id <= nodes; id++ {
-		ep, err := net.Join(id)
-		if err != nil {
-			t.Fatal(err)
+	defer func(was bool) { fanoutDefault = was }(fanoutDefault)
+	fanoutDefault = true
+	forEachPlacement(t, func(t *testing.T, fn CoordFn) {
+		ids := []transport.NodeID{1, 2, 3, 4, 5}
+		h := newHarnessOn(t, fn, ids...)
+		for _, id := range ids {
+			if err := h.nds[id].Join("g"); err != nil {
+				t.Fatal(err)
+			}
 		}
-		th := newTestHandler()
-		o := obs.New(obs.Options{})
-		nds[id] = NewNodeWith(ep, th, o)
-		hs[id] = th
-		os[id] = o
-	}
-	t.Cleanup(func() {
-		for _, nd := range nds {
-			nd.Close()
+		var succeeded sync.Map
+		wg := burst(h, ids, 4, 20, &succeeded)
+		// Crash the sequencer mid-burst. The survivors' recovery must
+		// rebuild sequencing state and the retransmitted requests must
+		// dedup, batched frames included.
+		time.Sleep(2 * time.Millisecond)
+		h.crash(fn("g", ids))
+		wg.Wait()
+		checkSurvivors(t, h, &succeeded)
+		// The pipelined load must actually have exercised the batch path; a
+		// regression that stops coalescing would pass the ordering checks
+		// silently without this.
+		if counterSum(h, "vsync.batch.sends") == 0 {
+			t.Fatal("no tBatch frames sent under pipelined load")
 		}
 	})
-	for id := transport.NodeID(1); id <= nodes; id++ {
-		if err := nds[id].Join("g"); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Pipelined burst from every node; successes recorded per payload.
-	var succeeded sync.Map // payload string → true
-	var wg sync.WaitGroup
-	for id := transport.NodeID(1); id <= nodes; id++ {
-		for w := 0; w < issuers; w++ {
-			wg.Add(1)
-			go func(id transport.NodeID, nd *Node, w int) {
-				defer wg.Done()
-				for m := 0; m < perIssuer; m++ {
-					payload := fmt.Sprintf("n%d-w%d-m%d", id, w, m)
-					res, err := nd.Gcast("g", []byte(payload))
-					// Errors and fails are tolerated only around the
-					// crash window; successes must be delivered.
-					if err == nil && !res.Fail {
-						succeeded.Store(payload, true)
-					}
-				}
-			}(id, nds[id], w)
-		}
-	}
-	// Crash the coordinator (lowest live ID) mid-burst. The survivors'
-	// recovery protocol must rebuild sequencing state and the retransmitted
-	// requests must dedup, batched frames included.
-	time.Sleep(2 * time.Millisecond)
-	net.Crash(1)
-	nds[1].Close()
-	delete(nds, 1)
-	delete(hs, 1)
-	wg.Wait()
-
-	// Quiesce and converge.
-	var survivor *Node
-	for _, nd := range nds {
-		survivor = nd
-		break
-	}
-	if _, err := survivor.Gcast("g", []byte("final")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "logs converge", func() bool {
-		length := -1
-		for id, nd := range nds {
-			if !nd.Member("g") {
-				continue
-			}
-			got := len(hs[id].log("g"))
-			if length == -1 {
-				length = got
-				continue
-			}
-			if got != length {
-				return false
-			}
-		}
-		return true
-	})
-
-	// All member logs identical and duplicate-free.
-	var ref []string
-	var refID transport.NodeID
-	for id, nd := range nds {
-		if !nd.Member("g") {
-			continue
-		}
-		got := hs[id].log("g")
-		if ref == nil {
-			ref, refID = got, id
-			continue
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("log length mismatch: node %d has %d, node %d has %d",
-				id, len(got), refID, len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("order divergence at %d: node %d %q vs node %d %q",
-					i, id, got[i], refID, ref[i])
-			}
-		}
-	}
-	seen := make(map[string]int, len(ref))
-	for _, m := range ref {
-		seen[m]++
-		if seen[m] > 1 {
-			t.Fatalf("duplicate delivery %q", m)
-		}
-	}
-	// Exactly-once for every acknowledged gcast: a success means every
-	// member acked the ordered event before the reply, so survivors must
-	// hold it.
-	succeeded.Range(func(k, _ any) bool {
-		if seen[k.(string)] != 1 {
-			t.Errorf("successful gcast %q delivered %d times", k, seen[k.(string)])
-		}
-		return true
-	})
-
-	// The pipelined load must actually have exercised the batch path; a
-	// regression that stops coalescing would pass the ordering checks
-	// silently without this.
-	var batches int64
-	for _, o := range os {
-		batches += o.Counter("vsync.batch.sends").Value()
-	}
-	if batches == 0 {
-		t.Fatal("no tBatch frames sent under pipelined load")
-	}
 }
 
 // TestSeqRangeCrashPartialDelivery targets the batched-ordering recovery
@@ -177,141 +140,39 @@ func TestSeqRangeCrashPartialDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn test skipped in -short mode")
 	}
-	const (
-		nodes     = 5
-		issuers   = 3
-		perIssuer = 10
-	)
-	net := simnet.New(cost.DefaultModel())
-	nds := make(map[transport.NodeID]*Node, nodes)
-	hs := make(map[transport.NodeID]*testHandler, nodes)
-	os := make(map[transport.NodeID]*obs.Obs, nodes)
-	for id := transport.NodeID(1); id <= nodes; id++ {
-		ep, err := net.Join(id)
-		if err != nil {
-			t.Fatal(err)
+	forEachPlacement(t, func(t *testing.T, fn CoordFn) {
+		ids := []transport.NodeID{1, 2, 3, 4, 5}
+		h := newHarnessOn(t, fn, ids...)
+		for _, id := range ids {
+			if err := h.nds[id].Join("g"); err != nil {
+				t.Fatal(err)
+			}
 		}
-		th := newTestHandler()
-		o := obs.New(obs.Options{})
-		nds[id] = NewNodeWith(ep, th, o)
-		hs[id] = th
-		os[id] = o
-	}
-	t.Cleanup(func() {
-		for _, nd := range nds {
-			nd.Close()
+		owner := fn("g", ids)
+		survivors := without(ids, owner)
+		// Tear the link from the sequencer to one member: every run it emits
+		// from here on is partially delivered (that member never sees it),
+		// and no gather can complete — the in-flight window at the crash is
+		// maximal. The member is not the successor: a cut makes its target
+		// see the sequencer as down, and a successor that believes that
+		// starts a second series while the first is still live — the
+		// one-way-cut hazard of FAULTS.md §2.5, not this test's subject.
+		laggard := without(survivors, fn("g", survivors))[0]
+		h.net.Cut(owner, laggard)
+
+		var succeeded sync.Map
+		wg := burst(h, survivors, 3, 10, &succeeded)
+		// Let ranges be allocated and partially delivered, then kill the
+		// sequencer. Its successor's recovery must resync the laggard from
+		// the survivor with the highest delivered sequence.
+		time.Sleep(3 * time.Millisecond)
+		h.crash(owner)
+		wg.Wait()
+		checkSurvivors(t, h, &succeeded)
+		// The load must have exercised the run path: without emitted runs
+		// the partial-delivery scenario this test exists for never happened.
+		if runs, casts := counterSum(h, "vsync.order.runs"), counterSum(h, "vsync.order.run.casts"); runs == 0 || casts == 0 {
+			t.Fatalf("no tOrderedRun traffic under pipelined load (runs=%d casts=%d)", runs, casts)
 		}
 	})
-	for id := transport.NodeID(1); id <= nodes; id++ {
-		if err := nds[id].Join("g"); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Tear the coordinator→member-3 link: every run the coordinator emits
-	// from here on is partially delivered (members 2, 4, 5 apply; 3 never
-	// sees it), and no gather can complete — the in-flight window at the
-	// crash is maximal.
-	net.Cut(1, 3)
-
-	var succeeded sync.Map
-	var wg sync.WaitGroup
-	for id := transport.NodeID(2); id <= nodes; id++ {
-		for w := 0; w < issuers; w++ {
-			wg.Add(1)
-			go func(id transport.NodeID, nd *Node, w int) {
-				defer wg.Done()
-				for m := 0; m < perIssuer; m++ {
-					payload := fmt.Sprintf("r%d-w%d-m%d", id, w, m)
-					res, err := nd.Gcast("g", []byte(payload))
-					if err == nil && !res.Fail {
-						succeeded.Store(payload, true)
-					}
-				}
-			}(id, nds[id], w)
-		}
-	}
-	// Let ranges be allocated and partially delivered, then kill the
-	// sequencer. Successor recovery (node 2) must resync node 3 from the
-	// survivor with the highest delivered sequence.
-	time.Sleep(3 * time.Millisecond)
-	net.Crash(1)
-	nds[1].Close()
-	delete(nds, 1)
-	delete(hs, 1)
-	wg.Wait()
-
-	var survivor *Node
-	for _, nd := range nds {
-		survivor = nd
-		break
-	}
-	if _, err := survivor.Gcast("g", []byte("final")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "logs converge", func() bool {
-		length := -1
-		for id, nd := range nds {
-			if !nd.Member("g") {
-				continue
-			}
-			got := len(hs[id].log("g"))
-			if length == -1 {
-				length = got
-				continue
-			}
-			if got != length {
-				return false
-			}
-		}
-		return true
-	})
-
-	// Identical, gap-free, duplicate-free logs across survivors.
-	var ref []string
-	var refID transport.NodeID
-	for id, nd := range nds {
-		if !nd.Member("g") {
-			continue
-		}
-		got := hs[id].log("g")
-		if ref == nil {
-			ref, refID = got, id
-			continue
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("log length mismatch: node %d has %d, node %d has %d",
-				id, len(got), refID, len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("order divergence at %d: node %d %q vs node %d %q",
-					i, id, got[i], refID, ref[i])
-			}
-		}
-	}
-	seen := make(map[string]int, len(ref))
-	for _, m := range ref {
-		seen[m]++
-		if seen[m] > 1 {
-			t.Fatalf("duplicate delivery %q", m)
-		}
-	}
-	succeeded.Range(func(k, _ any) bool {
-		if seen[k.(string)] != 1 {
-			t.Errorf("successful gcast %q delivered %d times", k, seen[k.(string)])
-		}
-		return true
-	})
-
-	// The load must have exercised the run path: without emitted runs the
-	// partial-delivery scenario this test exists for never happened.
-	var runs, casts int64
-	for _, o := range os {
-		runs += o.Counter("vsync.order.runs").Value()
-		casts += o.Counter("vsync.order.run.casts").Value()
-	}
-	if runs == 0 || casts == 0 {
-		t.Fatalf("no tOrderedRun traffic under pipelined load (runs=%d casts=%d)", runs, casts)
-	}
 }

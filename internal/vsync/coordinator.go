@@ -28,9 +28,9 @@ func (n *Node) recordOwnership(group, kind string, owner transport.NodeID, takeo
 	n.audit.RecordOwnership(group, n.liveEpoch, owner, kind, takeover)
 }
 
-// coordState is the sequencing state held by the current coordinator (the
-// lowest-ID live node). It exists only on that node and is rebuilt from
-// survivors after a coordinator crash.
+// coordState is the sequencing state of the groups the placement function
+// maps to this node. It is created by the node's first takeover recovery
+// and rebuilt from survivors after a previous owner's crash.
 type coordState struct {
 	groups     map[string]*coordGroup
 	recovering bool
@@ -184,8 +184,7 @@ type queuedReq struct {
 // preCoordMax bounds the not-yet-coordinator request stash (Node.preCoord).
 // The stash only grows during the short window between a peer observing the
 // old coordinator's death and this node observing it; past the cap, excess
-// requests fall back to the pre-existing behavior (dropped, resolved by the
-// sender's next coordinator change or the caller's timeout).
+// requests are dropped and resolved by the sender's next coordinator change.
 const preCoordMax = 4096
 
 // addIDCopy returns ids plus id, building a new slice when a change is
@@ -212,47 +211,6 @@ func removeIDCopy(ids []transport.NodeID, id transport.NodeID) []transport.NodeI
 		return append(out, ids[i+1:]...)
 	}
 	return ids
-}
-
-// becomeCoordinator initializes sequencing state when this node becomes the
-// lowest live node. With peers present the state must be recovered from
-// them; alone, this node's own group views seed the state directly.
-func (n *Node) becomeCoordinator() {
-	cs := &coordState{
-		groups:  make(map[string]*coordGroup),
-		reports: make(map[transport.NodeID]map[string]syncInfo),
-	}
-	n.cs = cs
-	n.gCoordBacklog.Set(0)
-	peers := make([]transport.NodeID, 0, len(n.live))
-	for id := range n.live {
-		if id != n.self {
-			peers = append(peers, id)
-		}
-	}
-	if len(peers) == 0 {
-		for name, g := range n.groups {
-			if !g.active {
-				continue
-			}
-			cg := n.newCoordGroup(name)
-			cg.members = []transport.NodeID{n.self}
-			cg.nextSeq = g.last + 1
-			cs.groups[name] = cg
-			n.recordOwnership(name, ownFresh, n.self, 0)
-		}
-		n.syncCoordGroups()
-		return
-	}
-	cs.recovering = true
-	cs.recoveryStart = time.Now()
-	cs.syncWait = make(map[transport.NodeID]bool, len(peers))
-	for _, p := range peers {
-		cs.syncWait[p] = true
-		n.send(p, &wire{Type: tSync})
-	}
-	// Record our own facts immediately.
-	cs.reports[n.self] = n.ownSyncInfos()
 }
 
 // coordSyncInfo records a node's group report: during recovery it counts
@@ -295,17 +253,17 @@ func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
 		if !info.Member {
 			continue
 		}
-		if n.coordFn != nil && n.coordOf(name) != n.self {
+		if n.coordOf(name) != n.self {
 			continue // another owner's group; its coordinator reconciles it
 		}
 		cg := cs.groups[name]
 		if cg == nil || len(cg.members) == 0 {
-			if n.coordFn != nil && n.recoveredEpoch != n.liveEpoch {
-				// Placed mode: an unknown group that maps to us in a view we
-				// have not recovered must go through the full quorum, not
+			if n.recoveredEpoch != n.liveEpoch {
+				// An unknown group that maps to us in a view we have not
+				// recovered must go through the full quorum, not
 				// single-report adoption — other members may hold higher
 				// sequences. This reply becomes the sender's recovery report.
-				n.ensurePlacedRecovery()
+				n.ensureRecovery()
 				if n.cs.recovering {
 					n.cs.reports[from] = infos
 					delete(n.cs.syncWait, from)
@@ -340,37 +298,36 @@ func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
 			// Divergent series from a node we still count: stop counting
 			// it before telling it to wipe, or response gathering would
 			// wait forever on its acks.
-			n.evictMember(name, cg, from)
+			n.evictMember(cg, from)
 		}
 		n.send(from, &wire{Type: tRestate, Group: name})
 	}
 }
 
+// orderMembership assigns the group's next sequence number to one
+// membership event and fans it out.
+func (n *Node) orderMembership(g *coordGroup, ev *wire, recipients []transport.NodeID) {
+	ev.Type, ev.Group, ev.Seq = tOrdered, g.name, g.nextSeq
+	g.nextSeq++
+	for _, m := range recipients {
+		n.send(m, ev)
+	}
+}
+
 // evictMember removes a member coordinator-side, notifying the remaining
 // members and unblocking pending casts, without requiring the subject to
-// process the ordered event (its series may have diverged).
-func (n *Node) evictMember(name string, g *coordGroup, id transport.NodeID) {
+// process the ordered event (it crashed, or its series has diverged).
+func (n *Node) evictMember(g *coordGroup, id transport.NodeID) {
 	g.members = removeIDCopy(g.members, id)
-	seq := g.nextSeq
-	g.nextSeq++
-	ordered := &wire{
-		Type:    tOrdered,
-		Group:   name,
-		Seq:     seq,
-		Event:   evDown,
-		Subject: nid(id),
-	}
-	for _, m := range g.members {
-		n.send(m, ordered)
-	}
+	n.orderMembership(g, &wire{Event: evDown, Subject: nid(id)}, g.members)
 	n.dropFromPending(g, id)
 }
 
 // finishRecovery merges survivor reports into fresh sequencing state,
 // resynchronizes members that missed deliveries during the failover, and
-// replays queued requests. In placed mode only groups that map to this node
-// are rebuilt (each owner recovers its own), groups already under our
-// sequencing keep our authoritative record, and coordinator claims — from
+// replays queued requests. Only groups that map to this node are rebuilt
+// (each owner recovers its own), groups already under our sequencing keep
+// our authoritative record, and coordinator claims — from
 // reports and pushed tClaims — raise the rebuilt next sequence past any
 // range the previous sequencer assigned.
 func (n *Node) finishRecovery() {
@@ -422,7 +379,7 @@ func (n *Node) finishRecovery() {
 	}
 	cs.claims = nil
 	for name, claims := range byGroup {
-		if n.coordFn != nil && n.coordOf(name) != n.self {
+		if n.coordOf(name) != n.self {
 			continue // that group's owner runs its own recovery
 		}
 		if cs.groups[name] != nil {
@@ -495,24 +452,23 @@ func (n *Node) coordGroupFor(name string) *coordGroup {
 	return g
 }
 
-// coordRequest handles a client request (cast, join, or leave) as
-// coordinator.
+// coordRequest routes a client request (cast, join, or leave): stash when
+// the group maps elsewhere (the sender's detector may be ahead of ours), run
+// the epoch's takeover recovery before sequencing any group we have no
+// record of, queue while recovering, and dispatch otherwise.
 func (n *Node) coordRequest(from transport.NodeID, w *wire) {
-	if n.coordFn != nil {
-		n.placedRequest(from, w)
-		return
-	}
-	cs := n.cs
-	if cs == nil {
-		// Not coordinator. The sender's failure detector may simply be
-		// ahead of ours — it already saw the old coordinator die and we
-		// have not. Stash the request; recomputeCoord replays it if we do
-		// take over and discards it if the coordinatorship lands elsewhere.
+	if n.coordOf(w.Group) != n.self {
 		if len(n.preCoord) < preCoordMax {
 			n.preCoord = append(n.preCoord, queuedReq{from: from, w: w})
 		}
 		return
 	}
+	if n.cs == nil || (!n.cs.recovering && n.cs.groups[w.Group] == nil) {
+		// A no-op when this epoch's recovery already ran: a group its quorum
+		// did not report is provably fresh.
+		n.ensureRecovery()
+	}
+	cs := n.cs
 	if cs.recovering {
 		cs.queued = append(cs.queued, queuedReq{from: from, w: w})
 		return
@@ -681,20 +637,9 @@ func (n *Node) coordJoin(w *wire) {
 		}
 	}
 	g.members = addIDCopy(g.members, subject)
-	seq := g.nextSeq
-	g.nextSeq++
-	ordered := &wire{
-		Type:    tOrdered,
-		Group:   w.Group,
-		Seq:     seq,
-		Event:   evJoin,
-		Subject: w.Subject,
-		Donor:   nid(donor),
-		Payload: idsToWire(g.members),
-	}
-	for _, m := range g.members {
-		n.send(m, ordered)
-	}
+	n.orderMembership(g, &wire{
+		Event: evJoin, Subject: w.Subject, Donor: nid(donor), Payload: idsToWire(g.members),
+	}, g.members)
 }
 
 func (n *Node) coordLeave(w *wire) {
@@ -706,22 +651,11 @@ func (n *Node) coordLeave(w *wire) {
 		n.send(tid(w.Origin), &wire{Type: tReply, ReqID: w.ReqID})
 		return
 	}
-	seq := g.nextSeq
-	g.nextSeq++
-	ordered := &wire{
-		Type:    tOrdered,
-		Group:   w.Group,
-		Seq:     seq,
-		Event:   evLeave,
-		Subject: w.Subject,
-	}
 	// The pre-removal view is the recipient set; copy-on-write makes it
 	// free to keep while the group advances.
 	recipients := g.members
 	g.members = removeIDCopy(g.members, subject)
-	for _, m := range recipients {
-		n.send(m, ordered)
-	}
+	n.orderMembership(g, &wire{Event: evLeave, Subject: w.Subject}, recipients)
 	// Evictions may complete pending casts that were waiting on the
 	// departed member.
 	n.dropFromPending(g, subject)
@@ -786,28 +720,12 @@ func (n *Node) coordNodeDown(dead transport.NodeID) {
 			return
 		}
 	}
-	for name, g := range cs.groups {
-		if !containsID(g.members, dead) {
+	for _, g := range cs.groups {
+		if containsID(g.members, dead) {
+			n.evictMember(g, dead)
+		} else {
 			n.dropFromPending(g, dead)
-			continue
 		}
-		recipients := g.members
-		g.members = removeIDCopy(g.members, dead)
-		seq := g.nextSeq
-		g.nextSeq++
-		ordered := &wire{
-			Type:    tOrdered,
-			Group:   name,
-			Seq:     seq,
-			Event:   evDown,
-			Subject: nid(dead),
-		}
-		for _, m := range recipients {
-			if m != dead {
-				n.send(m, ordered)
-			}
-		}
-		n.dropFromPending(g, dead)
 	}
 }
 

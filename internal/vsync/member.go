@@ -11,9 +11,16 @@ import (
 // memberOrdered handles a sequenced event from the coordinator.
 func (n *Node) memberOrdered(from transport.NodeID, w *wire) {
 	if from != n.coordOf(w.Group) && from != n.self {
-		// Stale coordinator (per group, in placed mode): reject. Accepting
-		// would let two sequencers assign conflicting sequence numbers
-		// during a failover or migration window.
+		// Not this group's coordinator in our view: never apply — two
+		// sequencers could assign conflicting sequence numbers during a
+		// failover or migration window. The sender's failure detector may
+		// simply be ahead of ours, though (it took over from a coordinator
+		// we have not yet seen die), and it sends each event once, so stash
+		// the event: the next membership edge replays it if the sender
+		// became the coordinator and drops it otherwise (refreshPlacement).
+		if len(n.preOrder) < preCoordMax {
+			n.preOrder = append(n.preOrder, queuedReq{from: from, w: w})
+		}
 		return
 	}
 	g, ok := n.groups[w.Group]

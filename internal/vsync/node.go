@@ -4,7 +4,6 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"errors"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -84,19 +83,17 @@ type Node struct {
 
 	// Loop-owned state below; never touched outside the loop.
 	live    map[transport.NodeID]bool
-	coord   transport.NodeID
 	reqSeq  uint64
 	pending map[uint64]*pendingReq
 	groups  map[string]*memberState
-	cs      *coordState // non-nil while this node is coordinator
-	// Placed (sharded) mode, active when coordFn is non-nil: per-group
-	// coordinators are derived from the live set instead of one global
-	// lowest-ID sequencer. coordCache memoizes coordFn per group and is
-	// invalidated on every membership edge; liveSorted is the derivation
-	// input; liveEpoch counts edges and recoveredEpoch marks the last epoch
-	// a full takeover recovery completed in (placed.go); abdicated retains
-	// this node's final sequence claims for groups it handed off, reported
-	// during other owners' recoveries so sequence ranges survive the move.
+	cs      *coordState // non-nil once this node has sequenced (or recovered) any group
+	// Every group's coordinator is derived from the live set by coordFn.
+	// coordCache memoizes coordFn per group and is invalidated on every
+	// membership edge; liveSorted is the derivation input; liveEpoch counts
+	// edges and recoveredEpoch marks the last epoch a full takeover recovery
+	// completed in (placed.go); abdicated retains this node's final sequence
+	// claims for groups it handed off, reported during other owners'
+	// recoveries so sequence ranges survive the move.
 	coordFn        CoordFn
 	coordCache     map[string]transport.NodeID
 	liveSorted     []transport.NodeID
@@ -112,15 +109,19 @@ type Node struct {
 	// epoch hash (publishView), so the leased-read path can read both
 	// off-loop without a command round-trip.
 	view atomic.Pointer[liveView]
-	// preCoord stashes client requests that arrived while this node was
-	// not (yet) coordinator. A client whose failure detector runs ahead of
-	// ours sends here before we have processed the old coordinator's death;
-	// dropping such a request would strand the client forever, because it
-	// retransmits only on a coordinator *change* and its view is already
-	// correct. Replayed by recomputeCoord on takeover, discarded when the
-	// coordinator resolves to another node (that client's own coord change
-	// covers the retransmission then).
+	// preCoord stashes client requests for groups that do not (yet) map to
+	// this node. A client whose failure detector runs ahead of ours sends
+	// here before we have processed the old coordinator's death; dropping
+	// such a request would strand the client forever, because it retransmits
+	// only on a coordinator *change* and its view is already correct.
+	// Replayed by refreshPlacement on the next membership edge, discarded
+	// when the group resolves to another node (that client's own coordinator
+	// change covers the retransmission then).
 	preCoord []queuedReq
+	// preOrder is the member-side twin of preCoord: ordered events from a
+	// sequencer our view does not (yet) name the group's coordinator
+	// (memberOrdered). Lives for one membership edge.
+	preOrder []queuedReq
 
 	// Outgoing frames are staged here and flushed once per loop burst:
 	// messages bound for the same peer coalesce into one tBatch frame, so
@@ -131,8 +132,8 @@ type Node struct {
 	// hosts encoding a fan-out to N members overlaps across N goroutines
 	// instead of serializing on the event loop; with a single CPU the
 	// handoff is pure scheduling overhead, so the loop sends inline.
-	// Decided once at construction (GOMAXPROCS, overridable by the
-	// PASO_FANOUT env var) — never toggled while the loop runs.
+	// Decided once at construction (fanoutDefault) — never toggled while
+	// the loop runs.
 	fanout bool
 	// workers holds one send worker per destination, lazily spawned by
 	// flushOutbox. Per-destination FIFO (and with it total-order
@@ -183,7 +184,7 @@ type Node struct {
 	hStageLease   *obs.Histogram
 	// Placement churn accounting: claims gathered during recovery, claim
 	// conflicts resolved by epoch, and classes whose owner moved across a
-	// live-set change (placed mode).
+	// live-set change.
 	cClaimMember   *obs.Counter
 	cClaimCoord    *obs.Counter
 	cClaimConflict *obs.Counter
@@ -258,14 +259,19 @@ type donation struct {
 }
 
 // CoordFn derives the coordinator of a group from the observer's live
-// machine set (PROTOCOL.md, "Sharded groups"). It must be a pure function
-// of its arguments — every node with the same live view has to compute the
-// same owner — and must be safe for concurrent use (every node's event loop
-// calls the shared function). internal/placement provides the engine's
-// implementation; a nil CoordFn keeps the default single global sequencer.
+// machine set, sorted ascending and never empty (PROTOCOL.md, "Coordinator
+// placement and takeover"). It must be a pure function of its arguments —
+// every node with the same live view has to compute the same owner — and
+// must be safe for concurrent use (every node's event loop calls the shared
+// function). internal/placement provides the sharding implementation;
+// LowestLive is the default.
 type CoordFn func(group string, live []transport.NodeID) transport.NodeID
 
-// PlacementAudit receives placed-mode ownership edges as the node observes
+// LowestLive is the constant placement function: every group is sequenced
+// by the lowest-ID live node, so one machine orders everything.
+func LowestLive(_ string, live []transport.NodeID) transport.NodeID { return live[0] }
+
+// PlacementAudit receives ownership edges as the node observes
 // them: fresh group creation, takeover after a crash (with the measured
 // recovery duration), adoption of another sequencer's groups, and
 // abdication to a placement-designated owner. Implementations must be safe
@@ -281,46 +287,44 @@ type PlacementAudit interface {
 type NodeOptions struct {
 	// Obs is the observability sink; nil records into a throwaway sink.
 	Obs *obs.Obs
-	// Coord, when non-nil, switches the node to placed (sharded) mode:
-	// each group's sequencer is derived per group by this function instead
-	// of defaulting to the lowest-ID live node for everything.
+	// Coord derives each group's sequencer from the live set; nil means
+	// LowestLive.
 	Coord CoordFn
 	// Audit, when non-nil, records this node's view of group-ownership
-	// transitions (placed mode only).
+	// transitions.
 	Audit PlacementAudit
 }
 
 // NewNode attaches a node to the group layer and starts its event loop.
 // The handler h receives deliveries; see Handler for the reentrancy rule.
 func NewNode(ep transport.Endpoint, h Handler) *Node {
-	return NewNodeWith(ep, h, nil)
+	return NewNodeOpts(ep, h, NodeOptions{})
 }
 
-// NewNodeWith is NewNode with an observability sink: gcast counts and
-// latencies, view-change and coordinator-change events, and state-transfer
-// bytes are recorded there. A nil Obs records into a throwaway sink.
-func NewNodeWith(ep transport.Endpoint, h Handler, o *obs.Obs) *Node {
-	return NewNodeOpts(ep, h, NodeOptions{Obs: o})
-}
-
-// NewNodeOpts is the full constructor: NewNodeWith plus the placement hook.
+// NewNodeOpts is NewNode with an observability sink (gcast counts and
+// latencies, view-change and ownership events, state-transfer bytes), a
+// placement function, and an ownership audit trail.
 func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 	o := opts.Obs
 	if o == nil {
 		o = obs.Nop()
 	}
+	place := opts.Coord
+	if place == nil {
+		place = LowestLive
+	}
 	n := &Node{
-		ep:      ep,
-		h:       h,
-		self:    ep.ID(),
-		cmds:    make(chan func()),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		ep:        ep,
+		h:         h,
+		self:      ep.ID(),
+		cmds:      make(chan func()),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 		live:      make(map[transport.NodeID]bool),
 		pending:   make(map[uint64]*pendingReq),
 		leases:    make(map[uint64]*pendingLease),
 		groups:    make(map[string]*memberState),
-		coordFn:   opts.Coord,
+		coordFn:   place,
 		abdicated: make(map[string]uint64),
 		outbox:    make(map[transport.NodeID][]*wire),
 		workers:   make(map[transport.NodeID]chan []*wire),
@@ -361,7 +365,7 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		hStageLease:   o.Histogram(obs.StageLeaseServe),
 	}
 	n.owned, _ = ep.(transport.OwnedSender)
-	n.fanout = fanoutEnabled()
+	n.fanout = fanoutDefault
 	for t := tCastReq; t <= tMaxType; t++ {
 		n.hFrame[t] = o.Histogram("vsync.frame.bytes." + t.String())
 	}
@@ -373,9 +377,6 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 	var seed [8]byte
 	if _, err := cryptorand.Read(seed[:]); err == nil {
 		n.reqSeq = binary.LittleEndian.Uint64(seed[:])
-	}
-	if n.coordFn != nil {
-		n.coordCache = make(map[string]transport.NodeID)
 	}
 	for _, id := range ep.Alive() {
 		n.live[id] = true
@@ -515,68 +516,68 @@ func (n *Node) Leave(group string) error {
 	}
 }
 
-// Member reports whether this node is an active member of the group.
-func (n *Node) Member(group string) bool {
-	var res bool
+// query runs f on the event loop and waits for it to finish, reporting
+// false — f's results are then not to be used — if the node closed first.
+func (n *Node) query(f func()) bool {
 	ch := make(chan struct{})
-	ok := n.do(func() {
-		g, exists := n.groups[group]
-		res = exists && g.active
-		close(ch)
-	})
-	if !ok {
+	if !n.do(func() { f(); close(ch) }) {
 		return false
 	}
 	select {
 	case <-ch:
-		return res
+		return true
 	case <-n.done:
 		return false
 	}
+}
+
+// Member reports whether this node is an active member of the group.
+func (n *Node) Member(group string) bool {
+	var res bool
+	return n.query(func() {
+		g, exists := n.groups[group]
+		res = exists && g.active
+	}) && res
 }
 
 // Members returns the local membership view of a group this node belongs
 // to, or nil.
 func (n *Node) Members(group string) []transport.NodeID {
 	var res []transport.NodeID
-	ch := make(chan struct{})
-	ok := n.do(func() {
+	if !n.query(func() {
 		if g, exists := n.groups[group]; exists {
-			res = append([]transport.NodeID(nil), g.members...)
+			res = append(res, g.members...)
 		}
-		close(ch)
-	})
-	if !ok {
+	}) {
 		return nil
 	}
-	select {
-	case <-ch:
-		return res
-	case <-n.done:
-		return nil
-	}
+	return res
 }
 
-// Alive returns the failure detector's current live-node set.
+// Sequenced returns the membership this node's sequencer holds for a group
+// — the authoritative list gcasts to it are gathered from — and whether this
+// node sequences the group at all (false while a takeover recovery is still
+// rebuilding the record).
+func (n *Node) Sequenced(group string) (members []transport.NodeID, ok bool) {
+	if !n.query(func() {
+		if n.cs != nil && !n.cs.recovering {
+			if g := n.cs.groups[group]; g != nil {
+				members, ok = append(members, g.members...), true
+			}
+		}
+	}) {
+		return nil, false
+	}
+	return members, ok
+}
+
+// Alive returns the failure detector's current live-node set, sorted.
 func (n *Node) Alive() []transport.NodeID {
 	var res []transport.NodeID
-	ch := make(chan struct{})
-	ok := n.do(func() {
-		for id := range n.live {
-			res = append(res, id)
-		}
-		sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
-		close(ch)
-	})
-	if !ok {
+	if !n.query(func() { res = append(res, n.liveSorted...) }) {
 		return nil
 	}
-	select {
-	case <-ch:
-		return res
-	case <-n.done:
-		return nil
-	}
+	return res
 }
 
 // --- event loop ---
@@ -659,19 +660,10 @@ func (n *Node) flushOutbox() {
 // the clients, matching the transport's own bounded send queues.
 const sendWorkerQueue = 256
 
-// fanoutEnabled decides whether nodes use per-destination send workers:
-// yes when more than one CPU can actually run them, with the PASO_FANOUT
-// env var ("1"/"0") overriding either way — tests force the worker path
-// on single-CPU CI hosts with it.
-func fanoutEnabled() bool {
-	switch os.Getenv("PASO_FANOUT") {
-	case "1":
-		return true
-	case "0":
-		return false
-	}
-	return runtime.GOMAXPROCS(0) > 1
-}
+// fanoutDefault decides whether new nodes use per-destination send workers:
+// yes when more than one CPU can actually run them. A variable only so the
+// package's tests can force the worker path on single-CPU hosts.
+var fanoutDefault = runtime.GOMAXPROCS(0) > 1
 
 // workerFor returns the destination's send-worker channel, spawning the
 // worker on first use. Loop-owned (workers map is loop state).
@@ -921,112 +913,36 @@ func (n *Node) xmitBatch(to transport.NodeID, ws []*wire) {
 }
 
 // liveChanged reacts to any membership edge (including the constructor's
-// initial view). Legacy mode re-derives the single global coordinator; in
-// placed mode the per-group coordinator cache is rebuilt for the new epoch
-// and placement moves are carried out (refreshPlacement, placed.go).
+// initial view): the per-group coordinator cache is rebuilt for the new
+// epoch and placement moves are carried out (refreshPlacement, placed.go).
 func (n *Node) liveChanged() {
-	// Publish the new view and fence pending leased reads first, in both
-	// modes: the epoch must be current before any lease traffic staged by
-	// this edge's processing can observe it.
+	// Publish the new view and fence pending leased reads first: the epoch
+	// must be current before any lease traffic staged by this edge's
+	// processing can observe it.
 	n.publishView()
-	if n.coordFn == nil {
-		n.recomputeCoord()
-		return
-	}
 	n.liveEpoch++
 	prev := n.coordCache
 	n.coordCache = make(map[string]transport.NodeID, len(prev)+1)
 	n.liveSorted = n.liveSorted[:0]
-	low := n.self
 	for id := range n.live {
 		n.liveSorted = append(n.liveSorted, id)
-		if id < low {
-			low = id
-		}
 	}
 	sort.Slice(n.liveSorted, func(i, j int) bool { return n.liveSorted[i] < n.liveSorted[j] })
-	// n.coord stays the lowest live node even in placed mode: it is the
-	// fallback owner for a group the placement function cannot place.
-	n.coord = low
 	n.refreshPlacement(prev)
 }
 
 // coordOf resolves the coordinator of one group under this node's current
-// view: the global coordinator in legacy mode, the placement function's
-// answer (memoized per membership epoch) in placed mode.
+// view: the placement function's answer, memoized per membership epoch.
 func (n *Node) coordOf(group string) transport.NodeID {
-	if n.coordFn == nil {
-		return n.coord
-	}
 	if c, ok := n.coordCache[group]; ok {
 		return c
 	}
 	c := n.coordFn(group, n.liveSorted)
 	if c == 0 {
-		c = n.coord // defensive: never route to the zero node
+		c = n.liveSorted[0] // a group the function cannot place: never route to the zero node
 	}
 	n.coordCache[group] = c
 	return c
-}
-
-// recomputeCoord re-derives the coordinator (lowest live node) and reacts
-// to changes: taking over, abdicating, and retransmitting pending client
-// requests to the new coordinator. Legacy (single-sequencer) mode only.
-func (n *Node) recomputeCoord() {
-	newCoord := n.self
-	for id := range n.live {
-		if id < newCoord {
-			newCoord = id
-		}
-	}
-	if newCoord == n.coord {
-		return
-	}
-	old := n.coord
-	n.coord = newCoord
-	n.cCoordMove.Inc()
-	n.o.Emit("coord-change", obs.KV("old", old), obs.KV("new", newCoord))
-	if newCoord == n.self {
-		n.becomeCoordinator()
-		// Requests that beat our own takeover (their sender's detector ran
-		// ahead of ours) were stashed; feed them through now — recovery, if
-		// any, queues them until the sequencing state is rebuilt.
-		stash := n.preCoord
-		n.preCoord = nil
-		for _, q := range stash {
-			n.coordRequest(q.from, q.w)
-		}
-	} else {
-		if old == n.self {
-			// Abdicate; clients will retransmit to the new coordinator.
-			// Retain our final sequence claims first: our recovery reply to
-			// the successor carries them, so the new sequencer starts past
-			// any range we assigned (syncInfo.CoordLast).
-			if n.cs != nil {
-				for name, g := range n.cs.groups {
-					n.abdicated[name] = g.nextSeq - 1
-				}
-			}
-			n.cs = nil
-			n.gCoordBacklog.Set(0)
-			n.gCoordGroups.Set(0)
-		}
-		// The coordinatorship resolved to another node: any stashed request
-		// was sent by a client whose view will change too, and its own
-		// retransmit-on-change covers it.
-		n.preCoord = nil
-	}
-	n.retransmitPending()
-}
-
-// retransmitPending resends every unresolved client request to its group's
-// current coordinator. Duplicate orderings are suppressed at delivery time.
-// Traced requests are marked so their span shows the failover.
-func (n *Node) retransmitPending() {
-	for _, p := range n.pending {
-		p.retransmitted = true
-		n.send(n.coordOf(p.group), p.w)
-	}
 }
 
 // startRequest registers a pending client request and sends it to the

@@ -8,13 +8,13 @@ import (
 	"paso/internal/transport"
 )
 
-// Placed (sharded) mode: with a CoordFn installed, each group's sequencer
-// is derived per group from the observer's live set instead of defaulting
-// to the single lowest-ID live node. This file holds the mode's membership
-// reactions — abdication, takeover recovery, and the claim traffic that
-// carries sequence ranges across a move. The normative protocol is
-// PROTOCOL.md, "Sharded groups"; the placement function itself lives in
-// internal/placement.
+// Coordinator placement: each group's sequencer is derived per group from
+// the observer's live set by the node's CoordFn. This file holds the
+// membership reactions — abdication, takeover recovery, and the claim
+// traffic that carries sequence ranges across a move. The normative
+// protocol is PROTOCOL.md, "Coordinator placement and takeover"; the
+// sharding placement function lives in internal/placement, the constant
+// one is LowestLive.
 
 // refreshPlacement carries out the placement consequences of a membership
 // edge: hand off groups that no longer map to us, start a takeover recovery
@@ -46,8 +46,17 @@ func (n *Node) refreshPlacement(prev map[string]transport.NodeID) {
 	// recovery before we may sequence it.
 	for name := range n.groups {
 		if n.coordOf(name) == n.self && (n.cs == nil || n.cs.groups[name] == nil) {
-			n.ensurePlacedRecovery()
+			n.ensureRecovery()
 			break
+		}
+	}
+	// Replay ordered events that raced ahead of our old view: a sequencer
+	// that saw its predecessor die before we did is the coordinator now.
+	held := n.preOrder
+	n.preOrder = nil
+	for _, q := range held {
+		if n.coordOf(q.w.Group) == q.from {
+			n.memberOrdered(q.from, q.w)
 		}
 	}
 	// Nudge the (possibly new) owner of every group we belong to whose
@@ -122,92 +131,41 @@ func (n *Node) abdicateGroup(name string, g *coordGroup, newOwner transport.Node
 		obs.KV("group", name), obs.KV("to", newOwner), obs.KV("last", last))
 }
 
-// ensurePlacedRecovery starts (or extends) the one takeover recovery a
-// placed node runs per membership epoch: interrogate every live peer with
+// ensureRecovery starts (or extends) the one takeover recovery a node runs
+// per membership epoch: interrogate every live peer with
 // tSync and sequence nothing new for groups outside cs.groups until the
 // full quorum has answered. One recovery per epoch suffices — a group the
 // quorum did not report is provably fresh, so later unknown groups in the
 // same epoch are created at sequence 1 without asking again.
-func (n *Node) ensurePlacedRecovery() {
+func (n *Node) ensureRecovery() {
+	if n.cs == nil {
+		n.cs = &coordState{groups: make(map[string]*coordGroup)}
+	}
 	cs := n.cs
-	if cs == nil {
-		cs = &coordState{
-			groups:  make(map[string]*coordGroup),
-			reports: make(map[transport.NodeID]map[string]syncInfo),
+	starting := !cs.recovering
+	if starting {
+		if n.recoveredEpoch == n.liveEpoch {
+			return
 		}
-		n.cs = cs
+		cs.recovering = true
+		cs.recoveryStart = time.Now()
+		cs.syncWait = make(map[transport.NodeID]bool, len(n.live))
+		cs.reports = map[transport.NodeID]map[string]syncInfo{n.self: n.ownSyncInfos()}
 	}
-	if cs.recovering {
-		// A membership edge landed mid-recovery: extend the quorum to any
-		// newly live peer so the finished state reflects the current view.
-		for id := range n.live {
-			if id == n.self || cs.syncWait[id] {
-				continue
-			}
-			if _, have := cs.reports[id]; have {
-				continue
-			}
-			cs.syncWait[id] = true
-			n.send(id, &wire{Type: tSync})
-		}
-		return
-	}
-	if n.recoveredEpoch == n.liveEpoch {
-		return
-	}
-	cs.recovering = true
-	cs.recoveryStart = time.Now()
-	cs.syncWait = make(map[transport.NodeID]bool, len(n.live))
-	cs.reports = make(map[transport.NodeID]map[string]syncInfo, len(n.live))
+	// Ask every live peer not asked yet: all of them at the start, the
+	// newcomers when a membership edge lands mid-recovery, so the finished
+	// state reflects the current view.
 	for id := range n.live {
-		if id != n.self {
+		if _, have := cs.reports[id]; !have && !cs.syncWait[id] {
 			cs.syncWait[id] = true
 			n.send(id, &wire{Type: tSync})
 		}
 	}
-	cs.reports[n.self] = n.ownSyncInfos()
-	n.o.Emit("placed-recovery", obs.KV("epoch", n.liveEpoch), obs.KV("quorum", len(cs.syncWait)))
-	if len(cs.syncWait) == 0 {
-		n.finishRecovery()
-	}
-}
-
-// placedRequest routes a client request in placed mode: stash when the
-// group maps elsewhere (the sender's detector may be ahead of ours), run
-// the epoch's takeover recovery before sequencing any group we have no
-// record of, queue while recovering, and dispatch otherwise.
-func (n *Node) placedRequest(from transport.NodeID, w *wire) {
-	if n.coordOf(w.Group) != n.self {
-		if len(n.preCoord) < preCoordMax {
-			n.preCoord = append(n.preCoord, queuedReq{from: from, w: w})
+	if starting {
+		n.o.Emit("takeover-recovery", obs.KV("epoch", n.liveEpoch), obs.KV("quorum", len(cs.syncWait)))
+		if len(cs.syncWait) == 0 {
+			n.finishRecovery()
 		}
-		return
-	}
-	if (n.cs == nil || (!n.cs.recovering && n.cs.groups[w.Group] == nil)) &&
-		n.recoveredEpoch != n.liveEpoch {
-		n.ensurePlacedRecovery()
-	}
-	cs := n.cs
-	if cs == nil {
-		// Unreachable in practice (ensurePlacedRecovery creates cs), kept as
-		// a defensive floor so a request can never be silently dropped.
-		cs = &coordState{
-			groups:  make(map[string]*coordGroup),
-			reports: make(map[transport.NodeID]map[string]syncInfo),
-		}
-		n.cs = cs
-	}
-	if cs.recovering {
-		cs.queued = append(cs.queued, queuedReq{from: from, w: w})
-		return
-	}
-	switch w.Type {
-	case tCastReq:
-		n.coordCast(w)
-	case tJoinReq:
-		n.coordJoin(w)
-	case tLeaveReq:
-		n.coordLeave(w)
 	}
 }
 
@@ -218,9 +176,6 @@ func (n *Node) placedRequest(from transport.NodeID, w *wire) {
 // recovery finished can only flag a conflict; the stale-sequencer member
 // checks and restate already contain that window.
 func (n *Node) coordClaim(from transport.NodeID, w *wire) {
-	if n.coordFn == nil {
-		return
-	}
 	for name, info := range w.Infos {
 		if n.coordOf(name) != n.self {
 			continue
@@ -236,7 +191,7 @@ func (n *Node) coordClaim(from transport.NodeID, w *wire) {
 			if n.recoveredEpoch == n.liveEpoch {
 				continue // proven fresh this epoch; nothing to recover
 			}
-			n.ensurePlacedRecovery()
+			n.ensureRecovery()
 			cs = n.cs
 		}
 		if cs.recovering {

@@ -39,7 +39,7 @@ func newTraceHarness(t *testing.T, ids ...transport.NodeID) *traceHarness {
 		}
 		th := newTestHandler()
 		o := obs.New(obs.Options{SpanCap: 4096})
-		h.nds[id] = NewNodeWith(ep, th, o)
+		h.nds[id] = NewNodeOpts(ep, th, NodeOptions{Obs: o})
 		h.hs[id] = th
 		h.os[id] = o
 	}

@@ -14,14 +14,14 @@
 //     messages until the snapshot is installed;
 //   - a crashed member is evicted from all its groups by an ordered event.
 //
-// Each group has one coordinator that sequences it. In the default
-// configuration the coordinator of every group is the lowest-ID live node —
-// one system-wide sequencer. With a placement function installed
-// (NodeOptions.Coord; see PROTOCOL.md "Sharded groups"), each group's
-// coordinator is instead derived per group from the observer's live set, so
-// independent groups sequence on different machines concurrently. Ordering
-// state lost when a coordinator crashes (or, in placed mode, when a group
-// migrates) is rebuilt by querying survivors; members that missed deliveries
+// Each group has one coordinator that sequences it, derived per group from
+// the observer's live set by a placement function (NodeOptions.Coord; see
+// PROTOCOL.md "Coordinator placement and takeover"). The default,
+// LowestLive, maps every group to the lowest-ID live node — one system-wide
+// sequencer; internal/placement spreads independent groups over different
+// machines so they sequence concurrently. Ordering state lost when a
+// coordinator crashes or a group migrates is rebuilt by querying survivors;
+// members that missed deliveries
 // during the failover window are resynchronized by state transfer. Duplicate
 // suppression uses per-origin request IDs, so client retransmission after a
 // coordinator change is safe.
@@ -45,23 +45,23 @@ import (
 type msgType uint8
 
 const (
-	tCastReq  msgType = iota + 1 // client → coordinator: order this payload
-	tJoinReq                     // client → coordinator: add me to group
-	tLeaveReq                    // client → coordinator: remove me
-	tOrdered                     // coordinator → members: sequenced event
-	tAck                         // member → coordinator: processed + response
-	tReply                       // coordinator → client: gathered response
-	tState                       // donor → joiner/laggard: state snapshot
-	tSync                        // new coordinator → all: report your groups
-	tSyncInfo                    // node → new coordinator: my group facts
-	tResync                      // coordinator → donor: push state to laggard
-	tApp                         // application point-to-point message
-	tRestate                     // coordinator → member: your series diverged; wipe and rejoin
-	tBatch                       // container: several messages coalesced into one frame
-	tOrderedRun                  // coordinator → members: contiguous run of sequenced data events
-	tClaim                       // node → group owner: unsolicited placement claim (member nudge or abdication handoff)
-	tLeaseRead                   // client → group member: epoch-fenced direct read (bypasses the sequencer)
-	tLeaseReply                  // group member → client: leased-read answer or fence
+	tCastReq    msgType = iota + 1 // client → coordinator: order this payload
+	tJoinReq                       // client → coordinator: add me to group
+	tLeaveReq                      // client → coordinator: remove me
+	tOrdered                       // coordinator → members: sequenced event
+	tAck                           // member → coordinator: processed + response
+	tReply                         // coordinator → client: gathered response
+	tState                         // donor → joiner/laggard: state snapshot
+	tSync                          // new coordinator → all: report your groups
+	tSyncInfo                      // node → new coordinator: my group facts
+	tResync                        // coordinator → donor: push state to laggard
+	tApp                           // application point-to-point message
+	tRestate                       // coordinator → member: your series diverged; wipe and rejoin
+	tBatch                         // container: several messages coalesced into one frame
+	tOrderedRun                    // coordinator → members: contiguous run of sequenced data events
+	tClaim                         // node → group owner: unsolicited placement claim (member nudge or abdication handoff)
+	tLeaseRead                     // client → group member: epoch-fenced direct read (bypasses the sequencer)
+	tLeaseReply                    // group member → client: leased-read answer or fence
 )
 
 // tMaxType is the highest assigned message type; per-type tables (frame
@@ -172,11 +172,11 @@ type wire struct {
 }
 
 // syncInfo is one node's report about one group: its membership facts
-// (tSyncInfo recovery replies) and, in placed mode, its coordinator claim —
-// the last sequence number it assigned for the group, reported by current
-// and recently abdicated coordinators so a takeover never reuses or skips a
-// sequence range the old sequencer handed out (PROTOCOL.md, "Sharded
-// groups").
+// (tSyncInfo recovery replies) and its coordinator claim — the last
+// sequence number it assigned for the group, reported by current and
+// recently abdicated coordinators so a takeover never reuses or skips a
+// sequence range the old sequencer handed out (PROTOCOL.md, "Coordinator
+// placement and takeover").
 type syncInfo struct {
 	Member    bool
 	Last      uint64 // highest delivered sequence number
