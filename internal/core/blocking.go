@@ -112,7 +112,7 @@ func (m *Machine) blockOn(tp tuple.Template, timeout time.Duration, strat BlockS
 func (m *Machine) placeMarkers(tp tuple.Template) error {
 	for _, cls := range m.cfg.Classifier.SearchList(tp) {
 		payload := encodeCommand(&command{kind: cmdMark, class: cls, tpl: tp})
-		if _, err := m.node.Gcast(wgName(cls), payload); err != nil {
+		if _, err := m.node.Gcast(m.groupsOf(cls).wg, payload); err != nil {
 			return err
 		}
 	}

@@ -365,7 +365,7 @@ func (c *Cluster) CheckConverged() error {
 	}
 	machines := c.Machines()
 	for _, m := range machines {
-		if alive := m.node.Alive(); len(alive) != len(machines) {
+		if alive, _ := m.node.LiveView(); len(alive) != len(machines) {
 			return fmt.Errorf("core: machine %d sees %v alive, %d machines are up", m.id, alive, len(machines))
 		}
 	}

@@ -162,10 +162,12 @@ func decodeResponse(b []byte) (*response, error) {
 	return r, nil
 }
 
-// wgName and rgName build the vsync group names for a class's write and
-// read groups.
+// wgName and rgName build (and allocate) the vsync group names for a class's
+// write and read groups; primitives use the interned Machine.groupsOf.
 func wgName(cls class.ID) string { return "wg/" + string(cls) }
 func rgName(cls class.ID) string { return "rg/" + string(cls) }
+
+type groupNames struct{ wg, rg string } // one class's interned group names
 
 // parseGroup splits a group name into kind ("wg" or "rg") and class.
 func parseGroup(group string) (kind string, cls class.ID, ok bool) {

@@ -115,7 +115,7 @@ func (m *Machine) leasedRead(cls class.ID, payload []byte, legStart time.Time, t
 		m.leaseFallback(cls)
 		return tuple.Tuple{}, false, false
 	}
-	res, err := m.node.LeaseRead(wgName(cls), target, payload, m.cfg.LeaseTimeout)
+	res, err := m.node.LeaseRead(m.groupsOf(cls).wg, target, payload, m.cfg.LeaseTimeout)
 	if err != nil {
 		m.leaseFallback(cls)
 		return tuple.Tuple{}, false, false
@@ -136,7 +136,7 @@ func (m *Machine) leasedRead(cls class.ID, payload []byte, legStart time.Time, t
 	if trace != 0 {
 		m.o.Spans().Record(obs.Span{
 			Trace: trace, ID: obs.NextID(), Parent: trace,
-			Machine: uint64(m.id), Name: "lease-read", Group: wgName(cls),
+			Machine: uint64(m.id), Name: "lease-read", Group: m.groupsOf(cls).wg,
 			Start: legStart, Bytes: len(payload), RespBytes: len(res.Payload),
 			GroupSize: res.GroupSize, Fail: !r.ok,
 			Note: fmt.Sprintf("seq=%d epoch=%016x", res.Seq, res.Epoch),

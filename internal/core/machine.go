@@ -46,6 +46,9 @@ type Machine struct {
 	lease leaseState
 
 	basic map[class.ID]bool // classes with this machine in B(C)
+	// names interns the group names of the classifier's classes: a primitive
+	// looks its group up instead of concatenating it. Immutable once built.
+	names map[class.ID]groupNames
 
 	// Observability: per-OpKind wall-clock latency histograms plus event
 	// counters, all feeding the machine's obs sink (cfg.Obs or a nop).
@@ -144,6 +147,7 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 		idgen:     tuple.NewIDGen(uint64(id) | incarnation<<32),
 		ops:       newOpMeter(),
 		basic:     make(map[class.ID]bool, len(basicClasses)),
+		names:     make(map[class.ID]groupNames),
 		policies:  make(map[class.ID]adaptive.Policy),
 		polGauges: make(map[class.ID]*obs.Gauge),
 		moving:    make(map[class.ID]bool),
@@ -165,6 +169,9 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 	for _, cls := range basicClasses {
 		m.basic[cls] = true
 	}
+	for _, cls := range cfg.Classifier.Classes() {
+		m.names[cls] = groupNames{wg: wgName(cls), rg: rgName(cls)}
+	}
 	m.srv = newServer(cfg, o, m.onUpdate, m.notifyReader)
 	m.pol = cfg.placementPolicy()
 	m.lease.perClass = make(map[class.ID]*leaseClassStats)
@@ -184,6 +191,15 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 	m.wg.Add(1)
 	go m.actionWorker()
 	return m
+}
+
+// groupsOf returns the class's group names: the interned pair for a class
+// the classifier enumerated, a freshly built one otherwise.
+func (m *Machine) groupsOf(cls class.ID) groupNames {
+	if n, ok := m.names[cls]; ok {
+		return n
+	}
+	return groupNames{wg: wgName(cls), rg: rgName(cls)}
 }
 
 // mintTrace returns a fresh trace ID when operation tracing is enabled,
@@ -237,12 +253,12 @@ func (m *Machine) ftcViolation(op OpKind, cls class.ID) {
 func (m *Machine) start() error {
 	begin := time.Now()
 	for cls := range m.basic {
-		if err := m.node.Join(wgName(cls)); err != nil {
-			return fmt.Errorf("machine %d: join %s: %w", m.id, wgName(cls), err)
+		if err := m.node.Join(m.groupsOf(cls).wg); err != nil {
+			return fmt.Errorf("machine %d: join %s: %w", m.id, m.groupsOf(cls).wg, err)
 		}
 		if m.cfg.UseReadGroups {
-			if err := m.node.Join(rgName(cls)); err != nil {
-				return fmt.Errorf("machine %d: join %s: %w", m.id, rgName(cls), err)
+			if err := m.node.Join(m.groupsOf(cls).rg); err != nil {
+				return fmt.Errorf("machine %d: join %s: %w", m.id, m.groupsOf(cls).rg, err)
 			}
 		}
 	}
@@ -323,7 +339,7 @@ func (m *Machine) IsBasic(cls class.ID) bool {
 }
 
 // MemberOf reports whether this machine currently replicates the class.
-func (m *Machine) MemberOf(cls class.ID) bool { return m.node.Member(wgName(cls)) }
+func (m *Machine) MemberOf(cls class.ID) bool { return m.node.Member(m.groupsOf(cls).wg) }
 
 // ClassLen returns the local live-object count for a class (ℓ).
 func (m *Machine) ClassLen(cls class.ID) int { return m.srv.classLen(cls) }
@@ -347,7 +363,7 @@ func (m *Machine) Insert(t tuple.Tuple) (tuple.Tuple, error) {
 	t = t.WithID(m.idgen.Next())
 	cls := m.cfg.Classifier.ClassOf(t)
 	payload := encodeCommand(&command{kind: cmdStore, class: cls, obj: t})
-	res, err := m.gcastT(wgName(cls), payload, trace)
+	res, err := m.gcastT(m.groupsOf(cls).wg, payload, trace)
 	if err != nil {
 		m.traceRoot(trace, "op.insert", cls, start, true, "error")
 		return t, fmt.Errorf("insert: %w", err)
@@ -378,27 +394,33 @@ func (m *Machine) Read(tp tuple.Template) (tuple.Tuple, bool, error) {
 	for _, cls := range m.cfg.Classifier.SearchList(tp) {
 		lastCls = cls
 		legStart := time.Now()
-		if m.node.Member(wgName(cls)) {
-			obj, ok, probes := m.srv.localRead(cls, tp)
-			m.record(OpReadLocal, legStart, 0, float64(probes), float64(probes), !ok)
-			if trace != 0 {
-				m.o.Spans().Record(obs.Span{
-					Trace: trace, ID: obs.NextID(), Parent: trace,
-					Machine: uint64(m.id), Name: "local-read", Group: wgName(cls),
-					Start: legStart, Fail: !ok,
-					Note: fmt.Sprintf("probes=%d", probes),
-				})
+		names := m.groupsOf(cls)
+		if m.node.Member(names.wg) {
+			// The zero-message path of Figure 1: classifier, store lock,
+			// stats. held=false: this machine's own leave landed between the
+			// membership test and the store lock. The class is still live in
+			// wg(C), so the read goes on to the remote path below.
+			if obj, ok, probes, held := m.srv.localRead(cls, tp); held {
+				m.record(OpReadLocal, legStart, 0, float64(probes), float64(probes), !ok)
+				if trace != 0 {
+					m.o.Spans().Record(obs.Span{
+						Trace: trace, ID: obs.NextID(), Parent: trace,
+						Machine: uint64(m.id), Name: "local-read", Group: names.wg,
+						Start: legStart, Fail: !ok,
+						Note: fmt.Sprintf("probes=%d", probes),
+					})
+				}
+				m.policyRead(cls, true, 0)
+				if ok {
+					m.traceRoot(trace, "op.read", cls, opStart, false, "")
+					return obj, true, nil
+				}
+				continue
 			}
-			m.policyRead(cls, true, 0)
-			if ok {
-				m.traceRoot(trace, "op.read", cls, opStart, false, "")
-				return obj, true, nil
-			}
-			continue
 		}
-		target := wgName(cls)
+		target := names.wg
 		if m.cfg.UseReadGroups {
-			target = rgName(cls)
+			target = names.rg
 		}
 		payload := encodeCommand(&command{kind: cmdRead, class: cls, tpl: tp})
 		if m.cfg.LeasedReads {
@@ -452,7 +474,7 @@ func (m *Machine) ReadDel(tp tuple.Template) (tuple.Tuple, bool, error) {
 		lastCls = cls
 		legStart := time.Now()
 		payload := encodeCommand(&command{kind: cmdRemove, class: cls, tpl: tp})
-		res, err := m.gcastT(wgName(cls), payload, trace)
+		res, err := m.gcastT(m.groupsOf(cls).wg, payload, trace)
 		if err != nil {
 			m.traceRoot(trace, "op.read&del", cls, opStart, true, "error")
 			return tuple.Tuple{}, false, fmt.Errorf("read&del: %w", err)
@@ -502,7 +524,7 @@ func (m *Machine) Swap(tp tuple.Template, repl tuple.Tuple) (tuple.Tuple, bool, 
 	start := time.Now()
 	trace := m.mintTrace()
 	payload := encodeCommand(&command{kind: cmdSwap, class: cls, tpl: tp, obj: repl})
-	res, err := m.gcastT(wgName(cls), payload, trace)
+	res, err := m.gcastT(m.groupsOf(cls).wg, payload, trace)
 	if err != nil {
 		m.traceRoot(trace, "op.swap", cls, start, true, "error")
 		return tuple.Tuple{}, false, fmt.Errorf("swap: %w", err)
@@ -644,7 +666,7 @@ func (m *Machine) enqueueMove(cls class.ID, f func()) {
 func (m *Machine) doJoin(cls class.ID) {
 	defer m.clearMoving(cls)
 	start := time.Now()
-	if err := m.node.Join(wgName(cls)); err != nil {
+	if err := m.node.Join(m.groupsOf(cls).wg); err != nil {
 		return
 	}
 	// Joining costs K time units (state copy, §5.1): account ℓ work.
@@ -658,11 +680,11 @@ func (m *Machine) doLeave(cls class.ID) {
 	// Re-check: a racing read may have re-raised the counter; the policy
 	// said Leave at decision time, which the competitive analysis permits
 	// to execute (events are serialized there). Here we just execute.
-	if !m.node.Member(wgName(cls)) {
+	if !m.node.Member(m.groupsOf(cls).wg) {
 		return
 	}
 	start := time.Now()
-	if err := m.node.Leave(wgName(cls)); err != nil {
+	if err := m.node.Leave(m.groupsOf(cls).wg); err != nil {
 		return
 	}
 	m.record(OpLeave, start, 0, 0, 0, false)
@@ -685,11 +707,11 @@ func (m *Machine) MakeBasic(cls class.ID) error {
 	m.basic[cls] = true
 	m.polMu.Unlock()
 	start := time.Now()
-	if err := m.node.Join(wgName(cls)); err != nil {
+	if err := m.node.Join(m.groupsOf(cls).wg); err != nil {
 		return fmt.Errorf("machine %d: promote to B(%s): %w", m.id, cls, err)
 	}
 	if m.cfg.UseReadGroups {
-		if err := m.node.Join(rgName(cls)); err != nil {
+		if err := m.node.Join(m.groupsOf(cls).rg); err != nil {
 			return fmt.Errorf("machine %d: promote to rg(%s): %w", m.id, cls, err)
 		}
 	}

@@ -173,11 +173,16 @@ func (s *server) applyStore(cls class.ID, t tuple.Tuple) {
 func (s *server) applyRead(cls class.ID, tp tuple.Template) *response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs := s.stateFor(cls)
+	t, ok, probes := s.stateFor(cls).read(tp)
+	return &response{ok: ok, obj: t, probes: uint32(probes)}
+}
+
+// read looks one template up and counts the probes it took. Callers hold
+// the server's lock.
+func (cs *classState) read(tp tuple.Template) (tuple.Tuple, bool, int) {
 	before := cs.store.Stats().ReadProbes
 	t, ok := cs.store.Read(tp)
-	probes := cs.store.Stats().ReadProbes - before
-	return &response{ok: ok, obj: t, probes: uint32(probes)}
+	return t, ok, int(cs.store.Stats().ReadProbes - before)
 }
 
 func (s *server) applyRemove(cls class.ID, tp tuple.Template) *response {
@@ -210,10 +215,19 @@ func (s *server) leaseRead(group string, payload []byte) ([]byte, bool) {
 }
 
 // localRead serves a compute process on this machine directly from the
-// local replica (the zero-message path of §4.3).
-func (s *server) localRead(cls class.ID, tp tuple.Template) (tuple.Tuple, bool, int) {
-	r := s.applyRead(cls, tp)
-	return r.obj, r.ok, int(r.probes)
+// local replica (the zero-message path of §4.3). held=false reports that
+// the class is not replicated here: the caller tested membership before the
+// store lock, and an Evict may have landed in between. Unlike the delivery
+// path it never creates class state — an empty replica minted here would
+// answer "no match" for tuples that are live in wg(C).
+func (s *server) localRead(cls class.ID, tp tuple.Template) (t tuple.Tuple, ok bool, probes int, held bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cs, held := s.classes[cls]
+	if held {
+		t, ok, probes = cs.read(tp)
+	}
+	return t, ok, probes, held
 }
 
 // placeMarker parks a blocked read. Markers are per-replica soft state:
@@ -327,9 +341,19 @@ func (s *server) Evict(group string) {
 	delete(s.markers, cls)
 }
 
-// ViewChange implements vsync.Handler. The engine reads group sizes from
-// gcast reply piggybacks instead, so nothing is recorded here.
-func (s *server) ViewChange(string, []transport.NodeID) {}
+// ViewChange implements vsync.Handler. Group sizes come from gcast reply
+// piggybacks, so the membership is not recorded; the call only makes sure a
+// write group this machine belongs to has replica state, which a first
+// member (activated with no snapshot to install) would lack until the first
+// write — and localRead takes missing state to mean "evicted". No view
+// change is reported for a group this machine left: it cannot undo an Evict.
+func (s *server) ViewChange(group string, _ []transport.NodeID) {
+	if kind, cls, ok := parseGroup(group); ok && kind == "wg" {
+		s.mu.Lock()
+		s.stateFor(cls)
+		s.mu.Unlock()
+	}
+}
 
 // AppMessage implements vsync.Handler; the machine layer overrides routing
 // by wrapping the server (see machine.go). The server itself never

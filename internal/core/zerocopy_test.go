@@ -30,7 +30,7 @@ func TestDeliverStoreAliasesFrame(t *testing.T) {
 		t.Fatalf("store command rejected (fail=%v)", fail)
 	}
 
-	got, ok, _ := s.localRead("jobs", tuple.NewTemplate(
+	got, ok, _, _ := s.localRead("jobs", tuple.NewTemplate(
 		tuple.Eq(tuple.String("job")), tuple.Any(tuple.KindString)))
 	if !ok {
 		t.Fatal("stored tuple not found")

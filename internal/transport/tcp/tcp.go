@@ -18,7 +18,8 @@
 // goroutine), writes queued frames through a bufio.Writer, and flushes
 // once per drained batch — k frames queued behind one another cost one
 // syscall instead of k, amortizing the per-message α of the paper's
-// msg-cost(m) = α + β·|m| model (§3.3).
+// msg-cost(m) = α + β·|m| model (§3.3). A batch that did not fill yields the
+// processor once first, so frames about to be queued share the flush.
 package tcp
 
 import (
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,7 +123,8 @@ type Endpoint struct {
 // hello), which are counted separately from data frames. owned marks a
 // payload drawn from the transport buffer pool (SendOwned): the writer
 // recycles it once the frame is written or dropped. at is the enqueue
-// time of data frames, feeding the send-queue-wait stage histogram.
+// time of data frames off the coarse clock (a queue crossing: its
+// resolution is enough), feeding the send-queue-wait stage histogram.
 type outFrame struct {
 	payload []byte
 	hb      bool
@@ -316,7 +319,7 @@ func (e *Endpoint) send(to transport.NodeID, payload []byte, owned bool) error {
 		}
 		return nil
 	}
-	f := outFrame{payload: payload, owned: owned, at: time.Now()}
+	f := outFrame{payload: payload, owned: owned, at: obs.CoarseNow()}
 	select {
 	case p.q <- f:
 		p.noteDepth()
@@ -403,24 +406,23 @@ func (e *Endpoint) writerLoop(p *peer) {
 			}
 		}
 		// Coalesce whatever else is already queued, then write the batch
-		// through the buffer and flush once: k frames, one syscall.
-		batch = append(batch[:0], f)
-		for len(batch) < maxBatchFrames {
-			select {
-			case more := <-p.q:
-				batch = append(batch, more)
-			default:
-				goto write
-			}
+		// through the buffer and flush once: k frames, one syscall. A batch
+		// that did not fill yields the processor once first (the loopy-writer
+		// idiom): senders runnable right now queue their frames behind this
+		// one and share its flush. On an idle machine the yield returns at
+		// once, so a lone frame is not delayed and nothing needs tuning.
+		batch = coalesce(append(batch[:0], f), p.q)
+		if len(batch) < maxBatchFrames {
+			runtime.Gosched()
+			batch = coalesce(batch, p.q)
 		}
-	write:
 		// Send-queue-wait stage: enqueue to writer pickup, per data frame.
-		now := time.Now()
 		for _, fr := range batch {
 			if !fr.at.IsZero() {
-				e.hStageSendQ.Observe(now.Sub(fr.at).Seconds())
+				e.hStageSendQ.Observe(obs.CoarseSince(fr.at).Seconds())
 			}
 		}
+		now := time.Now()
 		var werr error
 		for _, fr := range batch {
 			if werr = writeFrameTo(bw, &hdr, e.id, fr.payload); werr != nil {
@@ -466,6 +468,19 @@ func (e *Endpoint) writerLoop(p *peer) {
 		e.cFlushFrames.Add(int64(len(batch)))
 		e.hFlushBatch.Observe(float64(len(batch)))
 	}
+}
+
+// coalesce appends the frames waiting in q, up to maxBatchFrames in all.
+func coalesce(batch []outFrame, q <-chan outFrame) []outFrame {
+	for len(batch) < maxBatchFrames {
+		select {
+		case f := <-q:
+			batch = append(batch, f)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // dropFrame accounts for one undeliverable frame: heartbeat misses feed
@@ -539,11 +554,19 @@ func (e *Endpoint) acceptLoop() {
 // readLoop consumes frames from one incoming connection. The first frame
 // is the hello carrying the sender's identity; an Up event is emitted
 // before any data from that sender.
+//
+// The read deadline and the detector's last-seen stamp are refreshed
+// together, at most once per quarter heartbeat: both only need to be fresh
+// relative to FailTimeout, and per frame they cost a runtime timer reset and
+// the endpoint mutex. The coarse clock says when a refresh is due, checked
+// after the read — so a frame ending a silence long enough for the detector
+// to have declared the peer down always refreshes: its Up still precedes it.
 func (e *Endpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close()
 	var from transport.NodeID
-	first := true
+	var seenAt time.Time // coarse-clock time of the last refresh; zero before the hello
+	_ = conn.SetReadDeadline(time.Now().Add(e.opts.FailTimeout * 2))
 	br := bufio.NewReaderSize(conn, writeBufSize)
 	for {
 		select {
@@ -551,16 +574,21 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 			return
 		default:
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(e.opts.FailTimeout * 2))
 		sender, payload, err := readFrame(br)
 		if err != nil {
 			return
 		}
-		if first {
-			from = sender
-			first = false
+		due := seenAt.IsZero()
+		if due {
+			from = sender // the hello
+		} else if age := obs.CoarseSince(seenAt); age >= e.opts.HeartbeatInterval/4 || age < 0 {
+			due = true // a negative age is the wall clock stepping back
 		}
-		e.markSeen(from)
+		if due {
+			seenAt = obs.CoarseNow()
+			_ = conn.SetReadDeadline(time.Now().Add(e.opts.FailTimeout * 2))
+			e.markSeen(from)
+		}
 		if len(payload) > 0 {
 			e.cMsgsRecv.Inc()
 			e.cBytesRecv.Add(int64(len(payload)))

@@ -98,11 +98,6 @@ func TestPipelinedGcastCoordinatorCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn test skipped in -short mode")
 	}
-	// Force the per-destination send workers on: single-CPU CI hosts
-	// default to inline sends, and this test (with the race detector) is
-	// where the worker handoff plumbing earns its coverage.
-	defer func(was bool) { fanoutDefault = was }(fanoutDefault)
-	fanoutDefault = true
 	forEachPlacement(t, func(t *testing.T, fn CoordFn) {
 		ids := []transport.NodeID{1, 2, 3, 4, 5}
 		h := newHarnessOn(t, fn, ids...)

@@ -14,10 +14,8 @@ import (
 func newBenchCoordNode() *Node {
 	o := obs.Nop()
 	n := &Node{
-		self:    1,
-		outbox:  make(map[transport.NodeID][]*wire),
-		workers: make(map[transport.NodeID]chan []*wire),
-		wsFree:  make(chan []*wire, 64),
+		self:   1,
+		outbox: make(map[transport.NodeID][]*wire),
 
 		o:             o,
 		hStageOrder:   o.Histogram(obs.StageOrder),
@@ -33,16 +31,16 @@ func newBenchCoordNode() *Node {
 	return n
 }
 
-// benchDrainOutbox releases staged frames the way a send worker would,
-// without encoding: pooled wires return to the pool, slices recycle.
+// benchDrainOutbox releases staged frames the way flushOutbox would,
+// without encoding: pooled wires return to the pool, slices are reused.
 func benchDrainOutbox(n *Node) {
 	for _, to := range n.outboxOrder {
 		ws := n.outbox[to]
-		delete(n.outbox, to)
 		for _, w := range ws {
 			releaseWire(w)
 		}
-		n.putWS(ws)
+		clear(ws)
+		n.outbox[to] = ws[:0]
 	}
 	n.outboxOrder = n.outboxOrder[:0]
 }

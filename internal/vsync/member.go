@@ -136,6 +136,7 @@ func (n *Node) apply(g *memberState, orderer transport.NodeID, w *wire) {
 		g.members = removeID(g.members, subject)
 		n.emitViewChange(g, "leave", subject, old)
 		if subject == n.self {
+			n.setActive(g.name, false)
 			n.h.Evict(g.name)
 			delete(n.groups, g.name)
 			n.resolveLocal(g.name, tLeaveReq)
@@ -246,8 +247,13 @@ func (n *Node) activate(g *memberState, upTo uint64) {
 		}
 	}
 	n.h.ViewChange(g.name, append([]transport.NodeID(nil), g.members...))
-	n.resolveLocal(g.name, tJoinReq)
 	n.drain(g, n.coordOf(g.name))
+	if n.groups[g.name] == g { // the drained tail may hold our own leave
+		n.setActive(g.name, true)
+	}
+	// Resolve the join last, so a caller returning from Join finds Member
+	// already true.
+	n.resolveLocal(g.name, tJoinReq)
 }
 
 // memberRestate handles a coordinator verdict that our membership of a
@@ -267,6 +273,7 @@ func (n *Node) memberRestate(from transport.NodeID, w *wire) {
 	// would poison a later recovery.
 	delete(n.abdicated, w.Group)
 	if g.active {
+		n.setActive(g.name, false)
 		n.h.Evict(g.name)
 	}
 	delete(n.groups, w.Group)

@@ -4,8 +4,7 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"errors"
-	"runtime"
-	"sort"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +15,9 @@ import (
 
 // Handler receives group events on behalf of the application (the memory
 // server). All methods are invoked from the node's event loop; they must
-// not call back into Node methods (doing so would deadlock) and must not
-// block.
+// not block and must not call back into Node methods that cross the loop
+// (doing so would deadlock) — SendApp and the published views (Member,
+// LiveView, ViewEpoch) are the exceptions.
 type Handler interface {
 	// Deliver processes one totally ordered gcast payload and returns the
 	// member's response. fail=true marks a "fail" response; the gatherer
@@ -109,6 +109,10 @@ type Node struct {
 	// epoch hash (publishView), so the leased-read path can read both
 	// off-loop without a command round-trip.
 	view atomic.Pointer[liveView]
+	// active atomically publishes the set of groups this node is an active
+	// member of, so Member answers off-loop like LiveView does. Copy-on-write;
+	// setActive holds the ordering rule against Handler.Install and Evict.
+	active atomic.Pointer[map[string]bool]
 	// preCoord stashes client requests for groups that do not (yet) map to
 	// this node. A client whose failure detector runs ahead of ours sends
 	// here before we have processed the old coordinator's death; dropping
@@ -126,25 +130,9 @@ type Node struct {
 	// Outgoing frames are staged here and flushed once per loop burst:
 	// messages bound for the same peer coalesce into one tBatch frame, so
 	// a burst of k ordered events costs one frame's α instead of k (§3.3).
+	// The slices are reused across bursts.
 	outbox      map[transport.NodeID][]*wire
 	outboxOrder []transport.NodeID
-	// fanout enables the per-destination send workers. On multi-core
-	// hosts encoding a fan-out to N members overlaps across N goroutines
-	// instead of serializing on the event loop; with a single CPU the
-	// handoff is pure scheduling overhead, so the loop sends inline.
-	// Decided once at construction (fanoutDefault) — never toggled while
-	// the loop runs.
-	fanout bool
-	// workers holds one send worker per destination, lazily spawned by
-	// flushOutbox. Per-destination FIFO (and with it total-order
-	// delivery) is preserved because each destination has exactly one
-	// worker draining an ordered channel.
-	workers map[transport.NodeID]chan []*wire
-	sendWG  sync.WaitGroup
-	// wsFree recycles outbox slices between the loop (stage) and the
-	// workers (drain) without sync.Pool's interface boxing.
-	wsFree chan []*wire
-
 	// Observability handles (resolved once at construction).
 	o           *obs.Obs
 	cGcast      *obs.Counter
@@ -195,8 +183,9 @@ type Node struct {
 
 // wirePool recycles the wires the hot path mints per operation — the
 // coordinator's runs and replies and the members' acks. A pooled wire
-// carries refs = number of destinations it is staged to; the send worker
-// that performs the last encode recycles it (releaseWire).
+// carries refs = number of destinations it is staged to; the encode for the
+// last of them recycles it (releaseWire). Staging and encoding both happen
+// on the event loop, so refs needs no synchronization.
 var wirePool = sync.Pool{New: func() any { return new(wire) }}
 
 func getPooledWire() *wire { return wirePool.Get().(*wire) }
@@ -205,10 +194,10 @@ func getPooledWire() *wire { return wirePool.Get().(*wire) }
 // membership events, client requests, recovery traffic) are left to the
 // garbage collector.
 func releaseWire(w *wire) {
-	if atomic.LoadInt32(&w.refs) == 0 {
+	if w.refs == 0 {
 		return
 	}
-	if atomic.AddInt32(&w.refs, -1) != 0 {
+	if w.refs--; w.refs != 0 {
 		return
 	}
 	// Reset, keeping the Batch backing array but dropping every payload
@@ -327,8 +316,6 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		coordFn:   place,
 		abdicated: make(map[string]uint64),
 		outbox:    make(map[transport.NodeID][]*wire),
-		workers:   make(map[transport.NodeID]chan []*wire),
-		wsFree:    make(chan []*wire, 64),
 
 		o:           o,
 		cGcast:      o.Counter("vsync.gcast.total"),
@@ -365,7 +352,6 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		hStageLease:   o.Histogram(obs.StageLeaseServe),
 	}
 	n.owned, _ = ep.(transport.OwnedSender)
-	n.fanout = fanoutDefault
 	for t := tCastReq; t <= tMaxType; t++ {
 		n.hFrame[t] = o.Histogram("vsync.frame.bytes." + t.String())
 	}
@@ -382,6 +368,7 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		n.live[id] = true
 	}
 	n.live[n.self] = true
+	n.active.Store(&map[string]bool{})
 	n.liveChanged()
 	go n.loop()
 	return n
@@ -472,40 +459,26 @@ func (n *Node) GcastTraced(group string, payload []byte, trace, parent uint64) (
 // Like Gcast, Join survives a coordinator crash by retransmission: the
 // successor re-orders the request, duplicate orderings are suppressed,
 // and the recovery's laggard-resync path re-issues the state snapshot.
-func (n *Node) Join(group string) error {
-	ch := make(chan Result, 1)
-	ok := n.do(func() {
-		if g, exists := n.groups[group]; exists && g.active {
-			ch <- Result{}
-			return
-		}
-		n.startRequest(tJoinReq, group, nil, ch, 0, 0)
-	})
-	if !ok {
-		return ErrClosed
-	}
-	select {
-	case <-ch:
-		return nil
-	case <-n.done:
-		return ErrClosed
-	}
-}
+func (n *Node) Join(group string) error { return n.changeMembership(tJoinReq, group) }
 
 // Leave removes this node from the group, blocking until the ordered leave
 // event is delivered. The handler's Evict is invoked to erase group state.
 // Leaving a group this node is not in is a no-op. A crash-eviction racing
 // the leave resolves it the same way: the member is gone either path.
-func (n *Node) Leave(group string) error {
+func (n *Node) Leave(group string) error { return n.changeMembership(tLeaveReq, group) }
+
+// changeMembership issues a join or leave unless it would be a no-op, and
+// waits for the local event that resolves it.
+func (n *Node) changeMembership(t msgType, group string) error {
 	ch := make(chan Result, 1)
-	ok := n.do(func() {
-		if _, exists := n.groups[group]; !exists {
+	if !n.do(func() {
+		g, exists := n.groups[group]
+		if (t == tJoinReq && exists && g.active) || (t == tLeaveReq && !exists) {
 			ch <- Result{}
 			return
 		}
-		n.startRequest(tLeaveReq, group, nil, ch, 0, 0)
-	})
-	if !ok {
+		n.startRequest(t, group, nil, ch, 0, 0)
+	}) {
 		return ErrClosed
 	}
 	select {
@@ -531,13 +504,28 @@ func (n *Node) query(f func()) bool {
 	}
 }
 
-// Member reports whether this node is an active member of the group.
+// Member reports whether this node is an active member of the group. It
+// reads the published view and never crosses the event loop, so it is cheap
+// enough for every local read; like any membership test made outside the
+// loop, an ordered leave can overtake the answer (PROTOCOL.md, "Guarantees").
 func (n *Node) Member(group string) bool {
-	var res bool
-	return n.query(func() {
-		g, exists := n.groups[group]
-		res = exists && g.active
-	}) && res
+	return (*n.active.Load())[group]
+}
+
+// setActive publishes one group's active-membership bit. Loop-only. The
+// ordering rule: a group is published only once the handler holds its
+// complete state (after the snapshot install and the buffered-tail drain in
+// activate) and withdrawn before every Handler.Evict — an off-loop reader
+// that sees "member" finds the state or, at worst, the handler's own
+// "evicted" answer, never a half-installed replica.
+func (n *Node) setActive(group string, on bool) {
+	next := maps.Clone(*n.active.Load())
+	if on {
+		next[group] = true
+	} else {
+		delete(next, group)
+	}
+	n.active.Store(&next)
 }
 
 // Members returns the local membership view of a group this node belongs
@@ -571,15 +559,6 @@ func (n *Node) Sequenced(group string) (members []transport.NodeID, ok bool) {
 	return members, ok
 }
 
-// Alive returns the failure detector's current live-node set, sorted.
-func (n *Node) Alive() []transport.NodeID {
-	var res []transport.NodeID
-	if !n.query(func() { res = append(res, n.liveSorted...) }) {
-		return nil
-	}
-	return res
-}
-
 // --- event loop ---
 
 // maxLoopBurst bounds how many already-pending commands and transport
@@ -591,7 +570,7 @@ const maxLoopBurst = 64
 func (n *Node) loop() {
 	defer close(n.done)
 	defer n.failAllPending()
-	defer n.stopWorkers()
+	defer n.active.Store(&map[string]bool{}) // a closed node is a member of nothing
 	for {
 		// Sequence then flush before blocking: casts staged by the
 		// previous burst share one seq-range allocation (flushCoord), and
@@ -631,111 +610,31 @@ func (n *Node) loop() {
 	}
 }
 
-// flushOutbox drains every staged per-destination frame group: with the
-// fan-out workers enabled, each group is handed to its destination's send
-// worker so the encodes overlap across peers off the event loop; on a
-// single-CPU host the handoff buys no parallelism and only costs wakeups,
-// so the loop encodes and transmits inline instead (see fanoutWorkers).
+// flushOutbox encodes and transmits every staged per-destination frame
+// group — one bare frame or a coalesced tBatch — and releases the pooled
+// wires. A goroutine per destination in between measured as no gain on two
+// CPUs and cost every leg a hand-off (DESIGN.md, "Hand-off-free hot paths").
 func (n *Node) flushOutbox() {
-	if len(n.outboxOrder) == 0 {
-		return
-	}
 	for _, to := range n.outboxOrder {
 		ws := n.outbox[to]
-		delete(n.outbox, to)
-		if len(ws) == 0 {
-			continue
-		}
-		if n.fanout {
-			n.workerFor(to) <- ws
+		// A send fails only on a closed endpoint; the loop exits soon then.
+		if len(ws) == 1 {
+			_ = n.sendNow(to, ws[0])
 		} else {
-			n.drainFrames(to, ws)
+			n.cBatchSends.Inc()
+			n.cBatchMsgs.Add(int64(len(ws)))
+			n.hBatchOcc.Observe(float64(len(ws)))
+			// One tBatch frame, with no intermediate tBatch wire.
+			encStart := time.Now()
+			_ = n.transmit(to, tBatch, encodeWireBatch(ws), encStart)
 		}
-	}
-	n.outboxOrder = n.outboxOrder[:0]
-}
-
-// sendWorkerQueue bounds staged-but-unencoded frame groups per peer. The
-// loop blocks when a worker falls this far behind — backpressure toward
-// the clients, matching the transport's own bounded send queues.
-const sendWorkerQueue = 256
-
-// fanoutDefault decides whether new nodes use per-destination send workers:
-// yes when more than one CPU can actually run them. A variable only so the
-// package's tests can force the worker path on single-CPU hosts.
-var fanoutDefault = runtime.GOMAXPROCS(0) > 1
-
-// workerFor returns the destination's send-worker channel, spawning the
-// worker on first use. Loop-owned (workers map is loop state).
-func (n *Node) workerFor(to transport.NodeID) chan []*wire {
-	ch := n.workers[to]
-	if ch == nil {
-		ch = make(chan []*wire, sendWorkerQueue)
-		n.workers[to] = ch
-		n.sendWG.Add(1)
-		go n.sendWorker(to, ch)
-	}
-	return ch
-}
-
-// sendWorker drains one destination's staged frame groups: encode,
-// transmit, release pooled wires, recycle the slice. Exactly one worker
-// per destination keeps the channel's order — and so per-peer FIFO —
-// intact.
-func (n *Node) sendWorker(to transport.NodeID, ch chan []*wire) {
-	defer n.sendWG.Done()
-	for ws := range ch {
-		n.drainFrames(to, ws)
-	}
-}
-
-// drainFrames encodes and transmits one destination's staged frame group —
-// one bare frame or a coalesced tBatch — then releases the pooled wires
-// and recycles the slice. Called by send workers, or by flushOutbox
-// directly when the fan-out workers are disabled.
-func (n *Node) drainFrames(to transport.NodeID, ws []*wire) {
-	if len(ws) == 1 {
-		n.xmit(to, ws[0])
-		releaseWire(ws[0])
-	} else {
-		n.cBatchSends.Inc()
-		n.cBatchMsgs.Add(int64(len(ws)))
-		n.hBatchOcc.Observe(float64(len(ws)))
-		n.xmitBatch(to, ws)
 		for _, w := range ws {
 			releaseWire(w)
 		}
+		clear(ws) // drop the wire references; the slice is reused
+		n.outbox[to] = ws[:0]
 	}
-	n.putWS(ws)
-}
-
-// stopWorkers closes every worker channel and waits for the in-flight
-// frame groups to drain. Runs before failAllPending on shutdown (defer
-// order), so workers never race a closing transport unsupervised.
-func (n *Node) stopWorkers() {
-	for _, ch := range n.workers {
-		close(ch)
-	}
-	n.sendWG.Wait()
-}
-
-// getWS draws a recycled outbox slice.
-func (n *Node) getWS() []*wire {
-	select {
-	case ws := <-n.wsFree:
-		return ws
-	default:
-		return make([]*wire, 0, 16)
-	}
-}
-
-// putWS recycles an outbox slice, dropping its wire references first.
-func (n *Node) putWS(ws []*wire) {
-	clear(ws)
-	select {
-	case n.wsFree <- ws[:0]:
-	default: // recycle ring full; let it go
-	}
+	n.outboxOrder = n.outboxOrder[:0]
 }
 
 func (n *Node) failAllPending() {
@@ -863,53 +762,33 @@ func (n *Node) SendApp(to transport.NodeID, payload []byte) error {
 // send stages a wire message for the destination; the loop flushes the
 // outbox after each burst, coalescing same-destination messages into one
 // frame. Only loop-owned code (and pre-loop initialization) may call it.
-// A staged wire must not be mutated afterward: the send worker encodes it
-// concurrently with the loop's next burst.
 func (n *Node) send(to transport.NodeID, w *wire) {
-	ws, ok := n.outbox[to]
-	if !ok {
+	ws := n.outbox[to]
+	if len(ws) == 0 {
 		n.outboxOrder = append(n.outboxOrder, to)
-		ws = n.getWS()
 	}
 	n.outbox[to] = append(ws, w)
 }
 
-// xmit serializes and transmits one frame immediately.
-func (n *Node) xmit(to transport.NodeID, w *wire) {
-	_ = n.sendNow(to, w) // closed endpoint: loop exits soon
-}
-
-// sendNow encodes w into a pooled buffer and hands it to the transport,
-// transferring buffer ownership when the endpoint supports it. The frame's
-// encoded size is recorded per message type — the actual |m| that the §3.3
-// msg-cost model prices.
+// sendNow encodes w into a pooled buffer and hands it to the transport.
 func (n *Node) sendNow(to transport.NodeID, w *wire) error {
 	encStart := time.Now()
-	buf := encodeWire(w)
+	return n.transmit(to, w.Type, encodeWire(w), encStart)
+}
+
+// transmit hands one encoded frame to the transport, transferring buffer
+// ownership when the endpoint supports it. The frame's encoded size is
+// recorded per message type — the actual |m| that the §3.3 msg-cost model
+// prices.
+func (n *Node) transmit(to transport.NodeID, t msgType, buf []byte, encStart time.Time) error {
 	n.hStageEncode.Observe(time.Since(encStart).Seconds())
-	if h := n.hFrame[w.Type]; h != nil {
+	if h := n.hFrame[t]; h != nil {
 		h.Observe(float64(len(buf)))
 	}
 	if n.owned != nil {
 		return n.owned.SendOwned(to, buf)
 	}
 	return n.ep.Send(to, buf)
-}
-
-// xmitBatch encodes a multi-message frame group as one tBatch frame
-// without materializing an intermediate tBatch wire.
-func (n *Node) xmitBatch(to transport.NodeID, ws []*wire) {
-	encStart := time.Now()
-	buf := encodeWireBatch(ws)
-	n.hStageEncode.Observe(time.Since(encStart).Seconds())
-	if h := n.hFrame[tBatch]; h != nil {
-		h.Observe(float64(len(buf)))
-	}
-	if n.owned != nil {
-		_ = n.owned.SendOwned(to, buf)
-		return
-	}
-	_ = n.ep.Send(to, buf)
 }
 
 // liveChanged reacts to any membership edge (including the constructor's
@@ -923,11 +802,7 @@ func (n *Node) liveChanged() {
 	n.liveEpoch++
 	prev := n.coordCache
 	n.coordCache = make(map[string]transport.NodeID, len(prev)+1)
-	n.liveSorted = n.liveSorted[:0]
-	for id := range n.live {
-		n.liveSorted = append(n.liveSorted, id)
-	}
-	sort.Slice(n.liveSorted, func(i, j int) bool { return n.liveSorted[i] < n.liveSorted[j] })
+	n.liveSorted = n.view.Load().ids // shared with off-loop readers; never mutated
 	n.refreshPlacement(prev)
 }
 
@@ -994,6 +869,7 @@ func (n *Node) clientReply(w *wire) {
 		// (membership record lost across a recovery); erase local state
 		// here instead.
 		if _, exists := n.groups[p.group]; exists {
+			n.setActive(p.group, false)
 			n.h.Evict(p.group)
 			delete(n.groups, p.group)
 		}

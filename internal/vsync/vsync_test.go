@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -450,9 +451,10 @@ func TestMembersView(t *testing.T) {
 
 func TestAliveTracksCrashes(t *testing.T) {
 	h := newHarness(t, 1, 2, 3)
-	waitFor(t, "3 alive", func() bool { return len(h.nds[1].Alive()) == 3 })
+	alive := func() int { ids, _ := h.nds[1].LiveView(); return len(ids) }
+	waitFor(t, "3 alive", func() bool { return alive() == 3 })
 	h.crash(3)
-	waitFor(t, "2 alive", func() bool { return len(h.nds[1].Alive()) == 2 })
+	waitFor(t, "2 alive", func() bool { return alive() == 2 })
 }
 
 func TestCloseUnblocksCalls(t *testing.T) {
@@ -512,4 +514,108 @@ func TestManyGroupsIndependent(t *testing.T) {
 			t.Fatalf("group %s size = %d, want %d", g, res.GroupSize, wantSize)
 		}
 	}
+}
+
+// memberProbe wraps a handler to record what Member answers at the moments
+// the published view is ordered against: inside Install and the deliveries
+// that follow it during a join, and inside Evict.
+type memberProbe struct {
+	*testHandler
+	node          atomic.Pointer[Node]
+	joined        atomic.Bool // set once Join has returned
+	duringInstall []bool
+	duringEvict   []bool
+	earlyTail     int // deliveries made before the view was published
+}
+
+func (p *memberProbe) Install(group string, state []byte) {
+	p.duringInstall = append(p.duringInstall, p.node.Load().Member(group))
+	p.testHandler.Install(group, state)
+}
+
+func (p *memberProbe) Deliver(group string, origin transport.NodeID, payload []byte) ([]byte, bool) {
+	if !p.joined.Load() && !p.node.Load().Member(group) {
+		p.earlyTail++
+	}
+	return p.testHandler.Deliver(group, origin, payload)
+}
+
+func (p *memberProbe) Evict(group string) {
+	p.duringEvict = append(p.duringEvict, p.node.Load().Member(group))
+	p.testHandler.Evict(group)
+}
+
+// TestMemberPublishedOrdering pins the published-membership rule: Member
+// turns true only after the snapshot install and the buffered-tail drain,
+// is true by the time Join returns, and is false again before the handler
+// is told to evict.
+func TestMemberPublishedOrdering(t *testing.T) {
+	h := newHarness(t, 1)
+	caster := h.nds[1]
+	if err := caster.Join("g"); err != nil {
+		t.Fatal(err)
+	}
+	// Keep casts flowing while node 2 joins, so that its join has ordered
+	// events to buffer behind the snapshot.
+	stop := make(chan struct{})
+	var casters sync.WaitGroup
+	casters.Add(1)
+	go func() {
+		defer casters.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := caster.Gcast("g", []byte(fmt.Sprintf("m%d", i))); err != nil {
+				return
+			}
+		}
+	}()
+
+	ep, err := h.net.Join(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &memberProbe{testHandler: newTestHandler()}
+	nd := NewNodeOpts(ep, probe, NodeOptions{})
+	probe.node.Store(nd)
+	t.Cleanup(nd.Close)
+
+	for round := 0; round < 5; round++ {
+		probe.joined.Store(false)
+		if err := nd.Join("g"); err != nil {
+			t.Fatal(err)
+		}
+		if !nd.Member("g") {
+			t.Fatal("Member is false after Join returned")
+		}
+		probe.joined.Store(true)
+		if err := nd.Leave("g"); err != nil {
+			t.Fatal(err)
+		}
+		if nd.Member("g") {
+			t.Fatal("Member is true after Leave returned")
+		}
+	}
+	close(stop)
+	casters.Wait()
+	nd.Close() // orders the probe's loop-side writes before the reads below
+
+	if len(probe.duringInstall) == 0 || len(probe.duringEvict) != 5 {
+		t.Fatalf("%d installs, %d evicts; want at least one install and 5 evicts",
+			len(probe.duringInstall), len(probe.duringEvict))
+	}
+	for _, m := range probe.duringInstall {
+		if m {
+			t.Fatal("Member was already true inside Install")
+		}
+	}
+	for _, m := range probe.duringEvict {
+		if m {
+			t.Fatal("Member was still true inside Evict")
+		}
+	}
+	t.Logf("%d buffered-tail deliveries ran before the view was published", probe.earlyTail)
 }

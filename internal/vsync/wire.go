@@ -165,9 +165,9 @@ type wire struct {
 
 	// refs is sender-side state, never encoded: the number of destinations
 	// a pooled wire (coordinator runs and replies, member acks) is staged
-	// to. Each send worker decrements it after encoding; whoever reaches
-	// zero recycles the wire (releaseWire, node.go). Zero means the wire is
-	// not pooled and is left to the garbage collector.
+	// to. The loop decrements it after each destination's encode and
+	// recycles the wire at zero (releaseWire, node.go). Zero means the wire
+	// is not pooled and is left to the garbage collector.
 	refs int32
 }
 
