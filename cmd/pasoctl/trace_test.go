@@ -120,6 +120,19 @@ func TestTraceCommandEndToEnd(t *testing.T) {
 		t.Fatal("no root span on the inserting machine")
 	}
 	opID := fmt.Sprintf("%016x", roots[0].Trace)
+	// Member 2 answered machine 3 directly; the sequencer records its order
+	// span when member 2's ack reaches it, a moment after the insert returned.
+	ordered := func() bool {
+		for _, s := range oss[1].Spans().Spans() {
+			if s.Trace == roots[0].Trace && s.Name == "order" {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !ordered() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	addrs := debugs[1].Addr() + "," + debugs[2].Addr() + "," + debugs[3].Addr()
 

@@ -24,7 +24,8 @@ import (
 //	readwait <dur> <name> <matcher>...  → OK <tuple> | FAIL | ERR <msg>
 //	takewait <dur> <name> <matcher>...  → OK <tuple> | FAIL | ERR <msg>
 //	stats                               → OK, then the Figure-1-style
-//	                                      per-op table (plus the per-class
+//	                                      per-op table, the gcast completion
+//	                                      row (plus the per-class
 //	                                      leased-read table when the fast
 //	                                      path is enabled), one row per
 //	                                      line, terminated by a lone "."
@@ -243,6 +244,11 @@ func ExecuteCommand(m *Machine, line string) string {
 			sb.WriteString(RenderStages(obs.StageSnapshots(m.Obs().Reg())))
 		} else {
 			sb.WriteString(RenderReport(m.Report()))
+			// By rule (PROTOCOL.md, "Completing a gcast"), as counted here:
+			fmt.Fprintf(&sb, "gcast completion: local=%d direct=%d gathered=%d\n",
+				m.o.Counter("vsync.cast.completed.local").Value(),
+				m.o.Counter("vsync.cast.completed.direct").Value(),
+				m.o.Counter("vsync.cast.completed.gathered").Value())
 			if leased, fallback, _ := m.LeaseStats(); m.cfg.LeasedReads || leased+fallback > 0 {
 				sb.WriteString(m.RenderLeaseReport())
 			}

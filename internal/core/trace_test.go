@@ -58,9 +58,10 @@ func TestTraceInsertCostAttribution(t *testing.T) {
 	}
 	model := cost.DefaultModel()
 	// Every span was collected, so the measured sum is the exact §3.3
-	// gcast cost...
-	if want := model.Gcast(hop.GroupSize, hop.Bytes, hop.RespBytes); hop.Measured != want {
-		t.Fatalf("measured = %.0f, want exact Gcast %.0f", hop.Measured, want)
+	// gcast cost of what was sent: machine 1 sequences the group, so the
+	// reply to its own caller never crossed the wire...
+	if want := model.Gcast(hop.GroupSize, hop.Bytes, hop.RespBytes) - model.Msg(hop.RespBytes); hop.Measured != want {
+		t.Fatalf("measured = %.0f, want exact Gcast less the reply %.0f", hop.Measured, want)
 	}
 	// ...and it matches the Figure 1 approximation within tolerance.
 	diff := hop.Measured - hop.Predicted

@@ -53,8 +53,9 @@ type Gap struct {
 
 // HopCost attributes §3.3 cost to one gcast hop. Measured is rebuilt from
 // the spans actually collected — each deliver span contributes its payload
-// send plus an empty ack, and the reply contributes its response bytes —
-// so it equals the exact §3.3 sum only when no spans are missing.
+// send plus an empty ack, and the reply, unless the gcast was answered from
+// the caller's own machine, contributes its response bytes — so it equals
+// the exact §3.3 sum only when no spans are missing and a reply was sent.
 type HopCost struct {
 	// Span is the gcast client span the hop belongs to.
 	Span uint64 `json:"span"`
@@ -128,8 +129,10 @@ func Assemble(trace uint64, spans []Span, model cost.Model) OpTrace {
 					hop.Measured += model.Msg(d.Bytes) + model.Msg(0)
 				}
 			}
-			// One gathered response back to the caller.
-			hop.Measured += model.Msg(s.RespBytes)
+			// One response back to the caller, if it crossed the wire.
+			if s.Note != "local-reply" {
+				hop.Measured += model.Msg(s.RespBytes)
+			}
 			t.Hops = append(t.Hops, hop)
 			t.Measured += hop.Measured
 			t.Predicted += hop.Predicted

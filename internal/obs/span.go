@@ -44,7 +44,8 @@ type Span struct {
 	Fail bool `json:"fail,omitempty"`
 	// Note carries annotations: "dup-suppressed" for a delivery answered
 	// from the duplicate cache, "retransmit" when re-sent after a
-	// coordinator change.
+	// membership edge, "local-reply" on a gcast answered from the caller's
+	// own machine (Assemble prices no reply message for it).
 	Note string `json:"note,omitempty"`
 }
 

@@ -161,6 +161,26 @@ func TestAssembleComplete(t *testing.T) {
 	}
 }
 
+// TestAssembleLocalReply: a gcast answered from the caller's own machine sent
+// no reply message, and is priced without one — still inside the tolerance.
+func TestAssembleLocalReply(t *testing.T) {
+	model := cost.DefaultModel()
+	const trace, g, msg, resp = 78, 2, 120, 40
+	spans := fullSpanSet(trace, g, msg, resp)
+	spans[1].Note = "local-reply"
+	asm := Assemble(trace, spans, model)
+	if !asm.Complete() || len(asm.Hops) != 1 {
+		t.Fatalf("gaps=%+v hops=%d", asm.Gaps, len(asm.Hops))
+	}
+	hop := asm.Hops[0]
+	if want := model.Gcast(g, msg, resp) - model.Msg(resp); hop.Measured != want {
+		t.Fatalf("measured = %.0f, want Gcast less the reply %.0f", hop.Measured, want)
+	}
+	if diff := hop.Predicted - hop.Measured; diff < 0 || diff > model.GcastTolerance(g, resp) {
+		t.Fatalf("predicted-measured = %.0f outside tolerance %.0f", diff, model.GcastTolerance(g, resp))
+	}
+}
+
 func TestAssembleGaps(t *testing.T) {
 	model := cost.DefaultModel()
 	const trace, g, msg, resp = 88, 3, 50, 10

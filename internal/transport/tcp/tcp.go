@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"runtime"
 	"sync"
@@ -89,11 +90,14 @@ type Endpoint struct {
 	ln   net.Listener
 	mbox *transport.Mailbox
 
+	// peers is copy-on-write, so send reads it once per frame without the
+	// mutex the detector shares. AddPeer replaces it, Close sets closed, under mu.
+	peers  atomic.Pointer[map[transport.NodeID]*peer]
+	closed atomic.Bool
+
 	mu       sync.Mutex
-	peers    map[transport.NodeID]*peer
 	lastSeen map[transport.NodeID]time.Time
 	up       map[transport.NodeID]bool
-	closed   bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -204,11 +208,11 @@ func Listen(id transport.NodeID, addr string, opts Options) (*Endpoint, error) {
 		opts:     opts.withDefaults(),
 		ln:       ln,
 		mbox:     transport.NewMailbox(),
-		peers:    make(map[transport.NodeID]*peer),
 		lastSeen: make(map[transport.NodeID]time.Time),
 		up:       make(map[transport.NodeID]bool),
 		stop:     make(chan struct{}),
 	}
+	e.peers.Store(&map[transport.NodeID]*peer{})
 	e.o = opts.Obs
 	if e.o == nil {
 		e.o = obs.Nop()
@@ -243,7 +247,8 @@ func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 func (e *Endpoint) AddPeer(id transport.NodeID, addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, exists := e.peers[id]; exists || id == e.id || e.closed {
+	peers := *e.peers.Load()
+	if _, exists := peers[id]; exists || id == e.id || e.closed.Load() {
 		return
 	}
 	p := &peer{
@@ -251,7 +256,9 @@ func (e *Endpoint) AddPeer(id transport.NodeID, addr string) {
 		gDepth: e.o.Gauge(fmt.Sprintf("transport.sendq.depth.p%d", id)),
 		gHwm:   e.o.Gauge(fmt.Sprintf("transport.sendq.hwm.p%d", id)),
 	}
-	e.peers[id] = p
+	next := maps.Clone(peers)
+	next[id] = p
+	e.peers.Store(&next)
 	e.wg.Add(2)
 	go e.writerLoop(p)
 	go e.heartbeatLoop(p)
@@ -294,9 +301,7 @@ func (e *Endpoint) SendOwned(to transport.NodeID, payload []byte) error {
 }
 
 func (e *Endpoint) send(to transport.NodeID, payload []byte, owned bool) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.closed.Load() {
 		return transport.ErrClosed
 	}
 	if to == e.id {
@@ -304,15 +309,13 @@ func (e *Endpoint) send(to transport.NodeID, payload []byte, owned bool) error {
 		// the wire to talk to itself).
 		cp := make([]byte, len(payload))
 		copy(cp, payload)
-		e.mu.Unlock()
 		if owned {
 			transport.PutBuf(payload)
 		}
 		e.mbox.Put(transport.Item{Kind: transport.KindMsg, From: e.id, Payload: cp})
 		return nil
 	}
-	p := e.peers[to]
-	e.mu.Unlock()
+	p := (*e.peers.Load())[to]
 	if p == nil {
 		if owned {
 			transport.PutBuf(payload)
@@ -517,16 +520,12 @@ func (e *Endpoint) drainAndDrop(p *peer) {
 // Close implements transport.Endpoint.
 func (e *Endpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Swap(true) {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
 	close(e.stop)
-	peers := make([]*peer, 0, len(e.peers))
-	for _, p := range e.peers {
-		peers = append(peers, p)
-	}
+	peers := *e.peers.Load() // final: AddPeer refuses a closed endpoint
 	e.mu.Unlock()
 	e.ln.Close()
 	// Interrupt writers blocked in a socket write; they observe the error

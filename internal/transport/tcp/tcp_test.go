@@ -197,3 +197,53 @@ func TestSendToUnknownPeerDrops(t *testing.T) {
 		t.Fatalf("send to unknown peer: %v", err)
 	}
 }
+
+// TestSendWhilePeersAdded pins the copy-on-write peer table: senders read it
+// without the endpoint mutex while AddPeer publishes new tables, and a peer
+// is reachable from the moment AddPeer returns. Meaningful under -race.
+func TestSendWhilePeersAdded(t *testing.T) {
+	const peers = 8
+	hub, err := Listen(1, "127.0.0.1:0", fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	spokes := make([]*Endpoint, peers)
+	for i := range spokes {
+		if spokes[i], err = Listen(transport.NodeID(i+2), "127.0.0.1:0", fastOpts()); err != nil {
+			t.Fatal(err)
+		}
+		defer spokes[i].Close()
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // hammers every id, most of them unknown at first
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for id := 2; id < peers+2; id++ {
+				if err := hub.Send(transport.NodeID(id), []byte("noise")); err != nil {
+					t.Errorf("send to %d: %v", id, err)
+					return
+				}
+			}
+		}
+	}()
+	for _, sp := range spokes {
+		hub.AddPeer(sp.ID(), sp.Addr())
+		if err := hub.Send(sp.ID(), []byte("hello")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sp := range spokes {
+		waitItem(t, sp, func(it transport.Item) bool {
+			return it.Kind == transport.KindMsg && string(it.Payload) == "hello"
+		}, "frame sent right after AddPeer")
+	}
+	close(stop)
+	<-done
+}

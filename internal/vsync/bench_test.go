@@ -3,10 +3,12 @@ package vsync
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"paso/internal/cost"
 	"paso/internal/simnet"
 	"paso/internal/transport"
+	"paso/internal/transport/tcp"
 )
 
 // benchGroup spins up n nodes all joined to one group.
@@ -65,6 +67,50 @@ func BenchmarkGcastPipelined(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGcastByOrigin measures one gcast's round trip over loopback TCP
+// to a group of two whose sequencer (node 1) is a member, from each place a
+// caller can sit: on the sequencer (run + ack), on the other member
+// (request + run, completed on its own apply), and on a non-member (request
+// + run + the member's direct reply). One caller, so ns/op is the latency of
+// the message delays PROTOCOL.md "Completing a gcast" counts.
+func BenchmarkGcastByOrigin(b *testing.B) {
+	fab := tcp.NewLoopback(tcp.Options{HeartbeatInterval: 10 * time.Millisecond, FailTimeout: 2 * time.Second})
+	nodes := make(map[transport.NodeID]*Node)
+	for id := transport.NodeID(1); id <= 3; id++ {
+		ep, err := fab.Join(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes[id] = NewNode(ep, newTestHandler())
+	}
+	b.Cleanup(func() {
+		for id, nd := range nodes {
+			nd.Close()
+			fab.Crash(id)
+		}
+	})
+	for _, id := range []transport.NodeID{1, 2} {
+		if err := nodes[id].Join("bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	payload := make([]byte, 64)
+	for _, origin := range []struct {
+		name string
+		id   transport.NodeID
+	}{{"sequencer", 1}, {"member", 2}, {"non-member", 3}} {
+		nd := nodes[origin.id]
+		b.Run(origin.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, err := nd.Gcast("bench", payload); err != nil || res.Fail || res.GroupSize != 2 {
+					b.Fatal(err, res)
+				}
+			}
+		})
+	}
 }
 
 // benchWire is the envelope the codec benchmarks serialize: a traced

@@ -37,7 +37,8 @@ import (
 //	body (type == tBatch):
 //	  count    uvarint
 //	  count × envelope (no per-message magic; nesting forbidden)
-//	body (type == tOrderedRun):
+//	body (type == tOrderedRun; flags bits 0-1 carry the completion mark
+//	instead of Fail/Infos — 0 for none, else |group| at ordering time):
 //	  group    uvarint len || bytes
 //	  firstSeq uvarint
 //	  count    uvarint
@@ -76,10 +77,13 @@ const wireMagicV1 = wireMagic | wireVersion
 
 // Envelope flag bits.
 const (
-	flagFail  = 1 << 0 // wire.Fail
-	flagInfos = 1 << 1 // wire.Infos present (tSyncInfo)
-	eventShift = 2     // bits 2-4 carry the eventKind
+	flagFail   = 1 << 0 // wire.Fail
+	flagInfos  = 1 << 1 // wire.Infos present (tSyncInfo)
+	eventShift = 2      // bits 2-4 carry the eventKind
 	eventMask  = 0x7
+	// runMarkMask: a tOrderedRun has no Fail and no Infos, and spends those
+	// two bits on the completion mark (wire.Size).
+	runMarkMask  = flagFail | flagInfos
 	flagReserved = 0xE0 // bits 5-7 must be zero in v1
 )
 
@@ -125,6 +129,9 @@ func appendEnvelope(buf []byte, w *wire, inner bool) []byte {
 	}
 	if w.Infos != nil {
 		flags |= flagInfos
+	}
+	if w.Type == tOrderedRun {
+		flags |= byte(w.Size) & runMarkMask
 	}
 	buf = append(buf, byte(w.Type), flags)
 	if w.Type == tBatch {
@@ -334,6 +341,7 @@ func (d *wireDecoder) decodeEnvelope(r *rbuf, w *wire, inner bool) {
 		return
 	}
 	if w.Type == tOrderedRun {
+		w.Size = int(flags & runMarkMask)
 		w.Group = d.intern(r.bytes())
 		w.Seq = r.uvarint()
 		n := r.uvarint()
@@ -352,6 +360,7 @@ func (d *wireDecoder) decodeEnvelope(r *rbuf, w *wire, inner bool) {
 			e.Event = w.Event
 			e.Group = w.Group
 			e.Seq = w.Seq + uint64(i)
+			e.Size = w.Size
 			e.ReqID = r.uvarint()
 			e.Origin = r.uvarint()
 			e.Trace = r.uvarint()

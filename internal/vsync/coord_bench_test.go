@@ -23,6 +23,7 @@ func newBenchCoordNode() *Node {
 		cRunSends:     o.Counter("vsync.order.runs"),
 		cRunCasts:     o.Counter("vsync.order.run.casts"),
 		hRunOcc:       o.Histogram("vsync.order.run.occupancy"),
+		cDoneGathered: o.Counter("vsync.cast.completed.gathered"),
 	}
 	n.cs = &coordState{groups: make(map[string]*coordGroup)}
 	g := n.newCoordGroup("bench")
@@ -32,8 +33,14 @@ func newBenchCoordNode() *Node {
 }
 
 // benchDrainOutbox releases staged frames the way flushOutbox would,
-// without encoding: pooled wires return to the pool, slices are reused.
+// without encoding: pooled wires return to the pool, slices are reused. The
+// node's own copies (it is member 1) are released undispatched.
 func benchDrainOutbox(n *Node) {
+	for i, w := range n.selfq {
+		releaseWire(w)
+		n.selfq[i] = nil
+	}
+	n.selfq = n.selfq[:0]
 	for _, to := range n.outboxOrder {
 		ws := n.outbox[to]
 		for _, w := range ws {

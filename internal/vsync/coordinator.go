@@ -90,6 +90,8 @@ type pendingCast struct {
 	resp      []byte
 	fail      bool
 	size      int
+	// marked: the run carried the completion mark; direct: the marked member answered the caller.
+	marked, direct bool
 	// Tracing state (zero when the cast is untraced): the "order" span
 	// minted at sequencing time, recorded when the gather completes.
 	group  string
@@ -549,10 +551,14 @@ func (n *Node) sequenceStaged(g *coordGroup) {
 	run.Group = g.name
 	run.Seq = first
 	run.Event = evData
+	if n.oneApplyLeft(g, first) {
+		run.Size = len(g.members)
+	}
 	run.Batch = run.Batch[:0]
 	for i, w := range g.staged {
 		seq := first + uint64(i)
 		pc := n.newPendingCast(g, w, g.stagedAt[i])
+		pc.marked = run.Size != 0
 		g.pending.put(seq, pc)
 		run.Batch = append(run.Batch, wire{
 			Type: tOrdered, Group: g.name, Seq: seq, Event: evData,
@@ -570,6 +576,19 @@ func (n *Node) sequenceStaged(g *coordGroup) {
 	for _, m := range g.members {
 		n.send(m, run)
 	}
+}
+
+// oneApplyLeft reports whether exactly one member's apply of the run starting
+// at first will be outstanding when the run leaves this machine: a sole member
+// that is not this sequencer, or one of two whose other is this sequencer,
+// caught up, which applies in settle (PROTOCOL.md, "Completing a gcast").
+func (n *Node) oneApplyLeft(g *coordGroup, first uint64) bool {
+	if len(g.members) == 1 {
+		return g.members[0] != n.self
+	}
+	mg := n.groups[g.name]
+	return len(g.members) == 2 && containsID(g.members, n.self) &&
+		mg != nil && mg.active && mg.last+1 == first
 }
 
 // newPendingCast draws a pooled gather record for one staged cast, with
@@ -595,6 +614,7 @@ func (n *Node) newPendingCast(g *coordGroup, w *wire, at time.Time) *pendingCast
 	pc.resp = nil
 	pc.fail = true
 	pc.size = k
+	pc.marked, pc.direct = false, false
 	pc.group, pc.trace, pc.parent, pc.span, pc.bytes = "", 0, 0, 0, 0
 	pc.start = at
 	if w.Trace != 0 {
@@ -675,9 +695,14 @@ func (n *Node) coordAck(from transport.NodeID, w *wire) {
 	if pc == nil || !pc.ackFrom(from) {
 		return
 	}
-	if !w.Fail && pc.fail {
-		pc.resp = w.Payload
-		pc.fail = false
+	if !w.Fail {
+		if pc.fail {
+			pc.resp = w.Payload
+			pc.fail = false
+		}
+		// The marked member has answered the caller itself, unless the
+		// caller is this sequencer, whose answer is this ack.
+		pc.direct = pc.direct || pc.marked && from != n.self && pc.origin != n.self
 	}
 	if pc.remaining == 0 {
 		n.finishCast(g, w.Seq, pc)
@@ -703,7 +728,10 @@ func (n *Node) finishCast(g *coordGroup, seq uint64, pc *pendingCast) {
 			GroupSize: pc.size, Fail: pc.fail,
 		})
 	}
-	n.sendReply(pc.origin, pc.reqID, pc.resp, pc.fail, pc.size)
+	if !pc.direct {
+		n.cDoneGathered.Inc()
+		n.sendReply(pc.origin, pc.reqID, pc.resp, pc.fail, pc.size)
+	}
 	putPendingCast(pc)
 }
 

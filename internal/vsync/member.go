@@ -3,6 +3,7 @@ package vsync
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"paso/internal/obs"
 	"paso/internal/transport"
@@ -36,18 +37,33 @@ func (n *Node) memberOrdered(from transport.NodeID, w *wire) {
 				n.activate(g, w.Seq)
 			} else {
 				g.donor = tid(w.Donor)
-				g.buffer[w.Seq] = w
+				g.buffer[w.Seq] = n.held(from, w)
 			}
 			return
 		}
-		g.buffer[w.Seq] = w
+		g.buffer[w.Seq] = n.held(from, w)
 		return
 	}
 	if w.Seq <= g.last {
 		return // duplicate
 	}
-	g.buffer[w.Seq] = w
+	if w.Seq != g.last+1 {
+		g.buffer[w.Seq] = n.held(from, w) // a gap: wait for the predecessors
+		return
+	}
+	g.last++
+	n.apply(g, from, w)
 	n.drain(g, from)
+}
+
+// held returns the wire to keep in a member buffer past this dispatch: a copy
+// of one this node sent itself, which its sender recycles (a pooled run).
+func (n *Node) held(from transport.NodeID, w *wire) *wire {
+	if from != n.self {
+		return w
+	}
+	cp := *w
+	return &cp
 }
 
 // memberOrderedRun handles a contiguous run of sequenced data events: each
@@ -111,6 +127,17 @@ func (n *Node) apply(g *memberState, orderer transport.NodeID, w *wire) {
 				Fail: fail, Note: note,
 			})
 		}
+		// The completion mark: this apply was the last outstanding, so a non-fail
+		// response is the gathered one and goes straight to the caller (a sequencer
+		// reads it off the ack) — first, so a crash in between leaves the ack unsent.
+		if origin := tid(w.Origin); w.Size != 0 && !fail && orderer != n.self && origin != orderer {
+			if origin == n.self {
+				n.cDoneLocal.Inc()
+			} else {
+				n.cDoneDirect.Inc()
+			}
+			n.sendReply(origin, w.ReqID, resp, false, w.Size)
+		}
 		ack := getPooledWire()
 		ack.Type = tAck
 		ack.Group = g.name
@@ -168,19 +195,38 @@ func (n *Node) emitViewChange(g *memberState, event string, subject transport.No
 // already delivered, in which case the cached response is replayed and dup
 // reports the suppression.
 func (n *Node) deliverOnce(g *memberState, w *wire) (resp []byte, fail, dup bool) {
-	entries := g.delivered[w.Origin]
-	for _, e := range entries {
-		if e.ReqID == w.ReqID {
-			return e.Resp, e.Fail, true
-		}
+	r := g.delivered[w.Origin]
+	if r == nil {
+		r = &deliveredRing{slot: make(map[uint64]int)}
+		g.delivered[w.Origin] = r
+	}
+	if i, ok := r.slot[w.ReqID]; ok {
+		return r.buf[i].Resp, r.buf[i].Fail, true
 	}
 	resp, fail = n.h.Deliver(g.name, tid(w.Origin), w.Payload)
-	entries = append(entries, deliveredEntry{ReqID: w.ReqID, Resp: resp, Fail: fail})
-	if len(entries) > maxDeliveredCache {
-		entries = entries[len(entries)-maxDeliveredCache:]
-	}
-	g.delivered[w.Origin] = entries
+	r.add(deliveredEntry{ReqID: w.ReqID, Resp: resp, Fail: fail})
 	return resp, fail, false
+}
+
+// deliveredRing is one origin's duplicate-suppression window: its last
+// maxDeliveredCache deliveries, oldest overwritten first, indexed by request id.
+type deliveredRing struct {
+	buf  []deliveredEntry // grows to maxDeliveredCache, then wraps at head
+	head int              // the oldest entry once the ring is full
+	slot map[uint64]int   // request id → position in buf
+}
+
+func (r *deliveredRing) add(e deliveredEntry) {
+	i := len(r.buf)
+	if i < maxDeliveredCache {
+		r.buf = append(r.buf, e)
+	} else {
+		i = r.head
+		delete(r.slot, r.buf[i].ReqID)
+		r.buf[i] = e
+		r.head = (i + 1) % maxDeliveredCache
+	}
+	r.slot[e.ReqID] = i
 }
 
 // sendSnapshot ships this member's state for the group to a joiner or
@@ -189,7 +235,10 @@ func (n *Node) deliverOnce(g *memberState, w *wire) (resp []byte, fail, dup bool
 func (n *Node) sendSnapshot(g *memberState, to transport.NodeID) {
 	env := &snapshotEnvelope{
 		App:       n.h.Snapshot(g.name),
-		Delivered: copyDelivered(g.delivered),
+		Delivered: make(map[uint64][]deliveredEntry, len(g.delivered)),
+	}
+	for origin, r := range g.delivered { // oldest first
+		env.Delivered[origin] = slices.Concat(r.buf[r.head:], r.buf[:r.head])
 	}
 	payload := encodeSnapshot(env)
 	n.cStateSent.Add(int64(len(payload)))
@@ -221,7 +270,14 @@ func (n *Node) memberState_(from transport.NodeID, w *wire) {
 	}
 	n.cStateRecv.Add(int64(len(w.Payload)))
 	n.h.Install(g.name, env.App)
-	g.delivered = copyDelivered(env.Delivered)
+	g.delivered = make(map[uint64]*deliveredRing, len(env.Delivered))
+	for origin, entries := range env.Delivered {
+		r := &deliveredRing{slot: make(map[uint64]int, len(entries))}
+		for _, e := range entries {
+			r.add(e)
+		}
+		g.delivered[origin] = r
+	}
 	// Everything at or before UpTo is reflected in the snapshot.
 	for seq := range g.buffer {
 		if seq <= w.UpTo {
@@ -373,12 +429,4 @@ func removeID(ids []transport.NodeID, id transport.NodeID) []transport.NodeID {
 		}
 	}
 	return ids
-}
-
-func copyDelivered(m map[uint64][]deliveredEntry) map[uint64][]deliveredEntry {
-	out := make(map[uint64][]deliveredEntry, len(m))
-	for k, v := range m {
-		out[k] = append([]deliveredEntry(nil), v...)
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"maps"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,8 @@ type Handler interface {
 	// member's response. fail=true marks a "fail" response; the gatherer
 	// prefers non-fail responses (paper §3.2: one response is returned).
 	//
-	// Ownership: payload aliases the transport's receive frame, which is
-	// immutable once delivered and never reused by the transport. The
+	// Ownership: payload aliases the transport's receive frame (for a local
+	// cast, the slice given to Gcast), immutable and never reused. The
 	// handler may therefore retain payload (or sub-slices of it)
 	// indefinitely without copying; release is by garbage collection when
 	// the last retained slice is dropped. See DESIGN.md, "Delivery
@@ -117,7 +118,7 @@ type Node struct {
 	// this node. A client whose failure detector runs ahead of ours sends
 	// here before we have processed the old coordinator's death; dropping
 	// such a request would strand the client forever, because it retransmits
-	// only on a coordinator *change* and its view is already correct.
+	// only on a membership *edge* of its own and its view is already correct.
 	// Replayed by refreshPlacement on the next membership edge, discarded
 	// when the group resolves to another node (that client's own coordinator
 	// change covers the retransmission then).
@@ -133,6 +134,11 @@ type Node struct {
 	// The slices are reused across bursts.
 	outbox      map[transport.NodeID][]*wire
 	outboxOrder []transport.NodeID
+	// selfq holds the wires this node addressed to itself (its own request,
+	// the sequencer's copy of a run, its own ack and reply): no codec, no
+	// transport — settle dispatches them before the burst's frames leave.
+	selfq    []*wire
+	resolved bool // this burst answered a caller, so the loop yields once
 	// Observability handles (resolved once at construction).
 	o           *obs.Obs
 	cGcast      *obs.Counter
@@ -146,6 +152,10 @@ type Node struct {
 	cBatchMsgs  *obs.Counter
 	hBatchOcc   *obs.Histogram
 	cWireReject *obs.Counter
+	// Which rule completed each cast (PROTOCOL.md, "Completing a gcast").
+	cDoneLocal    *obs.Counter
+	cDoneDirect   *obs.Counter
+	cDoneGathered *obs.Counter
 	// Per-stage latency attribution (see obs.StageOrderNames): time a
 	// gcast waits for the event loop, and time spent encoding frames.
 	hStageClientQ *obs.Histogram
@@ -235,7 +245,7 @@ type memberState struct {
 	active    bool
 	donor     transport.NodeID // awaited state donor while inactive
 	buffer    map[uint64]*wire // out-of-order / pre-activation ordered events
-	delivered map[uint64][]deliveredEntry
+	delivered map[uint64]*deliveredRing
 	donations []donation // resyncs deferred until our deliveries reach a floor
 }
 
@@ -339,6 +349,9 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		cRunSends:     o.Counter("vsync.order.runs"),
 		cRunCasts:     o.Counter("vsync.order.run.casts"),
 		hRunOcc:       o.Histogram("vsync.order.run.occupancy"),
+		cDoneLocal:    o.Counter("vsync.cast.completed.local"),
+		cDoneDirect:   o.Counter("vsync.cast.completed.direct"),
+		cDoneGathered: o.Counter("vsync.cast.completed.gathered"),
 
 		cClaimMember:   o.Counter("vsync.claims.member"),
 		cClaimCoord:    o.Counter("vsync.claims.coord"),
@@ -406,11 +419,13 @@ func (n *Node) do(f func()) bool {
 // Failure contract: Gcast blocks until the request resolves or the node
 // closes (ErrClosed) — there is no timeout. If the coordinator crashes
 // mid-broadcast the request is retransmitted to its successor after
-// recovery; the per-origin dedup cache makes the retry at-most-once, so
-// the payload is applied exactly once on every surviving member even
-// when the response was lost with the old coordinator. Members that
-// crash while the broadcast is in flight are dropped from the gather
-// set; the call completes against the survivors.
+// recovery (every membership edge re-sends unresolved casts); the per-origin
+// dedup cache makes the retry at-most-once, so the payload is applied exactly
+// once on every surviving member even when the response was lost with the old
+// coordinator. Members that crash while the broadcast is in flight are dropped
+// from the gather set; the call completes against the survivors. The payload
+// must not be modified afterwards: a member on this machine is handed the
+// caller's slice and may retain it (Handler.Deliver).
 func (n *Node) Gcast(group string, payload []byte) (Result, error) {
 	return n.GcastTraced(group, payload, 0, 0)
 }
@@ -572,12 +587,15 @@ func (n *Node) loop() {
 	defer n.failAllPending()
 	defer n.active.Store(&map[string]bool{}) // a closed node is a member of nothing
 	for {
-		// Sequence then flush before blocking: casts staged by the
-		// previous burst share one seq-range allocation (flushCoord), and
-		// frames staged by the burst (or by initialization, which runs
-		// before the loop starts) must not wait for the next event.
-		n.flushCoord()
-		n.flushOutbox()
+		// Settle before blocking: frames staged by the burst (or by
+		// initialization, before the loop starts) must not wait for an event.
+		n.settle()
+		if n.resolved {
+			// The callers just answered are queued behind this goroutine, which
+			// under load never parks: yield, and their next requests join the burst.
+			n.resolved = false
+			runtime.Gosched()
+		}
 		select {
 		case <-n.stop:
 			return
@@ -598,8 +616,7 @@ func (n *Node) loop() {
 				f()
 			case it, ok := <-n.ep.Recv():
 				if !ok {
-					n.flushCoord()
-					n.flushOutbox()
+					n.settle()
 					return
 				}
 				n.handleItem(it)
@@ -608,6 +625,30 @@ func (n *Node) loop() {
 			}
 		}
 	}
+}
+
+// settle finishes a burst: self-addressed wires are dispatched in send order
+// (the receiver sees the sender's wire, not a decoded copy, and a pooled one is
+// recycled on return — what is kept is copied, see held), staged casts share
+// one seq-range allocation, and the two alternate until neither feeds the
+// other. Only then do the burst's frames leave, so a sequencer that is a member
+// has applied an event before any other member can receive it (PROTOCOL.md,
+// "Completing a gcast").
+func (n *Node) settle() {
+	for {
+		for i := 0; i < len(n.selfq); i++ {
+			w := n.selfq[i]
+			n.selfq[i] = nil
+			n.dispatch(n.self, w)
+			releaseWire(w)
+		}
+		n.selfq = n.selfq[:0]
+		n.flushCoord()
+		if len(n.selfq) == 0 {
+			break
+		}
+	}
+	n.flushOutbox()
 }
 
 // flushOutbox encodes and transmits every staged per-destination frame
@@ -653,13 +694,17 @@ func (n *Node) failAllPending() {
 }
 
 // recordReqSpan records a traced request's client-side span at resolution.
-func (n *Node) recordReqSpan(p *pendingReq, resp []byte, fail bool, size int) {
+// local: the reply came from this machine, so no reply hop was sent — which
+// the §3.3 audit prices (obs.Assemble).
+func (n *Node) recordReqSpan(p *pendingReq, resp []byte, fail bool, size int, local bool) {
 	if p.trace == 0 {
 		return
 	}
 	note := ""
 	if p.retransmitted {
 		note = "retransmit"
+	} else if local {
+		note = "local-reply"
 	}
 	n.o.Spans().Record(obs.Span{
 		Trace: p.trace, ID: p.span, Parent: p.parent,
@@ -723,7 +768,7 @@ func (n *Node) dispatch(from transport.NodeID, w *wire) {
 	case tAck:
 		n.coordAck(from, w)
 	case tReply:
-		n.clientReply(w)
+		n.clientReply(from, w)
 	case tState:
 		n.memberState_(from, w)
 	case tSync:
@@ -761,8 +806,13 @@ func (n *Node) SendApp(to transport.NodeID, payload []byte) error {
 
 // send stages a wire message for the destination; the loop flushes the
 // outbox after each burst, coalescing same-destination messages into one
-// frame. Only loop-owned code (and pre-loop initialization) may call it.
+// frame; one to this node itself is queued for settle to dispatch. Only
+// loop-owned code (and pre-loop initialization) may call it.
 func (n *Node) send(to transport.NodeID, w *wire) {
+	if to == n.self {
+		n.selfq = append(n.selfq, w)
+		return
+	}
 	ws := n.outbox[to]
 	if len(ws) == 0 {
 		n.outboxOrder = append(n.outboxOrder, to)
@@ -856,14 +906,15 @@ func (n *Node) startRequest(t msgType, group string, payload []byte, ch chan Res
 	n.send(n.coordOf(group), w)
 }
 
-// clientReply resolves a pending request from a coordinator reply.
-func (n *Node) clientReply(w *wire) {
+// clientReply resolves a pending request from the first reply to arrive: the
+// sequencer's gathered one or the marked member's direct one.
+func (n *Node) clientReply(from transport.NodeID, w *wire) {
 	p, ok := n.pending[w.ReqID]
 	if !ok {
-		return // duplicate reply after retransmission
+		return // duplicate: a retransmission's reply, or the slower of the two repliers
 	}
 	delete(n.pending, w.ReqID)
-	n.recordReqSpan(p, w.Payload, w.Fail, w.Size)
+	n.recordReqSpan(p, w.Payload, w.Fail, w.Size, from == n.self)
 	if p.w.Type == tLeaveReq {
 		// The coordinator resolved the leave without an ordered event
 		// (membership record lost across a recovery); erase local state
@@ -875,6 +926,7 @@ func (n *Node) clientReply(w *wire) {
 		}
 	}
 	p.ch <- Result{Payload: w.Payload, Fail: w.Fail, GroupSize: w.Size}
+	n.resolved = true
 }
 
 // resolveLocal resolves pending join/leave requests for a group, driven by
@@ -892,6 +944,6 @@ func newMemberState(name string) *memberState {
 	return &memberState{
 		name:      name,
 		buffer:    make(map[uint64]*wire),
-		delivered: make(map[uint64][]deliveredEntry),
+		delivered: make(map[uint64]*deliveredRing),
 	}
 }

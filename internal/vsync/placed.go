@@ -20,7 +20,7 @@ import (
 // edge: hand off groups that no longer map to us, start a takeover recovery
 // when evidence says a group now maps to us, nudge the new owners of groups
 // we belong to, replay the pre-takeover request stash, and re-aim pending
-// client requests whose group's owner moved.
+// client requests.
 func (n *Node) refreshPlacement(prev map[string]transport.NodeID) {
 	// Rebalance accounting: a class moved iff its write group's owner
 	// changed across the edge (wg and rg move together, so counting wg
@@ -84,10 +84,11 @@ func (n *Node) refreshPlacement(prev map[string]transport.NodeID) {
 			n.coordRequest(q.from, q.w)
 		}
 	}
-	// Re-aim unresolved client requests whose group's owner changed.
+	// Re-send unresolved requests: joins and leaves when the owner changed, casts
+	// always — only this node can miss a marked member's direct reply.
 	for _, p := range n.pending {
 		owner := n.coordOf(p.group)
-		if prevOwner, ok := prev[p.group]; ok && prevOwner == owner {
+		if prevOwner, ok := prev[p.group]; ok && prevOwner == owner && p.w.Type != tCastReq {
 			continue
 		}
 		p.retransmitted = true

@@ -134,7 +134,10 @@ type wire struct {
 	Donor   uint64 // state donor for joins/resyncs
 	Payload []byte
 	Fail    bool
-	Size    int // |group| at ordering time, piggybacked on replies
+	// Size is |group| at ordering time, piggybacked on replies. Non-zero on a
+	// tOrderedRun and its events it is the completion mark (the receiver's apply
+	// is the last outstanding), carried in the run's two spare flag bits.
+	Size int
 	// UpTo is a sequence floor on state transfers and resyncs; the lease
 	// messages (tLeaseRead/tLeaseReply) reuse it to carry the sender's view
 	// epoch instead (lease.go), so the fence travels in the existing

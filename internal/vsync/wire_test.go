@@ -44,6 +44,12 @@ func sampleWires() map[string]*wire {
 			{Type: tOrdered, Group: "g", Seq: 9, Event: evData, ReqID: 300, Origin: 3, Payload: []byte{0xDE, 0xAD}, Trace: 0x80, Span: 1},
 			{Type: tOrdered, Group: "g", Seq: 10, Event: evData, ReqID: 301, Origin: 4},
 		}},
+		// The same run carrying the completion mark for a group of two: only
+		// the flags byte differs (0x04 → 0x06), and every event inherits it.
+		"orderedrun-marked": {Type: tOrderedRun, Group: "g", Seq: 9, Event: evData, Size: 2, Batch: []wire{
+			{Type: tOrdered, Group: "g", Seq: 9, Event: evData, Size: 2, ReqID: 300, Origin: 3, Payload: []byte{0xDE, 0xAD}, Trace: 0x80, Span: 1},
+			{Type: tOrdered, Group: "g", Seq: 10, Event: evData, Size: 2, ReqID: 301, Origin: 4},
+		}},
 	}
 }
 
@@ -101,6 +107,8 @@ func TestWireGolden(t *testing.T) {
 		"state":        "c107000167000000000000090000017f",
 		"batch":        "c10d000204040167ad020308000000000000010a05000167ad02030800000000000000",
 		"orderedrun":   "c10e0401670902ac020380010102deadad0204000000",
+
+		"orderedrun-marked": "c10e0601670902ac020380010102deadad0204000000",
 	}
 	for name, want := range golden {
 		got := hex.EncodeToString(encodeWire(samples[name]))
