@@ -33,12 +33,15 @@ trace-race:
 	$(GO) test -race -run 'Trace|Span|Assemble|Audit' -count=1 \
 		./internal/vsync/ ./internal/obs/ ./internal/core/ ./internal/faults/ ./cmd/pasoctl/
 
-# Coverage-guided fuzzing of the wire codec (30s total budget): the frame
-# decoder must never panic on arbitrary bytes, and every accepted frame
-# must round-trip bijectively (PROTOCOL.md, "Wire format").
+# Coverage-guided fuzzing of the wire codec and the tuple codec inside it
+# (50s total budget): the decoders must never panic on arbitrary bytes, and
+# every accepted frame, tuple and template must round-trip bijectively
+# (PROTOCOL.md, "Wire format").
 wire-fuzz:
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 20s -run '^$$' ./internal/vsync/
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 10s -run '^$$' ./internal/vsync/
+	$(GO) test -fuzz FuzzDecodeTuple -fuzztime 10s -run '^$$' ./internal/tuple/
+	$(GO) test -fuzz FuzzDecodeTemplate -fuzztime 10s -run '^$$' ./internal/tuple/
 
 # Full saturation sweep on a real loopback-TCP cluster: an open-loop rate
 # ladder with coordinated-omission-safe latencies and per-stage

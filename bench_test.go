@@ -242,18 +242,3 @@ func BenchmarkTupleEncode(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkTemplateMatch(b *testing.B) {
-	tu := tuple.Make(tuple.String("bench"), tuple.Int(42), tuple.Float(2.5))
-	tp := tuple.NewTemplate(
-		tuple.Eq(tuple.String("bench")),
-		tuple.Range(tuple.Int(0), tuple.Int(100)),
-		tuple.Any(tuple.KindFloat),
-	)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !tp.Matches(tu) {
-			b.Fatal("no match")
-		}
-	}
-}

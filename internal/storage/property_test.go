@@ -16,33 +16,61 @@ type opScript struct {
 }
 
 type scriptOp struct {
-	kind int // 0 insert, 1 remove, 2 read, 3 removeByID
-	name byte
-	key  int64
+	kind   int // 0 insert, 1 remove, 2 read, 3 removeByID, 4 snapshot→restore
+	name   byte
+	key    int64
+	tag    int64
+	tpl    int   // template shape for remove/read, see template
+	lo, hi int64 // range bounds; lo > hi is an empty range
 }
 
-// Generate implements quick.Generator.
+// Generate implements quick.Generator. Six keys and three tags over a few
+// hundred ops give every key many duplicates, and most ranges hold entries
+// whose tag the template rejects.
 func (opScript) Generate(r *rand.Rand, size int) reflect.Value {
 	n := 20 + r.Intn(200)
 	ops := make([]scriptOp, n)
 	for i := range ops {
+		kind := r.Intn(9) / 2 // snapshot→restore at half the rate of the rest
 		ops[i] = scriptOp{
-			kind: r.Intn(4),
+			kind: kind,
 			name: byte('a' + r.Intn(2)),
 			key:  int64(r.Intn(6)),
+			tag:  int64(r.Intn(3)),
+			tpl:  r.Intn(5),
+			lo:   int64(r.Intn(7)) - 1,
+			hi:   int64(r.Intn(7)) - 1,
 		}
 	}
 	return reflect.ValueOf(opScript{ops: ops})
 }
 
+// template builds the op's search criterion over (name, key, tag) tuples;
+// the tree under test is keyed on field 1.
+func (op scriptOp) template() tuple.Template {
+	name, tag := tuple.Eq(tuple.String(string(op.name))), tuple.Eq(tuple.Int(op.tag))
+	keyRange := tuple.Range(tuple.Int(op.lo), tuple.Int(op.hi))
+	switch op.tpl {
+	case 0: // OpEq on the key
+		return tuple.NewTemplate(name, tuple.Eq(tuple.Int(op.key)), tuple.Any(tuple.KindInt))
+	case 1: // OpRange on the key, possibly empty
+		return tuple.NewTemplate(name, keyRange, tuple.Any(tuple.KindInt))
+	case 2: // key unconstrained
+		return tuple.NewTemplate(name, tuple.Any(tuple.KindInt), tag)
+	case 3: // a non-key field decides among the in-range entries
+		return tuple.NewTemplate(tuple.Any(tuple.KindString), keyRange, tag)
+	default: // fully ground: the hash store's one-probe path
+		return tuple.NewTemplate(name, tuple.Eq(tuple.Int(op.key)), tag)
+	}
+}
+
 // TestPropertyStoreKindsEquivalent runs random scripts against all three
-// store kinds: observable behaviour (remove results, lengths, snapshot
-// contents) must be identical. The list store is the executable spec.
+// store kinds: observable behaviour (the tuple each read and remove returns,
+// lengths, snapshot contents) must be identical, also across a
+// snapshot→restore of every replica. The list store is the executable spec.
 func TestPropertyStoreKindsEquivalent(t *testing.T) {
 	f := func(script opScript) bool {
-		ref := NewList()
-		hash := NewHash()
-		tree := NewTree(1)
+		stores := []Store{NewList(), NewHash(), NewTree(1)}
 		var seq, idseq uint64
 		ids := make([]tuple.ID, 0, len(script.ops))
 		for _, op := range script.ops {
@@ -51,55 +79,66 @@ func TestPropertyStoreKindsEquivalent(t *testing.T) {
 				seq++
 				idseq++
 				tu := tuple.New(tuple.ID{Origin: 3, Seq: idseq},
-					tuple.String(string(op.name)), tuple.Int(op.key))
-				ref.Insert(seq, tu)
-				hash.Insert(seq, tu)
-				tree.Insert(seq, tu)
+					tuple.String(string(op.name)), tuple.Int(op.key), tuple.Int(op.tag))
+				for _, s := range stores {
+					s.Insert(seq, tu)
+				}
 				ids = append(ids, tu.ID())
-			case 1:
-				tp := tuple.NewTemplate(tuple.Eq(tuple.String(string(op.name))), tuple.Eq(tuple.Int(op.key)))
-				a, aok := ref.Remove(tp)
-				b, bok := hash.Remove(tp)
-				c, cok := tree.Remove(tp)
-				if aok != bok || aok != cok {
-					return false
-				}
-				if aok && (a.ID() != b.ID() || a.ID() != c.ID()) {
-					return false
-				}
-			case 2:
-				tp := tuple.NewTemplate(tuple.Eq(tuple.String(string(op.name))), tuple.Any(tuple.KindInt))
-				_, aok := ref.Read(tp)
-				_, bok := hash.Read(tp)
-				_, cok := tree.Read(tp)
-				if aok != bok || aok != cok {
-					return false
+			case 1, 2:
+				tp := op.template()
+				var want tuple.Tuple
+				var wantOK bool
+				for i, s := range stores {
+					find := s.Read
+					if op.kind == 1 {
+						find = s.Remove
+					}
+					got, ok := find(tp)
+					if i == 0 {
+						want, wantOK = got, ok
+					}
+					if ok != wantOK || got.ID() != want.ID() || (ok && !tp.Matches(got)) {
+						return false
+					}
 				}
 			case 3:
 				if len(ids) == 0 {
 					continue
 				}
 				id := ids[int(op.key)%len(ids)]
-				a := ref.RemoveByID(id)
-				b := hash.RemoveByID(id)
-				c := tree.RemoveByID(id)
-				if a != b || a != c {
+				want := stores[0].RemoveByID(id)
+				for _, s := range stores[1:] {
+					if s.RemoveByID(id) != want {
+						return false
+					}
+				}
+			case 4:
+				for i, s := range stores {
+					fresh, err := New(Kind(i+1), 1)
+					if err != nil {
+						return false
+					}
+					fresh.Restore(s.Snapshot())
+					stores[i] = fresh
+				}
+			}
+			for _, s := range stores[1:] {
+				if s.Len() != stores[0].Len() {
 					return false
 				}
 			}
-			if ref.Len() != hash.Len() || ref.Len() != tree.Len() {
-				return false
-			}
 		}
 		// Final snapshots must agree entry for entry.
-		sa, sb, sc := ref.Snapshot(), hash.Snapshot(), tree.Snapshot()
-		if len(sa) != len(sb) || len(sa) != len(sc) {
-			return false
-		}
-		for i := range sa {
-			if sa[i].Seq != sb[i].Seq || sa[i].Seq != sc[i].Seq ||
-				sa[i].Tuple.ID() != sb[i].Tuple.ID() || sa[i].Tuple.ID() != sc[i].Tuple.ID() {
+		want := stores[0].Snapshot()
+		for _, s := range stores[1:] {
+			got := s.Snapshot()
+			if len(got) != len(want) {
 				return false
+			}
+			for i := range want {
+				if got[i].Seq != want[i].Seq || got[i].Tuple.ID() != want[i].Tuple.ID() {
+					return false
+				}
 			}
 		}
 		return true

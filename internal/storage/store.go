@@ -43,8 +43,10 @@ type Store interface {
 	// Remove deletes and returns the oldest object matching the template,
 	// or ok=false.
 	Remove(tp tuple.Template) (tuple.Tuple, bool)
-	// RemoveByID deletes the object with the given identity if present.
-	// Used to replay a remote removal decision onto a local replica.
+	// RemoveByID deletes the object with the given identity if present: a
+	// way to replay a removal decided elsewhere. Replicas agree today by
+	// applying the same ordered Remove, so nothing outside the tests calls
+	// it; list and hash index identities, the tree walks its leaves.
 	RemoveByID(id tuple.ID) bool
 	// Len returns the number of live objects.
 	Len() int

@@ -311,70 +311,149 @@ func pickTemplate(r *rand.Rand, name string, key int64) tuple.Template {
 	}
 }
 
-// TestTreeStressDeleteStructure hammers LLRB insert/delete and verifies the
-// red-black invariants hold throughout.
+// TestTreeStressDeleteStructure hammers B+tree insert/delete and verifies
+// the structural invariants hold throughout: phases of growth and of drain
+// take the tree through splits, emptied nodes and root collapses.
 func TestTreeStressDeleteStructure(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	tr := NewTree(1)
-	live := make(map[uint64]tuple.Tuple)
+	var live []tuple.Tuple
 	var seq uint64
-	for step := 0; step < 3000; step++ {
-		if r.Intn(2) == 0 || len(live) == 0 {
+	for step := 0; step < 20000; step++ {
+		inserts := 3 // of 4 steps: insert-heavy phases, then remove-heavy ones
+		if (step/2500)%2 == 1 {
+			inserts = 1
+		}
+		if len(live) == 0 || r.Intn(4) < inserts {
 			seq++
-			tu := mkTuple(seq, "a", int64(r.Intn(64)))
+			tu := mkTuple(seq, "a", int64(r.Intn(512)))
 			tr.Insert(seq, tu)
-			live[seq] = tu
+			live = append(live, tu)
 		} else {
-			// delete random live tuple by id
-			var pick uint64
-			for k := range live {
-				pick = k
-				break
+			i := r.Intn(len(live))
+			if !tr.RemoveByID(live[i].ID()) {
+				t.Fatalf("RemoveByID lost tuple %v", live[i])
 			}
-			if !tr.RemoveByID(live[pick].ID()) {
-				t.Fatalf("RemoveByID lost tuple %d", pick)
-			}
-			delete(live, pick)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
 		}
 		if tr.Len() != len(live) {
 			t.Fatalf("step %d: Len=%d want %d", step, tr.Len(), len(live))
 		}
-		if err := checkRB(tr.root); err != "" {
-			t.Fatalf("step %d: %s", step, err)
+		if msg := checkTree(tr); msg != "" {
+			t.Fatalf("step %d: %s", step, msg)
 		}
 	}
 }
 
-// checkRB validates red-black invariants: no red right links, no two
-// consecutive red left links, equal black height.
-func checkRB(n *treeNode) string {
-	_, msg := checkRBRec(n)
+// checkTree validates the B+tree: every leaf at one depth, no node empty or
+// over treeFanout, keys ascending across the whole tree, every separator
+// above everything to its left and not above anything to its right, one key
+// per entry, and as many entries as Len.
+func checkTree(tr *Tree) string {
+	if tr.size == 0 {
+		if tr.root.kids != nil || len(tr.root.keys) != 0 {
+			return "empty tree without an empty leaf for a root"
+		}
+		return ""
+	}
+	leafDepth, entries := -1, 0
+	var prev *treeKey
+	var msg string
+	// lo and hi bound the subtree: lo <= key < hi.
+	var walk func(n *treeNode, depth int, lo, hi *treeKey)
+	walk = func(n *treeNode, depth int, lo, hi *treeKey) {
+		for i := range n.keys {
+			k := &n.keys[i]
+			if lo != nil && k.less(lo) || hi != nil && !k.less(hi) {
+				msg = "key outside its separators"
+			}
+			if i > 0 && !n.keys[i-1].less(k) {
+				msg = "keys out of order"
+			}
+		}
+		if n.kids == nil {
+			if leafDepth < 0 {
+				leafDepth = depth
+			}
+			switch {
+			case depth != leafDepth:
+				msg = "leaves at different depths"
+			case len(n.keys) == 0 || len(n.keys) > treeFanout:
+				msg = "leaf size out of bounds"
+			case len(n.entries) != len(n.keys):
+				msg = "leaf keys and entries differ in length"
+			}
+			for i := range n.keys {
+				if prev != nil && !prev.less(&n.keys[i]) {
+					msg = "leaves out of order"
+				}
+				if n.entries[i].Seq != n.keys[i].seq {
+					msg = "entry under another entry's key"
+				}
+				prev = &n.keys[i]
+			}
+			entries += len(n.keys)
+			return
+		}
+		if len(n.kids) != len(n.keys)+1 || len(n.kids) > treeFanout || n.entries != nil {
+			msg = "malformed branch"
+			return
+		}
+		for i, kid := range n.kids {
+			klo, khi := lo, hi
+			if i > 0 {
+				klo = &n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				khi = &n.keys[i]
+			}
+			walk(kid, depth+1, klo, khi)
+		}
+	}
+	walk(tr.root, 0, nil, nil)
+	if msg == "" && len(tr.root.kids) == 1 {
+		msg = "root with a single child"
+	}
+	if msg == "" && entries != tr.size {
+		msg = "entry count differs from Len"
+	}
 	return msg
 }
 
-func checkRBRec(n *treeNode) (blackHeight int, msg string) {
-	if n == nil {
-		return 1, ""
+// TestTreeSnapshotSeqOrder20k: key order is unrelated to arrival order, so a
+// tree's snapshot is the worst case for whatever puts it back in seq order
+// (BenchmarkTreeSnapshot20k times it: an insertion sort took half a second).
+func TestTreeSnapshotSeqOrder20k(t *testing.T) {
+	const n = 20000
+	tr := NewTree(1)
+	for i, key := range rand.New(rand.NewSource(5)).Perm(n) {
+		tr.Insert(uint64(i+1), mkTuple(uint64(i+1), "a", int64(key)))
 	}
-	if isRed(n.right) {
-		return 0, "red right link"
+	snap := tr.Snapshot()
+	if len(snap) != n {
+		t.Fatalf("snapshot holds %d entries, want %d", len(snap), n)
 	}
-	if isRed(n) && isRed(n.left) {
-		return 0, "two consecutive red links"
+	for i, e := range snap {
+		if e.Seq != uint64(i+1) || e.Tuple.ID().Seq != e.Seq {
+			t.Fatalf("snapshot[%d] = seq %d, tuple %v; want seq %d", i, e.Seq, e.Tuple, i+1)
+		}
 	}
-	lh, m := checkRBRec(n.left)
-	if m != "" {
-		return 0, m
+}
+
+// TestTreeReadZeroAlloc: a range read allocates nothing — no closure, no
+// copied key, no path stack on the heap.
+func TestTreeReadZeroAlloc(t *testing.T) {
+	tr := NewTree(1)
+	for i := uint64(1); i <= 2000; i++ {
+		tr.Insert(i, mkTuple(i, "a", int64(i)))
 	}
-	rh, m := checkRBRec(n.right)
-	if m != "" {
-		return 0, m
+	tp := rangeTpl("a", 1000, 1007)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := tr.Read(tp); !ok {
+			t.Fatal("miss")
+		}
+	}); n != 0 {
+		t.Errorf("Tree.Read allocates %v times, want 0", n)
 	}
-	if lh != rh {
-		return 0, "unequal black height"
-	}
-	if !n.red {
-		lh++
-	}
-	return lh, ""
 }

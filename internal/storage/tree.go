@@ -1,20 +1,22 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
+
 	"paso/internal/tuple"
 )
 
-// Tree is an ordered store built on a left-leaning red-black tree keyed by
-// one designated tuple field. Templates that pin the key field with OpEq or
-// OpRange visit only the in-range subtree (Q = O(log ℓ + hits)); other
-// templates degrade to a full in-order walk. Remove returns the oldest
-// (lowest seq) in-range match, so tree replicas stay consistent with list
-// and hash replicas.
+// Tree is an ordered store: a B+tree keyed by one designated tuple field,
+// entries in (key, seq) order in its leaves. Templates that pin the key field
+// with OpEq or OpRange seek the lower bound and walk in key order up to the
+// upper bound (Q = O(log ℓ + in-range entries)); other templates degrade to a
+// full in-order walk. Read and Remove return the oldest (lowest seq) in-range
+// match, so tree replicas stay consistent with list and hash replicas.
 type Tree struct {
 	root     *treeNode
 	keyField int
 	size     int
-	byID     map[tuple.ID]treeKey
 	stats    Stats
 }
 
@@ -26,25 +28,28 @@ type treeKey struct {
 	seq uint64
 }
 
-func (a treeKey) compare(b treeKey) int {
-	if c := a.val.Compare(b.val); c != 0 {
-		return c
-	}
-	switch {
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
-	default:
-		return 0
-	}
+func (a *treeKey) less(b *treeKey) bool {
+	c := tuple.CompareValues(&a.val, &b.val)
+	return c < 0 || c == 0 && a.seq < b.seq
 }
 
+// treeFanout bounds a node: a leaf holds at most treeFanout entries, a branch
+// at most treeFanout children. A search then touches three or four nodes of
+// contiguous keys at 20,000 entries where a binary tree chases fifteen
+// pointers (DESIGN.md, "The store and match path").
+const treeFanout = 32
+
+// treeNode is a leaf (kids == nil: entries[i] has key keys[i], ascending) or
+// a branch (len(kids) == len(keys)+1: everything under kids[i] is below
+// keys[i], everything under kids[i+1] is not). Nodes split when they
+// overflow and are freed only when they empty — no merging at half, which
+// buys nothing while inserts keep pace with removes (Johnson and Shasha,
+// "B-trees with inserts and deletes: why free-at-empty is better than
+// merge-at-half") — so a separator may outlive the entry it was copied from.
 type treeNode struct {
-	key         treeKey
-	entry       Entry
-	left, right *treeNode
-	red         bool
+	keys    []treeKey
+	entries []Entry
+	kids    []*treeNode
 }
 
 // NewTree returns an empty tree store ordered on the given field index.
@@ -52,53 +57,30 @@ func NewTree(keyField int) *Tree {
 	if keyField < 0 {
 		keyField = 0
 	}
-	return &Tree{keyField: keyField, byID: make(map[tuple.ID]treeKey)}
+	return &Tree{keyField: keyField, root: newTreeNode(nil, nil, nil)}
 }
 
 // KeyField returns the field index the tree orders on.
 func (s *Tree) KeyField() int { return s.keyField }
 
-// keyOf extracts the ordering key from a tuple.
-func (s *Tree) keyOf(seq uint64, t tuple.Tuple) treeKey {
-	var v tuple.Value
-	if s.keyField < t.Arity() {
-		v = t.Field(s.keyField)
-	}
-	return treeKey{val: v, seq: seq}
-}
-
 // Insert implements Store.
 func (s *Tree) Insert(seq uint64, t tuple.Tuple) {
-	k := s.keyOf(seq, t)
-	s.root = s.insert(s.root, k, Entry{Seq: seq, Tuple: t})
-	s.root.red = false
-	s.byID[t.ID()] = k
+	k := treeKey{seq: seq}
+	if s.keyField < t.Arity() {
+		k.val = t.Field(s.keyField)
+	}
+	if sep, right := s.root.insert(&k, &Entry{Seq: seq, Tuple: t}); right != nil {
+		s.root = newTreeNode([]treeKey{sep}, nil, []*treeNode{s.root, right})
+	}
 	s.size++
 	s.stats.Inserts++
-}
-
-// keyBounds extracts [lo,hi] bounds on the key field from the template, if
-// it constrains that field with OpEq or OpRange.
-func (s *Tree) keyBounds(tp tuple.Template) (lo, hi tuple.Value, ok bool) {
-	if s.keyField >= tp.Arity() {
-		return tuple.Value{}, tuple.Value{}, false
-	}
-	m := tp.Matcher(s.keyField)
-	switch m.Op {
-	case tuple.OpEq:
-		return m.A, m.A, true
-	case tuple.OpRange:
-		return m.A, m.B, true
-	default:
-		return tuple.Value{}, tuple.Value{}, false
-	}
 }
 
 // Read implements Store.
 func (s *Tree) Read(tp tuple.Template) (tuple.Tuple, bool) {
 	s.stats.Reads++
-	found, ok := s.search(tp, &s.stats.ReadProbes)
-	if !ok {
+	_, found := s.search(tp, &s.stats.ReadProbes)
+	if found == nil {
 		return tuple.Tuple{}, false
 	}
 	return found.Tuple, true
@@ -107,54 +89,38 @@ func (s *Tree) Read(tp tuple.Template) (tuple.Tuple, bool) {
 // Remove implements Store.
 func (s *Tree) Remove(tp tuple.Template) (tuple.Tuple, bool) {
 	s.stats.Removes++
-	found, ok := s.search(tp, &s.stats.RemoveProbes)
-	if !ok {
+	k, found := s.search(tp, &s.stats.RemoveProbes)
+	if found == nil {
 		return tuple.Tuple{}, false
 	}
-	s.delete(s.keyOf(found.Seq, found.Tuple))
-	delete(s.byID, found.Tuple.ID())
-	return found.Tuple, true
+	t := found.Tuple // remove shifts the leaf under found
+	s.remove(k)
+	return t, true
 }
 
-// search finds the oldest entry matching tp, visiting only in-bounds nodes
-// when the key field is constrained.
-func (s *Tree) search(tp tuple.Template, probes *int) (Entry, bool) {
-	lo, hi, bounded := s.keyBounds(tp)
-	var best Entry
-	have := false
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n == nil {
-			return
-		}
-		*probes++
-		inLo := !bounded || lo.Compare(n.key.val) <= 0
-		inHi := !bounded || n.key.val.Compare(hi) <= 0
-		if inLo {
-			walk(n.left)
-		}
-		if inLo && inHi && tp.Matches(n.entry.Tuple) {
-			if !have || n.entry.Seq < best.Seq {
-				best, have = n.entry, true
-			}
-		}
-		if inHi {
-			walk(n.right)
-		}
-	}
-	walk(s.root)
-	return best, have
-}
-
-// RemoveByID implements Store.
+// RemoveByID implements Store. The tree keeps no identity index — nothing
+// outside the tests removes by identity, and the index cost every insert a
+// fifth of its time — so this walks the leaves, O(ℓ).
 func (s *Tree) RemoveByID(id tuple.ID) bool {
-	k, ok := s.byID[id]
-	if !ok {
+	k := s.root.keyOf(id)
+	if k == nil {
 		return false
 	}
-	s.delete(k)
-	delete(s.byID, id)
+	s.remove(k)
 	return true
+}
+
+// remove deletes the entry with exactly key k and drops the levels a
+// shrinking tree no longer needs; the root ends as a leaf, empty or not, or a
+// branch of two children or more. k may point into the leaf it is deleted
+// from: no level reads it after the leaf has shifted.
+func (s *Tree) remove(k *treeKey) {
+	if found, _ := s.root.remove(k); found {
+		s.size--
+	}
+	for len(s.root.kids) == 1 {
+		s.root = s.root.kids[0]
+	}
 }
 
 // Len implements Store.
@@ -163,27 +129,16 @@ func (s *Tree) Len() int { return s.size }
 // Snapshot implements Store. Entries are returned in ascending seq order
 // regardless of key order so Restore into any store kind is equivalent.
 func (s *Tree) Snapshot() []Entry {
-	out := make([]Entry, 0, s.size)
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n == nil {
-			return
-		}
-		walk(n.left)
-		out = append(out, n.entry)
-		walk(n.right)
-	}
-	walk(s.root)
-	// Sort by seq (insertion order). Tree order is by key, so re-sort.
-	sortEntriesBySeq(out)
+	out := s.root.appendEntries(make([]Entry, 0, s.size))
+	// Key order says nothing about arrival order.
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
 // Restore implements Store.
 func (s *Tree) Restore(entries []Entry) {
-	s.root = nil
+	s.root = newTreeNode(nil, nil, nil)
 	s.size = 0
-	s.byID = make(map[tuple.ID]treeKey, len(entries))
 	for _, e := range entries {
 		s.Insert(e.Seq, e.Tuple)
 		s.stats.Inserts-- // Restore is not an application insert
@@ -193,170 +148,193 @@ func (s *Tree) Restore(entries []Entry) {
 // Stats implements Store.
 func (s *Tree) Stats() Stats { return s.stats }
 
-func sortEntriesBySeq(es []Entry) {
-	// Insertion sort is fine: snapshots are usually nearly sorted already
-	// when classes see few removals; fall back cost is O(ℓ²) only on
-	// pathological orders, and ℓ is bounded per class.
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].Seq < es[j-1].Seq; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
+// treeSearch is one search for the oldest entry matching tp among the keys in
+// [lo, hi] (every key when unbounded). A probe is one key examined: a step of
+// a node's binary search, or an entry the walk reaches.
+type treeSearch struct {
+	tp      tuple.Template
+	lo      treeKey // seq 0: below every entry of the lowest key in range
+	hi      tuple.Value
+	bounded bool
+	skip    int // the key field when lo <= key <= hi settles its matcher, else -1
+	bestKey *treeKey
+	best    *Entry
+	probes  int
+}
+
+// search finds the oldest entry matching tp and its key.
+func (s *Tree) search(tp tuple.Template, probes *int) (*treeKey, *Entry) {
+	q := treeSearch{tp: tp, skip: -1}
+	if s.keyField < tp.Arity() {
+		m := tp.Matcher(s.keyField)
+		switch m.Op {
+		case tuple.OpEq:
+			q.lo.val, q.hi, q.bounded = m.A, m.A, true
+		case tuple.OpRange:
+			q.lo.val, q.hi, q.bounded = m.A, m.B, true
+		}
+		// The bounds are the key matcher's whole verdict when they are of the
+		// kind it requires (kinds order by tag, so an in-range key is of it
+		// too) and that kind is totally ordered: among floats NaN compares 0
+		// with everything yet equals only NaN.
+		if q.bounded && m.A.IsValid() && m.A.Kind() == m.Kind && q.hi.Kind() == m.Kind && m.Kind != tuple.KindFloat {
+			q.skip = s.keyField
 		}
 	}
+	q.scan(s.root, q.bounded)
+	*probes += q.probes
+	return q.bestKey, q.best
 }
 
-// --- left-leaning red-black tree mechanics (Sedgewick 2008) ---
-
-func isRed(n *treeNode) bool { return n != nil && n.red }
-
-func rotateLeft(h *treeNode) *treeNode {
-	x := h.right
-	h.right = x.left
-	x.left = h
-	x.red = h.red
-	h.red = true
-	return x
-}
-
-func rotateRight(h *treeNode) *treeNode {
-	x := h.left
-	h.left = x.right
-	x.right = h
-	x.red = h.red
-	h.red = true
-	return x
-}
-
-func colorFlip(h *treeNode) {
-	h.red = !h.red
-	if h.left != nil {
-		h.left.red = !h.left.red
+// scan walks n's entries in key order — from lo's lower bound when seek is
+// set, from the first otherwise — and reports false once a key above hi ends
+// the search. Only an entry older than the best so far is worth matching.
+func (q *treeSearch) scan(n *treeNode, seek bool) bool {
+	i := 0
+	if seek {
+		var steps int
+		i, steps = n.lowerBound(&q.lo)
+		q.probes += steps
 	}
-	if h.right != nil {
-		h.right.red = !h.right.red
+	if n.kids != nil {
+		for ; i < len(n.kids); i++ {
+			if !q.scan(n.kids[i], seek) {
+				return false
+			}
+			seek = false // later subtrees lie wholly above lo
+		}
+		return true
 	}
-}
-
-func fixUp(h *treeNode) *treeNode {
-	if isRed(h.right) && !isRed(h.left) {
-		h = rotateLeft(h)
-	}
-	if isRed(h.left) && isRed(h.left.left) {
-		h = rotateRight(h)
-	}
-	if isRed(h.left) && isRed(h.right) {
-		colorFlip(h)
-	}
-	return h
-}
-
-func (s *Tree) insert(h *treeNode, k treeKey, e Entry) *treeNode {
-	if h == nil {
-		return &treeNode{key: k, entry: e, red: true}
-	}
-	switch c := k.compare(h.key); {
-	case c < 0:
-		h.left = s.insert(h.left, k, e)
-	case c > 0:
-		h.right = s.insert(h.right, k, e)
-	default:
-		h.entry = e // same (value,seq): overwrite (cannot happen in practice)
-	}
-	return fixUp(h)
-}
-
-func moveRedLeft(h *treeNode) *treeNode {
-	colorFlip(h)
-	if h.right != nil && isRed(h.right.left) {
-		h.right = rotateRight(h.right)
-		h = rotateLeft(h)
-		colorFlip(h)
-	}
-	return h
-}
-
-func moveRedRight(h *treeNode) *treeNode {
-	colorFlip(h)
-	if h.left != nil && isRed(h.left.left) {
-		h = rotateRight(h)
-		colorFlip(h)
-	}
-	return h
-}
-
-func minNode(h *treeNode) *treeNode {
-	for h.left != nil {
-		h = h.left
-	}
-	return h
-}
-
-func deleteMin(h *treeNode) *treeNode {
-	if h.left == nil {
-		return nil
-	}
-	if !isRed(h.left) && !isRed(h.left.left) {
-		h = moveRedLeft(h)
-	}
-	h.left = deleteMin(h.left)
-	return fixUp(h)
-}
-
-// delete removes the node with exactly key k, if present.
-func (s *Tree) delete(k treeKey) {
-	if s.root == nil {
-		return
-	}
-	if !s.contains(k) {
-		return
-	}
-	s.root = deleteNode(s.root, k)
-	if s.root != nil {
-		s.root.red = false
-	}
-	s.size--
-}
-
-func (s *Tree) contains(k treeKey) bool {
-	n := s.root
-	for n != nil {
-		switch c := k.compare(n.key); {
-		case c < 0:
-			n = n.left
-		case c > 0:
-			n = n.right
-		default:
-			return true
+	for ; i < len(n.keys); i++ {
+		q.probes++
+		if q.bounded && tuple.CompareValues(&n.keys[i].val, &q.hi) > 0 {
+			return false
+		}
+		if e := &n.entries[i]; (q.best == nil || e.Seq < q.best.Seq) && q.tp.MatchesExcept(e.Tuple, q.skip) {
+			q.bestKey, q.best = &n.keys[i], e
 		}
 	}
-	return false
+	return true
 }
 
-func deleteNode(h *treeNode, k treeKey) *treeNode {
-	if k.compare(h.key) < 0 {
-		if !isRed(h.left) && h.left != nil && !isRed(h.left.left) {
-			h = moveRedLeft(h)
-		}
-		h.left = deleteNode(h.left, k)
+// newTreeNode returns a node holding copies of the given slices, with room
+// for the one element over treeFanout that triggers a split.
+func newTreeNode(keys []treeKey, entries []Entry, kids []*treeNode) *treeNode {
+	n := &treeNode{keys: append(make([]treeKey, 0, treeFanout+1), keys...)}
+	if kids != nil {
+		n.kids = append(make([]*treeNode, 0, treeFanout+1), kids...)
 	} else {
-		if isRed(h.left) {
-			h = rotateRight(h)
-		}
-		if k.compare(h.key) == 0 && h.right == nil {
-			return nil
-		}
-		if h.right != nil {
-			if !isRed(h.right) && !isRed(h.right.left) {
-				h = moveRedRight(h)
-			}
-			if k.compare(h.key) == 0 {
-				mn := minNode(h.right)
-				h.key = mn.key
-				h.entry = mn.entry
-				h.right = deleteMin(h.right)
-			} else {
-				h.right = deleteNode(h.right, k)
-			}
+		n.entries = append(make([]Entry, 0, treeFanout+1), entries...)
+	}
+	return n
+}
+
+// appendEntries appends every entry under n, in key order.
+func (n *treeNode) appendEntries(out []Entry) []Entry {
+	out = append(out, n.entries...)
+	for _, kid := range n.kids {
+		out = kid.appendEntries(out)
+	}
+	return out
+}
+
+// keyOf returns the key of the entry under n whose tuple has the given
+// identity, or nil.
+func (n *treeNode) keyOf(id tuple.ID) *treeKey {
+	for i := range n.entries {
+		if n.entries[i].Tuple.ID() == id {
+			return &n.keys[i]
 		}
 	}
-	return fixUp(h)
+	for _, kid := range n.kids {
+		if k := kid.keyOf(id); k != nil {
+			return k
+		}
+	}
+	return nil
+}
+
+// lowerBound returns the first index whose key is not below k, and how many
+// keys the binary search examined.
+func (n *treeNode) lowerBound(k *treeKey) (i, steps int) {
+	lo, hi := 0, len(n.keys)
+	for ; lo < hi; steps++ {
+		mid := int(uint(lo+hi) >> 1)
+		if n.keys[mid].less(k) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, steps
+}
+
+// find returns where k is or belongs: in a leaf its index and whether it is
+// there, in a branch the child that holds it.
+func (n *treeNode) find(k *treeKey) (int, bool) {
+	i, _ := n.lowerBound(k)
+	eq := i < len(n.keys) && !k.less(&n.keys[i])
+	if eq && n.kids != nil {
+		i++ // a separator is the smallest key of its right side
+	}
+	return i, eq
+}
+
+// insert adds the entry under n. When n overflows it keeps the lower half
+// and returns the upper half with the separator between the two.
+func (n *treeNode) insert(k *treeKey, e *Entry) (sep treeKey, right *treeNode) {
+	i, _ := n.find(k)
+	if n.kids == nil {
+		n.keys = slices.Insert(n.keys, i, *k)
+		n.entries = slices.Insert(n.entries, i, *e)
+		if len(n.keys) <= treeFanout {
+			return sep, nil
+		}
+		h := len(n.keys) / 2
+		right = newTreeNode(n.keys[h:], n.entries[h:], nil)
+		clear(n.keys[h:]) // what moved belongs to right alone
+		clear(n.entries[h:])
+		n.keys, n.entries = n.keys[:h], n.entries[:h]
+		return right.keys[0], right
+	}
+	s, r := n.kids[i].insert(k, e)
+	if r == nil {
+		return sep, nil
+	}
+	n.keys = slices.Insert(n.keys, i, s)
+	n.kids = slices.Insert(n.kids, i+1, r)
+	if len(n.kids) <= treeFanout {
+		return sep, nil
+	}
+	h := len(n.keys) / 2
+	sep, right = n.keys[h], newTreeNode(n.keys[h+1:], nil, n.kids[h+1:])
+	clear(n.keys[h:])
+	clear(n.kids[h+1:])
+	n.keys, n.kids = n.keys[:h], n.kids[:h+1]
+	return sep, right
+}
+
+// remove deletes the entry with key k under n. It reports whether the key
+// was there and whether n is left with nothing under it.
+func (n *treeNode) remove(k *treeKey) (found, empty bool) {
+	i, eq := n.find(k)
+	if n.kids == nil {
+		if !eq {
+			return false, false
+		}
+		n.keys = slices.Delete(n.keys, i, i+1)
+		n.entries = slices.Delete(n.entries, i, i+1)
+		return true, len(n.keys) == 0
+	}
+	found, empty = n.kids[i].remove(k)
+	if !empty {
+		return found, false
+	}
+	n.kids = slices.Delete(n.kids, i, i+1)
+	if len(n.keys) > 0 {
+		// Either neighbouring separator still divides what remains.
+		j := min(i, len(n.keys)-1)
+		n.keys = slices.Delete(n.keys, j, j+1)
+	}
+	return found, len(n.kids) == 0
 }

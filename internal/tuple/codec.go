@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"unsafe"
 )
 
@@ -23,9 +22,9 @@ func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *encoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
 }
 
 type decoder struct {
@@ -84,54 +83,43 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) bytes() []byte {
+// str reads a length-prefixed payload: a view of buf in alias mode, a copy
+// otherwise.
+func (d *decoder) str() string {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
 		d.fail()
-		return nil
+		return ""
 	}
 	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return b
+	if d.alias {
+		return aliasString(b)
+	}
+	return string(b)
 }
 
-func encodeValue(e *encoder, v Value) {
+func encodeValue(e *encoder, v *Value) {
 	e.u8(uint8(v.kind))
 	switch v.kind {
-	case KindInt:
-		e.u64(uint64(v.i))
-	case KindFloat:
-		e.u64(math.Float64bits(v.f))
-	case KindString:
-		e.bytes([]byte(v.s))
+	case KindInt, KindFloat:
+		e.u64(v.n)
+	case KindString, KindBytes:
+		e.str(v.s)
 	case KindBool:
-		if v.b {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-	case KindBytes:
-		e.bytes(v.by)
+		e.u8(uint8(v.n))
 	}
 }
 
 func decodeValue(d *decoder) Value {
 	k := Kind(d.u8())
 	switch k {
-	case KindInt:
-		return Int(int64(d.u64()))
-	case KindFloat:
-		return Float(math.Float64frombits(d.u64()))
-	case KindString:
-		b := d.bytes()
-		if d.alias {
-			return String(aliasString(b))
-		}
-		return String(string(b))
+	case KindInt, KindFloat:
+		return Value{kind: k, n: d.u64()}
+	case KindString, KindBytes:
+		return Value{kind: k, s: d.str()}
 	case KindBool:
 		return Bool(d.u8() != 0)
-	case KindBytes:
-		return Bytes(d.bytes())
 	default:
 		d.fail()
 		return Value{}
@@ -144,8 +132,8 @@ func EncodeTuple(t Tuple) []byte {
 	e.u64(t.id.Origin)
 	e.u64(t.id.Seq)
 	e.u16(uint16(len(t.fields)))
-	for _, f := range t.fields {
-		encodeValue(e, f)
+	for i := range t.fields {
+		encodeValue(e, &t.fields[i])
 	}
 	return e.buf
 }
@@ -159,17 +147,18 @@ func aliasString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// DecodeTuple deserializes a tuple produced by EncodeTuple. String fields
-// are copied out of b; bytes fields alias it.
+// DecodeTuple deserializes a tuple produced by EncodeTuple. String and bytes
+// fields are copied out of b; the tuple keeps no reference to it.
 func DecodeTuple(b []byte) (Tuple, error) {
 	return decodeTuple(b, false)
 }
 
-// DecodeTupleAlias is DecodeTuple with zero-copy fields: string and bytes
-// values alias b directly. The caller must guarantee b is immutable for as
-// long as any decoded value is retained — the contract holds for transport
-// receive frames (see DESIGN.md, "Delivery buffer ownership"), which is
-// what makes socket-to-store delivery copy-free.
+// DecodeTupleAlias is DecodeTuple with zero-copy fields: every string and
+// bytes value is a view of b, so the decode allocates only the field slice
+// and a retained tuple pins all of b. The caller must guarantee b is
+// immutable for as long as any decoded value is retained — the contract
+// holds for transport receive frames (see DESIGN.md, "Delivery buffer
+// ownership"), which is what makes socket-to-store delivery copy-free.
 func DecodeTupleAlias(b []byte) (Tuple, error) {
 	return decodeTuple(b, true)
 }
@@ -192,7 +181,8 @@ func decodeTuple(b []byte, alias bool) (Tuple, error) {
 func EncodeTemplate(tp Template) []byte {
 	e := &encoder{buf: make([]byte, 0, tp.Size())}
 	e.u16(uint16(len(tp.matchers)))
-	for _, m := range tp.matchers {
+	for i := range tp.matchers {
+		m := &tp.matchers[i]
 		e.u8(uint8(m.Op))
 		e.u8(uint8(m.Kind))
 		flags := uint8(0)
@@ -204,10 +194,10 @@ func EncodeTemplate(tp Template) []byte {
 		}
 		e.u8(flags)
 		if m.A.IsValid() {
-			encodeValue(e, m.A)
+			encodeValue(e, &m.A)
 		}
 		if m.B.IsValid() {
-			encodeValue(e, m.B)
+			encodeValue(e, &m.B)
 		}
 	}
 	return e.buf

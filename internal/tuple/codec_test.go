@@ -1,6 +1,8 @@
 package tuple
 
 import (
+	"encoding/hex"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -45,6 +47,26 @@ func TestEncodeDecodeTemplateRoundTrip(t *testing.T) {
 				t.Errorf("matcher %d: got %+v want %+v", i, a, b)
 			}
 		}
+	}
+}
+
+// TestCodecGoldenBytes pins the wire form of every kind and every operator
+// to bytes recorded before Value's layout changed: stored snapshots and
+// frames from older nodes stay readable.
+func TestCodecGoldenBytes(t *testing.T) {
+	tu := New(ID{Origin: 7, Seq: 9}, String("c0"), Int(-2), Float(math.Copysign(0, -1)),
+		Bool(true), Bool(false), Bytes([]byte{0, 0xFF, 'x'}), String(""), Bytes(nil))
+	const wantTuple = "0700000000000000090000000000000008000302000000633001feffffffffffffff" +
+		"02000000000000008004010400050300000000ff7803000000000500000000"
+	if got := hex.EncodeToString(EncodeTuple(tu)); got != wantTuple {
+		t.Errorf("EncodeTuple =\n%s, want\n%s", got, wantTuple)
+	}
+	tp := NewTemplate(Eq(String("c0")), Range(Int(-2), Int(5)), Any(KindBytes), Ne(Bool(true)),
+		Prefix("ab"), Eq(Bytes([]byte{1, 2})), Eq(Float(2.5)))
+	const wantTemplate = "07000203010302000000633003010301feffffffffffffff0105000000000000000105000604010401" +
+		"0403010302000000616202050105020000000102020201020000000000000440"
+	if got := hex.EncodeToString(EncodeTemplate(tp)); got != wantTemplate {
+		t.Errorf("EncodeTemplate =\n%s, want\n%s", got, wantTemplate)
 	}
 }
 
@@ -102,5 +124,59 @@ func TestEncodedSizeTracksSizeEstimate(t *testing.T) {
 	est := tu.Size()
 	if est < enc/2 || est > enc*2 {
 		t.Errorf("size estimate %d far from encoded size %d", est, enc)
+	}
+}
+
+// TestBulkShapeAllocs pins what the store and match path may allocate on the
+// repository benchmark's bulk-range shape: an alias decode makes the field
+// slice and nothing else (the 1 KiB bytes field views the frame), and
+// matching allocates nothing.
+func TestBulkShapeAllocs(t *testing.T) {
+	tu, tp := bulkShape()
+	enc := EncodeTuple(tu)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeTupleAlias(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("DecodeTupleAlias allocates %v times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !tp.Matches(tu) {
+			t.Fatal("no match")
+		}
+	}); n != 0 {
+		t.Errorf("Template.Matches allocates %v times, want 0", n)
+	}
+}
+
+// TestAliasDecodeViewsBuffer: in alias mode string and bytes fields, of
+// tuples and of template operands, are views of the input; in copy mode
+// neither is. A write to the buffer after decoding tells the two apart.
+func TestAliasDecodeViewsBuffer(t *testing.T) {
+	tu := Make(String("name"), Bytes([]byte("payload")))
+	tp := NewTemplate(Eq(String("name")), Eq(Bytes([]byte("payload"))))
+	for _, alias := range []bool{false, true} {
+		encT, encP := EncodeTuple(tu), EncodeTemplate(tp)
+		gotT, err := decodeTuple(encT, alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotP, err := decodeTemplate(encP, alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range encT {
+			encT[i] ^= 0xFF
+		}
+		for i := range encP {
+			encP[i] ^= 0xFF
+		}
+		if same := gotT.Equal(tu); same == alias {
+			t.Errorf("alias=%v: decoded tuple unchanged by a write to its buffer: %v", alias, same)
+		}
+		if same := gotP.Matches(tu); same == alias {
+			t.Errorf("alias=%v: decoded template unchanged by a write to its buffer: %v", alias, same)
+		}
 	}
 }

@@ -81,19 +81,23 @@ func Contains(sub string) Matcher {
 }
 
 // Matches reports whether the matcher accepts the value.
-func (m Matcher) Matches(v Value) bool {
-	if v.Kind() != m.Kind {
+func (m Matcher) Matches(v Value) bool { return m.matches(&v) }
+
+// matches is Matches through pointers: a store search runs it once per field
+// of every candidate, on matchers and fields where they lie.
+func (m *Matcher) matches(v *Value) bool {
+	if v.kind != m.Kind {
 		return false
 	}
 	switch m.Op {
 	case OpAny:
 		return true
 	case OpEq:
-		return v.Equal(m.A)
+		return v.equal(&m.A)
 	case OpNe:
-		return !v.Equal(m.A)
+		return !v.equal(&m.A)
 	case OpRange:
-		return m.A.Compare(v) <= 0 && v.Compare(m.B) <= 0
+		return m.A.compare(v) <= 0 && v.compare(&m.B) <= 0
 	case OpPrefix:
 		return strings.HasPrefix(v.MustString(), m.A.MustString())
 	case OpContains:
@@ -165,12 +169,16 @@ func (tp Template) Matchers() []Matcher {
 }
 
 // Matches reports whether the tuple satisfies the search criterion.
-func (tp Template) Matches(t Tuple) bool {
-	if t.Arity() != len(tp.matchers) {
+func (tp Template) Matches(t Tuple) bool { return tp.MatchesExcept(t, -1) }
+
+// MatchesExcept is Matches with field skip taken as satisfied. An ordered
+// store passes its key field once its bounds have decided that matcher.
+func (tp Template) MatchesExcept(t Tuple, skip int) bool {
+	if len(t.fields) != len(tp.matchers) {
 		return false
 	}
-	for i, m := range tp.matchers {
-		if !m.Matches(t.Field(i)) {
+	for i := range tp.matchers {
+		if i != skip && !tp.matchers[i].matches(&t.fields[i]) {
 			return false
 		}
 	}

@@ -112,7 +112,7 @@ func (t Tuple) Equal(o Tuple) bool {
 		return false
 	}
 	for i := range t.fields {
-		if !t.fields[i].Equal(o.fields[i]) {
+		if !t.fields[i].equal(&o.fields[i]) {
 			return false
 		}
 	}

@@ -55,33 +55,37 @@ func (k Kind) valid() bool {
 var ErrKindMismatch = errors.New("tuple: value kind mismatch")
 
 // Value is a single immutable field of a tuple. The zero Value is invalid.
+//
+// It is a tag, one 8-byte scalar and one string-shaped payload — 32 bytes,
+// so a tuple's field array, a Matcher and a store entry are small enough to
+// compare in place. Bytes are held as a string: the payload is immutable
+// either way, a string header is one word shorter than a slice's, and the
+// two kinds share their comparison.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    bool
-	by   []byte
+	n    uint64 // KindInt: the int64; KindFloat: its IEEE-754 bits; KindBool: 0 or 1
+	s    string // KindString: the string; KindBytes: the bytes
 }
 
 // Int returns a Value holding an int64.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a Value holding a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // String returns a Value holding a string.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a Value holding a bool.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Bytes returns a Value holding a copy of the given byte slice.
-func Bytes(v []byte) Value {
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return Value{kind: KindBytes, by: cp}
-}
+func Bytes(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
 
 // Kind returns the kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -94,7 +98,7 @@ func (v Value) AsInt() (int64, error) {
 	if v.kind != KindInt {
 		return 0, ErrKindMismatch
 	}
-	return v.i, nil
+	return int64(v.n), nil
 }
 
 // AsFloat returns the float64 payload.
@@ -102,7 +106,7 @@ func (v Value) AsFloat() (float64, error) {
 	if v.kind != KindFloat {
 		return 0, ErrKindMismatch
 	}
-	return v.f, nil
+	return math.Float64frombits(v.n), nil
 }
 
 // AsString returns the string payload.
@@ -118,7 +122,7 @@ func (v Value) AsBool() (bool, error) {
 	if v.kind != KindBool {
 		return false, ErrKindMismatch
 	}
-	return v.b, nil
+	return v.n != 0, nil
 }
 
 // AsBytes returns a copy of the bytes payload.
@@ -126,80 +130,87 @@ func (v Value) AsBytes() ([]byte, error) {
 	if v.kind != KindBytes {
 		return nil, ErrKindMismatch
 	}
-	cp := make([]byte, len(v.by))
-	copy(cp, v.by)
-	return cp, nil
+	return []byte(v.s), nil
 }
 
 // MustInt returns the int64 payload or zero if the kind differs.
 // It is a convenience for callers that have already validated kinds.
-func (v Value) MustInt() int64 { return v.i }
+func (v Value) MustInt() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.n)
+}
 
 // MustString returns the string payload or "" if the kind differs.
-func (v Value) MustString() string { return v.s }
+func (v Value) MustString() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.s
+}
 
 // MustFloat returns the float64 payload or 0 if the kind differs.
-func (v Value) MustFloat() float64 { return v.f }
+func (v Value) MustFloat() float64 {
+	if v.kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.n)
+}
 
 // MustBool returns the bool payload or false if the kind differs.
-func (v Value) MustBool() bool { return v.b }
+func (v Value) MustBool() bool { return v.kind == KindBool && v.n != 0 }
 
 // Equal reports whether two values have the same kind and payload.
-func (v Value) Equal(o Value) bool {
+func (v Value) Equal(o Value) bool { return v.equal(&o) }
+
+// Compare orders two values of the same kind: -1, 0, or +1. Values of
+// different kinds are ordered by kind. Bools order false < true; bytes order
+// lexicographically.
+func (v Value) Compare(o Value) int { return v.compare(&o) }
+
+// CompareValues is a.Compare(*b) without copying either value: an ordered
+// store compares keys where they lie.
+func CompareValues(a, b *Value) int { return a.compare(b) }
+
+// equal and compare are Equal and Compare through pointers, the int and
+// string cases first: matching compares fields where they lie too.
+func (v *Value) equal(o *Value) bool {
 	if v.kind != o.kind {
 		return false
 	}
 	switch v.kind {
-	case KindInt:
-		return v.i == o.i
-	case KindFloat:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
-	case KindString:
+	case KindInt, KindBool:
+		return v.n == o.n
+	case KindString, KindBytes:
 		return v.s == o.s
-	case KindBool:
-		return v.b == o.b
-	case KindBytes:
-		if len(v.by) != len(o.by) {
-			return false
-		}
-		for i := range v.by {
-			if v.by[i] != o.by[i] {
-				return false
-			}
-		}
-		return true
+	case KindFloat:
+		a, b := math.Float64frombits(v.n), math.Float64frombits(o.n)
+		return a == b || (a != a && b != b) // NaN equals NaN
 	default:
 		return false
 	}
 }
 
-// Compare orders two values of the same kind: -1, 0, or +1. Values of
-// different kinds are ordered by kind. Bools order false < true; bytes order
-// lexicographically.
-func (v Value) Compare(o Value) int {
+func (v *Value) compare(o *Value) int {
 	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
+		return cmpOrdered(v.kind, o.kind)
 	}
 	switch v.kind {
 	case KindInt:
-		return cmpOrdered(v.i, o.i)
-	case KindFloat:
-		return cmpOrdered(v.f, o.f)
-	case KindString:
+		return cmpOrdered(int64(v.n), int64(o.n))
+	case KindString, KindBytes:
 		return cmpOrdered(v.s, o.s)
+	case KindFloat:
+		return cmpOrdered(math.Float64frombits(v.n), math.Float64frombits(o.n))
 	case KindBool:
-		return cmpBool(v.b, o.b)
-	case KindBytes:
-		return cmpBytes(v.by, o.by)
+		return cmpOrdered(v.n, o.n)
 	default:
 		return 0
 	}
 }
 
-func cmpOrdered[T int64 | float64 | string](a, b T) int {
+func cmpOrdered[T Kind | int64 | uint64 | float64 | string](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -210,33 +221,6 @@ func cmpOrdered[T int64 | float64 | string](a, b T) int {
 	}
 }
 
-func cmpBool(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case !a:
-		return -1
-	default:
-		return 1
-	}
-}
-
-func cmpBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return cmpOrdered(int64(len(a)), int64(len(b)))
-}
-
 // Size returns the approximate encoded size of the value in bytes. It is
 // used by the α+β cost model.
 func (v Value) Size() int {
@@ -245,10 +229,8 @@ func (v Value) Size() int {
 		return 9 // tag + 8 bytes
 	case KindBool:
 		return 2
-	case KindString:
+	case KindString, KindBytes:
 		return 1 + 4 + len(v.s)
-	case KindBytes:
-		return 1 + 4 + len(v.by)
 	default:
 		return 1
 	}
@@ -261,15 +243,15 @@ func (v Value) GoString() string { return v.String() }
 func (v Value) String() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.n != 0)
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.by))
+		return fmt.Sprintf("bytes[%d]", len(v.s))
 	default:
 		return "<invalid>"
 	}

@@ -1,7 +1,9 @@
 package tuple
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +162,101 @@ func TestValueString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.v.String(); got != tt.want {
 			t.Errorf("String() = %q, want %q", got, tt.want)
+		}
+	}
+}
+
+// TestValueKindPairs pins Equal and Compare over every pair of kinds against
+// an oracle written on plain Go values, so the semantics do not depend on how
+// Value lays its payload out: NaN equals NaN but compares 0 against every
+// float, bools order false < true, bytes and strings order lexicographically
+// with a proper prefix first, and values of different kinds are never equal
+// and order by kind tag. The zero Value equals nothing, itself included.
+func TestValueKindPairs(t *testing.T) {
+	nan := math.NaN()
+	raws := []any{
+		nil, // the zero Value
+		int64(math.MinInt64), int64(-1), int64(0), int64(1), int64(math.MaxInt64),
+		math.Inf(-1), -1.5, math.Copysign(0, -1), 0.0, 2.5, math.Inf(1), nan,
+		"", "a", "a\x00", "ab", "b",
+		false, true,
+		[]byte{}, []byte{0}, []byte{1}, []byte{1, 0}, []byte{1, 2}, []byte{2}, []byte("a"),
+	}
+	mk := func(raw any) (Value, Kind) {
+		switch r := raw.(type) {
+		case int64:
+			return Int(r), KindInt
+		case float64:
+			return Float(r), KindFloat
+		case string:
+			return String(r), KindString
+		case bool:
+			return Bool(r), KindBool
+		case []byte:
+			return Bytes(r), KindBytes
+		}
+		return Value{}, 0
+	}
+	sign := func(lt, gt bool) int {
+		switch {
+		case lt:
+			return -1
+		case gt:
+			return 1
+		}
+		return 0
+	}
+	for _, ra := range raws {
+		for _, rb := range raws {
+			a, ka := mk(ra)
+			b, kb := mk(rb)
+			var wantEq bool
+			wantCmp := sign(ka < kb, ka > kb)
+			if ka == kb {
+				switch x := ra.(type) {
+				case int64:
+					y := rb.(int64)
+					wantEq, wantCmp = x == y, sign(x < y, x > y)
+				case float64:
+					y := rb.(float64)
+					wantEq = x == y || (x != x && y != y)
+					wantCmp = sign(x < y, x > y)
+				case string:
+					y := rb.(string)
+					wantEq, wantCmp = x == y, strings.Compare(x, y)
+				case bool:
+					y := rb.(bool)
+					wantEq, wantCmp = x == y, sign(!x && y, x && !y)
+				case []byte:
+					y := rb.([]byte)
+					wantEq, wantCmp = bytes.Equal(x, y), bytes.Compare(x, y)
+				}
+			}
+			if got := a.Equal(b); got != wantEq {
+				t.Errorf("%v.Equal(%v) = %v, want %v", a, b, got, wantEq)
+			}
+			if got := a.Compare(b); got != wantCmp {
+				t.Errorf("%v.Compare(%v) = %d, want %d", a, b, got, wantCmp)
+			}
+		}
+	}
+}
+
+// TestValueMustAccessorsOtherKind: a Must accessor on a value of another
+// kind returns that type's zero value, never another kind's payload.
+func TestValueMustAccessorsOtherKind(t *testing.T) {
+	for _, v := range []Value{{}, Int(7), Float(7.5), String("s"), Bool(true), Bytes([]byte("b"))} {
+		if got := v.MustInt(); got != 0 && v.Kind() != KindInt {
+			t.Errorf("%v.MustInt() = %d", v, got)
+		}
+		if got := v.MustFloat(); got != 0 && v.Kind() != KindFloat {
+			t.Errorf("%v.MustFloat() = %v", v, got)
+		}
+		if got := v.MustString(); got != "" && v.Kind() != KindString {
+			t.Errorf("%v.MustString() = %q", v, got)
+		}
+		if got := v.MustBool(); got && v.Kind() != KindBool {
+			t.Errorf("%v.MustBool() = true", v)
 		}
 	}
 }
