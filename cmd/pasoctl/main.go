@@ -13,7 +13,7 @@
 // latency quantiles) terminated by a lone "." line; "stats -stages"
 // streams the per-stage latency attribution table instead (client queue,
 // encode, send-queue wait, socket write, order, deliver, store apply),
-// the same breakdown the saturation sweep uses to name the bottleneck.
+// the breakdown that names the bottleneck stage under load.
 //
 // The "trace" subcommand talks to the debug endpoints instead of the
 // client port: it merges the spans every machine recorded for one traced

@@ -46,8 +46,8 @@ func Ensemble(n int) []transport.NodeID {
 }
 
 // Cluster assembles n machines over a Fabric into a PASO system and
-// orchestrates crashes and restarts. A unit test, a load sweep, and a chaos
-// plan all run this one assembly; only the fabric differs.
+// orchestrates crashes and restarts. A unit test, a chaos plan and the
+// daemon all run this one assembly; only the fabric differs.
 type Cluster struct {
 	cfg    Config
 	fabric Fabric

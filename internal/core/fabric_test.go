@@ -41,6 +41,19 @@ func forEachFabricAndPlacement(t *testing.T, cfg Config, f func(t *testing.T, c 
 	}
 }
 
+// waitConverged polls CheckConverged for up to 10s and fails the test with
+// the last error if the replicas never converge after the named event.
+func waitConverged(t *testing.T, c *Cluster, after string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for err := c.CheckConverged(); err != nil; err = c.CheckConverged() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never converged after %s: %v", after, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestClusterCrashRestartOverFabrics runs one crash/restart script through
 // the one cluster builder on both fabrics and under both placement
 // functions: the primitives work across machines, a crash of machine 1 (the
@@ -77,13 +90,7 @@ func TestClusterCrashRestartOverFabrics(t *testing.T) {
 		if err := c.Restart(1); err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(10 * time.Second)
-		for err = c.CheckConverged(); err != nil; err = c.CheckConverged() {
-			if time.Now().After(deadline) {
-				t.Fatalf("replicas never converged after restart: %v", err)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+		waitConverged(t, c, "restart")
 		for _, v := range []int64{8, 9} {
 			if _, ok, err := c.Machine(1).Read(taskTplExact(v)); err != nil || !ok {
 				t.Fatalf("restarted machine cannot read %d: ok=%v err=%v", v, ok, err)

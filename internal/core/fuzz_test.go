@@ -1,7 +1,9 @@
 package core
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"paso/internal/class"
 	"paso/internal/tuple"
@@ -54,10 +56,31 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
+// maxFuzzWait caps the duration a fuzzed readwait/takewait line may block
+// for. A client-chosen wait is legitimate protocol, but the fuzz engine
+// reports any input that runs over 10s as a hang, so longer waits are
+// rewritten to this bound before the line executes.
+const maxFuzzWait = 5 * time.Millisecond
+
+// boundWait returns line with a readwait/takewait duration above
+// maxFuzzWait replaced by maxFuzzWait; every other line comes back as is.
+func boundWait(line string) string {
+	fields := strings.Fields(line)
+	if len(fields) < 2 || (fields[0] != "readwait" && fields[0] != "takewait") {
+		return line
+	}
+	if d, err := time.ParseDuration(fields[1]); err != nil || d <= maxFuzzWait {
+		return line
+	}
+	fields[1] = maxFuzzWait.String()
+	return strings.Join(fields, " ")
+}
+
 // FuzzProtocolParse drives the pasod line-protocol parser: arbitrary
 // command lines must never panic (they execute against a real machine, so
 // only obviously non-mutating parse failures are checked here — mutating
-// verbs run against a throwaway single-machine cluster).
+// verbs run against a throwaway single-machine cluster). Blocking waits
+// are bounded by boundWait.
 func FuzzProtocolParse(f *testing.F) {
 	cfg := Config{Classifier: class.NewNameArity([]string{"task"}, 4), Lambda: 0}
 	c, err := NewCluster(cfg, 1)
@@ -73,8 +96,9 @@ func FuzzProtocolParse(f *testing.F) {
 	f.Add("readwait 1ms task ?i")
 	f.Add("stats")
 	f.Add("insert task s:" + string([]byte{0xff, 0xfe}))
+	f.Add("readwait 1m tas\xb1 ?i")
 	f.Fuzz(func(t *testing.T, line string) {
-		resp := ExecuteCommand(m, line)
+		resp := ExecuteCommand(m, boundWait(line))
 		if resp == "" {
 			t.Fatal("empty response")
 		}

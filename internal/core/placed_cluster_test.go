@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
+	"paso/internal/class"
 	"paso/internal/placement"
 	"paso/internal/transport"
 	"paso/internal/tuple"
@@ -28,10 +31,16 @@ func namedTpl(name string, n int64) tuple.Template {
 }
 
 // TestPlacedClusterOpsAndSpread runs the primitive suite under placement
-// and checks the construction-time invariants: supports co-locate with the
-// placed coordinator and no machine exceeds the spread cap.
+// with leased reads on and checks the construction-time invariants:
+// supports co-locate with the placed coordinator and no machine exceeds the
+// spread cap. It then drives a concurrent insert/read/read&del mix over
+// eight classes from every machine: no operation may fail, no object may be
+// taken twice, and the replicas must converge once the workers stop.
 func TestPlacedClusterOpsAndSpread(t *testing.T) {
 	cfg := placedConfig()
+	names := []string{"task", "result", "item", "job", "log", "lock", "msg", "ack"}
+	cfg.Classifier = class.NewNameArity(names, 2)
+	cfg.LeasedReads = true
 	c := newTestCluster(t, cfg, 4)
 
 	pol := placement.New(cfg.Classifier.Classes(), cfg.Lambda)
@@ -48,14 +57,13 @@ func TestPlacedClusterOpsAndSpread(t *testing.T) {
 		}
 	}
 
-	names := []string{"task", "result", "item"}
 	for i := int64(0); i < 9; i++ {
-		if _, err := c.Machine(transport.NodeID(i%4+1)).Insert(namedTuple(names[i%3], i)); err != nil {
+		if _, err := c.Machine(transport.NodeID(i%4 + 1)).Insert(namedTuple(names[i%3], i)); err != nil {
 			t.Fatalf("insert %s %d: %v", names[i%3], i, err)
 		}
 	}
 	for i := int64(0); i < 9; i++ {
-		got, ok, err := c.Machine(transport.NodeID((i+1)%4+1)).Read(namedTpl(names[i%3], i))
+		got, ok, err := c.Machine(transport.NodeID((i+1)%4 + 1)).Read(namedTpl(names[i%3], i))
 		if err != nil || !ok {
 			t.Fatalf("read %s %d: %v ok=%v", names[i%3], i, err, ok)
 		}
@@ -69,6 +77,60 @@ func TestPlacedClusterOpsAndSpread(t *testing.T) {
 	if _, ok, _ := c.Machine(3).Read(namedTpl("task", 0)); ok {
 		t.Fatal("object readable after read&del")
 	}
+
+	// Two workers per machine, each with its own seeded RNG and a Zipf pick
+	// over the classes so the hot ones contend at their coordinators.
+	const workers, ops = 8, 60
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		taken = make(map[tuple.ID]bool)
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := c.Machine(transport.NodeID(w%4 + 1))
+			r := rand.New(rand.NewSource(int64(w) + 1))
+			zipf := rand.NewZipf(r, 1.1, 1, uint64(len(names)-1))
+			for i := 0; i < ops; i++ {
+				name := names[zipf.Uint64()]
+				tpl := tuple.NewTemplate(tuple.Eq(tuple.String(name)), tuple.Any(tuple.KindInt))
+				var err error
+				switch p := r.Float64(); {
+				case p < 0.4:
+					_, err = m.Insert(namedTuple(name, int64(w*ops+i)))
+				case p < 0.8:
+					_, _, err = m.Read(tpl)
+				default:
+					var obj tuple.Tuple
+					var ok bool
+					if obj, ok, err = m.ReadDel(tpl); ok {
+						mu.Lock()
+						if taken[obj.ID()] {
+							t.Errorf("object %v taken twice", obj)
+						}
+						taken[obj.ID()] = true
+						mu.Unlock()
+					}
+				}
+				if err != nil {
+					t.Errorf("worker %d op %d on %s: %v", w, i, name, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var leased int64
+	for _, m := range c.Machines() {
+		n, _, _ := m.LeaseStats()
+		leased += n
+	}
+	if leased == 0 {
+		t.Error("no read was served under a lease")
+	}
+	waitConverged(t, c, "the concurrent mix")
 }
 
 // TestPlacedClusterCrashIsolation crashes one class's placed coordinator:

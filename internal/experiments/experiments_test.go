@@ -1,9 +1,19 @@
 package experiments
 
 import (
+	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"paso/internal/class"
+	"paso/internal/core"
+	"paso/internal/storage"
+	"paso/internal/transport"
+	"paso/internal/tuple"
 )
 
 // cellF parses a float cell.
@@ -247,6 +257,77 @@ func TestE16SystemBound(t *testing.T) {
 		if ratio > bound+1e-9 {
 			t.Errorf("row %d (%s): system ratio %v > bound %v", r, tb.Cell(r, 3), ratio, bound)
 		}
+	}
+}
+
+// TestRunSweepMultiClass keeps the check the retired multi-class load
+// sweep made, under its old name: 8 classes over 3 machines with placed
+// per-class coordinators on the simulated LAN, a preload, then a Zipf-mixed
+// insert/read/read&del workload from 8 concurrent workers. Every operation
+// must succeed and the replicas must converge once the workers stop.
+func TestRunSweepMultiClass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("concurrent multi-class run; skipped in -short mode")
+	}
+	names := make([]string, 8)
+	for i := range names {
+		names[i] = fmt.Sprintf("job%d", i)
+	}
+	c, err := core.NewCluster(core.Config{
+		Classifier: class.NewNameArity(names, 2),
+		Lambda:     1,
+		StoreKind:  storage.KindHash,
+		Placement:  true,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if got := len(c.Classes()); got < len(names) {
+		t.Fatalf("classes = %d, want at least %d", got, len(names))
+	}
+	for i := 0; i < 64; i++ {
+		obj := tuple.Make(tuple.String(names[i%len(names)]), tuple.Int(int64(-1-i)))
+		if _, err := c.Machine(transport.NodeID(i%3 + 1)).Insert(obj); err != nil {
+			t.Fatalf("preload %d: %v", i, err)
+		}
+	}
+
+	const workers, ops = 8, 60
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := c.Machine(transport.NodeID(w%3 + 1))
+			r := rand.New(rand.NewSource(int64(w) + 1))
+			zipf := rand.NewZipf(r, 1.1, 1, uint64(len(names)-1))
+			for i := 0; i < ops; i++ {
+				name := names[zipf.Uint64()]
+				tpl := tuple.NewTemplate(tuple.Eq(tuple.String(name)), tuple.Any(tuple.KindInt))
+				var err error
+				switch p := r.Float64(); {
+				case p < 0.4:
+					_, err = m.Insert(tuple.Make(tuple.String(name), tuple.Int(int64(w*ops+i))))
+				case p < 0.8:
+					_, _, err = m.Read(tpl)
+				default:
+					_, _, err = m.ReadDel(tpl)
+				}
+				if err != nil {
+					t.Errorf("worker %d op %d on %s: %v", w, i, name, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for err := c.CheckConverged(); err != nil; err = c.CheckConverged() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never converged: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

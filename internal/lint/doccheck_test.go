@@ -38,7 +38,6 @@ var documented = []string{
 	"../obs",
 	"../obs/flight",
 	"../cost",
-	"../load",
 	"../class",
 	"../placement",
 	"../core",

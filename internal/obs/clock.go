@@ -15,13 +15,13 @@ import (
 // one. CoarseNow trades resolution for cost: a single atomic load instead
 // of a vDSO call, advanced every coarseTick by one background goroutine.
 //
-// Precision-sensitive sites must NOT use it: the open-loop load plane's
-// coordinated-omission-safe intended-start latencies (internal/load) and
-// the in-thread microsecond stages (encode, socket write, store apply)
-// keep calling time.Now, so sweep accuracy is unchanged — the coarse
-// clock's error (≤ coarseTick, well under the histogram's own 4.4%
-// bucket error at queue-crossing scales) lands only on stages measured
-// in milliseconds.
+// Precision-sensitive sites must NOT use it: the benchmark's open-loop
+// latencies, measured from each operation's due time, and the in-thread
+// microsecond stages (encode, socket write, store apply) keep calling
+// time.Now, so their accuracy is unchanged — the coarse clock's error
+// (≤ coarseTick, well under the histogram's own 4.4% bucket error at
+// queue-crossing scales) lands only on stages measured in
+// milliseconds.
 const coarseTick = 250 * time.Microsecond
 
 var (

@@ -10,7 +10,7 @@ import (
 // (histMinBound·r^(i-1), histMinBound·r^i] with growth ratio r = 2^(1/16).
 // 1024 buckets span 1e-9 .. ~1.8e10, wide enough for latencies in seconds
 // and payload sizes in bytes. The bucket width bounds relative quantile
-// error by r−1 ≈ 4.4% — under the 5% budget the sweep plane promises —
+// error by r−1 ≈ 4.4% — under the 5% budget its quantiles promise —
 // and interpolation inside the bucket does better on smooth samples.
 const (
 	histBuckets  = 1024

@@ -109,8 +109,8 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 
 // TestHistogramBoundedRelativeError is the contract test for the geometry:
 // on log-uniform samples spanning six decades, every estimated quantile
-// must land within 5% of the exact order statistic — the bound the sweep
-// plane (internal/load) relies on for its per-rung latency columns.
+// must land within 5% of the exact order statistic — the bound the
+// latency quantiles read off these histograms rely on.
 func TestHistogramBoundedRelativeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := newHistogram()

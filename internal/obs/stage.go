@@ -2,8 +2,8 @@ package obs
 
 // Per-stage latency histogram names. An operation crosses the pipeline in
 // this order; each stage records wall-clock seconds into the registry
-// histogram named here, so a sweep can diff snapshots per rung and point
-// at the stage whose latency grows fastest as offered load rises.
+// histogram named here, so two snapshots taken at different offered loads
+// can be diffed to point at the stage whose latency grows fastest.
 const (
 	// StageClientQueue is the wait between a client calling into the node
 	// and the event loop starting the request (the node's inbox queue).
@@ -29,7 +29,7 @@ const (
 )
 
 // StageOrderNames lists the per-stage histogram names in pipeline order,
-// the canonical ordering for rendering stage tables and sweep breakdowns.
+// the canonical ordering for rendering stage tables.
 var StageOrderNames = []string{
 	StageClientQueue,
 	StageEncode,
@@ -55,7 +55,7 @@ func StageSnapshots(reg *Registry) map[string]HistSnapshot {
 }
 
 // StageShort maps a stage histogram name to the compact label used in
-// tables and sweep JSON ("client.queue", "order", ...).
+// tables ("client.queue", "order", ...).
 func StageShort(name string) string {
 	const pre, suf = "stage.", ".seconds"
 	if len(name) > len(pre)+len(suf) && name[:len(pre)] == pre && name[len(name)-len(suf):] == suf {
