@@ -28,10 +28,11 @@ doccheck:
 	$(GO) test -run TestExportedDocs ./internal/lint/
 
 # The distributed-tracing plane under the race detector: span propagation
-# through batching/view changes/failover plus the pasoctl trace path.
+# through batching/view changes/failover, the pasoctl trace path, the one
+# obs.Ring, and ownership edges from vsync to pasoctl top.
 trace-race:
-	$(GO) test -race -run 'Trace|Span|Assemble|Audit' -count=1 \
-		./internal/vsync/ ./internal/obs/ ./internal/core/ ./internal/faults/ ./cmd/pasoctl/
+	$(GO) test -race -run 'Trace|Span|Assemble|Ring|Ownership' -count=1 \
+		./internal/vsync/ ./internal/obs/... ./internal/core/ ./internal/faults/ ./cmd/pasoctl/
 
 # Coverage-guided fuzzing of the wire codec, the tuple codec inside it, and
 # core's command/response codec and client line protocol (80s total

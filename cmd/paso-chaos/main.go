@@ -133,7 +133,7 @@ func writeEventLog(path string, o *obs.Obs) error {
 		return err
 	}
 	enc := json.NewEncoder(f)
-	for _, ev := range o.Events().Events() {
+	for _, ev := range o.Events().Snapshot() {
 		if err := enc.Encode(ev); err != nil {
 			f.Close()
 			return err

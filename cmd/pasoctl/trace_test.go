@@ -3,16 +3,13 @@ package main
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"paso/internal/class"
 	"paso/internal/core"
-	"paso/internal/obs"
 	"paso/internal/storage"
 	"paso/internal/transport"
-	"paso/internal/transport/tcp"
 	"paso/internal/tuple"
 )
 
@@ -25,10 +22,6 @@ func TestTraceCommandEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp integration is slow; skipped in -short mode")
 	}
-	opts := tcp.Options{
-		HeartbeatInterval: 10 * time.Millisecond,
-		FailTimeout:       250 * time.Millisecond,
-	}
 	cfg := core.Config{
 		Classifier: class.NewNameArity([]string{"job"}, 3),
 		Lambda:     1,
@@ -36,78 +29,12 @@ func TestTraceCommandEndToEnd(t *testing.T) {
 		TraceOps:   true,
 	}
 	basics := cfg.Classifier.Classes()
-
-	eps := make(map[transport.NodeID]*tcp.Endpoint, 3)
-	oss := make(map[transport.NodeID]*obs.Obs, 3)
-	debugs := make(map[transport.NodeID]*obs.DebugServer, 3)
-	for i := transport.NodeID(1); i <= 3; i++ {
-		ep, err := tcp.Listen(i, "127.0.0.1:0", opts)
-		if err != nil {
-			t.Fatal(err)
+	machines, oss, debugs := startDebugCluster(t, cfg, 3, func(id transport.NodeID) []class.ID {
+		if id <= 2 {
+			return basics
 		}
-		eps[i] = ep
-		oss[i] = obs.New(obs.Options{SpanCap: 1024})
-		d, err := oss[i].ServeDebug("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		debugs[i] = d
-	}
-	defer func() {
-		for _, d := range debugs {
-			d.Close()
-		}
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
-	for id, ep := range eps {
-		for pid, pep := range eps {
-			if pid != id {
-				ep.AddPeer(pid, pep.Addr())
-			}
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(eps[1].Alive()) == 3 && len(eps[2].Alive()) == 3 && len(eps[3].Alive()) == 3 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	machines := make(map[transport.NodeID]*core.Machine, 3)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := transport.NodeID(1); i <= 3; i++ {
-		wg.Add(1)
-		go func(i transport.NodeID) {
-			defer wg.Done()
-			c := cfg
-			c.Obs = oss[i]
-			var b []class.ID
-			if i <= 2 {
-				b = basics
-			}
-			m, err := core.StartMachine(eps[i], c, b, 1)
-			if err != nil {
-				t.Errorf("machine %d: %v", i, err)
-				return
-			}
-			mu.Lock()
-			machines[i] = m
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if len(machines) != 3 {
-		t.Fatal("not all machines started")
-	}
-	defer func() {
-		for _, m := range machines {
-			m.Stop()
-		}
-	}()
+		return nil
+	})
 
 	// Machine 3 is not basic support, so its insert gcasts to machines 1
 	// and 2 — the trace genuinely crosses machines.
@@ -123,7 +50,7 @@ func TestTraceCommandEndToEnd(t *testing.T) {
 	// Member 2 answered machine 3 directly; the sequencer records its order
 	// span when member 2's ack reaches it, a moment after the insert returned.
 	ordered := func() bool {
-		for _, s := range oss[1].Spans().Spans() {
+		for _, s := range oss[1].Spans().Snapshot() {
 			if s.Trace == roots[0].Trace && s.Name == "order" {
 				return true
 			}

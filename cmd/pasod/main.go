@@ -29,10 +29,11 @@
 // peer up/down, send-queue stalls), /healthz, and the standard
 // /debug/pprof/ profiling handlers — plus the flight-recorder plane:
 // /timeseries (the delta-compressed metrics ring, -sample-interval),
-// /placement (the per-class ownership audit trail and current placement
-// assignment), and /flight (diagnostic bundles captured when an armed
-// trigger fires; -flight-dir enables capture). `pasoctl top` and
-// `pasoctl flight` consume these across a cluster.
+// /placement (the per-group ownership timeline folded from the event ring,
+// also at /trace?kind=ownership, and the current placement assignment),
+// and /flight (diagnostic bundles captured when an armed trigger fires;
+// -flight-dir enables capture). `pasoctl top` and `pasoctl flight` consume
+// these across a cluster.
 //
 // With -placement, per-class sequencing shards across the ensemble and
 // each daemon's basic supports follow the placement assignment (the
@@ -64,6 +65,13 @@ import (
 	"paso/internal/transport/tcp"
 )
 
+// Ring sizes. The event ring is also the ownership timeline /placement and
+// flight bundles fold, so it carries more than the obs default.
+const (
+	eventCap = 2048
+	spanCap  = 8192
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "pasod:", err)
@@ -87,19 +95,12 @@ func run(args []string) error {
 		timeout   = fs.Duration("fail-timeout", 500*time.Millisecond, "failure detector timeout")
 		inc       = fs.Uint64("incarnation", 0, "restart incarnation (bump after each crash)")
 		debugAddr = fs.String("debug-addr", "", "observability listen address (/metrics, /trace, /debug/pprof); empty disables")
-		traceCap  = fs.Int("trace-cap", 2048, "event trace ring capacity")
 		traceOps  = fs.Bool("trace-ops", false, "trace every PASO operation across machines (/trace/ops, pasoctl trace)")
-		spanCap   = fs.Int("span-cap", 8192, "operation span ring capacity")
 		placed    = fs.Bool("placement", false, "shard per-class sequencing across machines (off: the lowest live machine sequences every class)")
 		leases    = fs.Bool("leases", false, "read via the epoch-fenced leased fast path when not a member (needs -placement to derive targets)")
 
 		sampleEvery = fs.Duration("sample-interval", 250*time.Millisecond, "time-series sampler interval (0 disables /timeseries and the flight recorder's rules)")
-		sampleKeep  = fs.Duration("sample-retention", 5*time.Minute, "time-series retention window")
-
-		flightDir      = fs.String("flight-dir", "", "flight-recorder bundle directory; empty disables bundle capture")
-		flightWindow   = fs.Duration("flight-window", time.Minute, "time-series history captured per bundle")
-		flightHWM      = fs.Int64("flight-backlog-hwm", 1024, "coordinator-backlog watermark that trips the flight recorder")
-		flightTakeover = fs.Duration("flight-takeover-max", 2*time.Second, "takeover duration that trips the flight recorder")
+		flightDir   = fs.String("flight-dir", "", "flight-recorder bundle directory; empty disables bundle capture")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -117,8 +118,8 @@ func run(args []string) error {
 	// the transport gets one here, and pasod's own messages use logger).
 	o := obs.New(obs.Options{
 		Logger:   slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		TraceCap: *traceCap,
-		SpanCap:  *spanCap,
+		TraceCap: eventCap,
+		SpanCap:  spanCap,
 	})
 	logger := o.Logger().With("machine", *id)
 
@@ -135,10 +136,9 @@ func run(args []string) error {
 		ep.AddPeer(pid, addr)
 	}
 
-	// Flight-recorder plane: the placement audit trail is always wired;
-	// the sampler and recorder arm on their flags. All of it is observer-only — nothing here feeds back into the
-	// protocol.
-	trail := flight.NewAuditTrail(0)
+	// Flight-recorder plane: /placement is always served; the sampler and
+	// recorder arm on their flags. All of it is observer-only — nothing
+	// here feeds back into the protocol.
 	cfg := core.Config{
 		Classifier:  class.NewNameArity(splitNames(*names), *arity),
 		Lambda:      *lambda,
@@ -148,7 +148,6 @@ func run(args []string) error {
 		Placement:   *placed,
 		LeasedReads: *leases,
 		Obs:         o,
-		Audit:       trail,
 	}
 	self := transport.NodeID(*id)
 	ensemble := []transport.NodeID{self}
@@ -178,18 +177,13 @@ func run(args []string) error {
 	basics := cfg.BasicClasses(self, ensemble)
 	var sampler *flight.Sampler
 	if *sampleEvery > 0 {
-		sampler = flight.NewSampler(o.Reg(), flight.SamplerOptions{
-			Interval: *sampleEvery, Retention: *sampleKeep,
-		})
+		sampler = flight.NewSampler(o.Reg(), flight.SamplerOptions{Interval: *sampleEvery})
 		o.Handle("/timeseries", sampler.Handler())
 	}
-	o.Handle("/placement", flight.PlacementHandler(trail, assignFn))
+	o.Handle("/placement", flight.PlacementHandler(o, assignFn))
 	if *flightDir != "" {
 		rec := flight.NewRecorder(flight.RecorderOptions{
-			Dir: *flightDir, Obs: o, Sampler: sampler, Audit: trail,
-			Placement: assignFn,
-			Rules:     flight.DefaultRules(*flightHWM, *flightTakeover),
-			Window:    *flightWindow,
+			Dir: *flightDir, Obs: o, Sampler: sampler, Placement: assignFn,
 		})
 		o.Handle("/flight", rec.Handler())
 	}
@@ -211,7 +205,7 @@ func run(args []string) error {
 	// them through /metrics via a scrape-time collector so the endpoint,
 	// pasoctl stats, and the harness all read the same snapshot.
 	o.AddCollector("core.ops", func() map[string]float64 {
-		return core.ReportMetrics(m.Report())
+		return core.ReportMetrics(o.Reg(), m.Report())
 	})
 
 	var debug *obs.DebugServer

@@ -113,11 +113,12 @@ func (m *Machine) collectAudit() map[string]float64 {
 		if !ok {
 			continue
 		}
-		out["adaptive.ratio."+string(cls)] = r
-		out["adaptive.online."+string(cls)] = a.online
-		out["adaptive.opt."+string(cls)] = optCost
-		out["adaptive.audit.events."+string(cls)] = float64(len(a.events))
-		out["adaptive.audit.joins."+string(cls)] = float64(a.joins)
+		c := string(cls)
+		out[m.o.Series("adaptive.ratio.{class}", c)] = r
+		out[m.o.Series("adaptive.online.{class}", c)] = a.online
+		out[m.o.Series("adaptive.opt.{class}", c)] = optCost
+		out[m.o.Series("adaptive.audit.events.{class}", c)] = float64(len(a.events))
+		out[m.o.Series("adaptive.audit.joins.{class}", c)] = float64(a.joins)
 	}
 	return out
 }

@@ -13,7 +13,6 @@ import (
 	"paso/internal/storage"
 	"paso/internal/support"
 	"paso/internal/transport"
-	"paso/internal/vsync"
 )
 
 // Config parameterizes a PASO cluster.
@@ -70,11 +69,6 @@ type Config struct {
 	// takes the ordered path, counted under read.fallback.
 	LeasedReads bool
 
-	// LeaseTimeout bounds how long a leased read waits for its reply
-	// before falling back to the ordered path (a crashed target the
-	// failure detector has not yet noticed). Zero defaults to 200ms.
-	LeaseTimeout time.Duration
-
 	// TraceOps mints a trace ID at every primitive's entry and propagates
 	// it through the vsync wire envelopes, so each machine records spans
 	// for its part of the operation (gcast, ordering, delivery) into its
@@ -118,13 +112,6 @@ type Config struct {
 	// change (see FAULTS.md §4 and faults.Checker).
 	OnViewChange func(machine transport.NodeID, group string, members []transport.NodeID)
 
-	// Audit, when non-nil, receives the machine's view of group-ownership
-	// transitions (fresh placement, takeover with recovery duration,
-	// handoff, abdication) — the flight recorder's
-	// placement/rebalance audit trail (internal/obs/flight.AuditTrail).
-	// Purely an observer: nothing recorded feeds back into placement.
-	Audit vsync.PlacementAudit
-
 	// SupportSelector enables dynamic support maintenance (§5.2): when a
 	// basic-support machine crashes, the cluster immediately replaces it
 	// in B(C) with a live machine chosen by this selector (e.g.
@@ -153,9 +140,6 @@ func (c Config) withDefaults(n int) (Config, error) {
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = time.Millisecond
-	}
-	if c.LeaseTimeout <= 0 {
-		c.LeaseTimeout = 200 * time.Millisecond
 	}
 	return c, nil
 }

@@ -20,6 +20,11 @@ import (
 // and the per-class leased/fallback accounting plus the §3.3 audit of the
 // ordering cost each leased read saved.
 
+// leaseTimeout bounds how long a leased read waits for its reply before
+// falling back to the ordered path (a crashed target the failure detector
+// has not yet noticed).
+const leaseTimeout = 200 * time.Millisecond
+
 // leaseState is a machine's leased-read bookkeeping. The candidate cache
 // is keyed by the node's view epoch: any membership edge invalidates it
 // wholesale, so targets are always drawn from the current live view.
@@ -115,7 +120,7 @@ func (m *Machine) leasedRead(cls class.ID, payload []byte, legStart time.Time, t
 		m.leaseFallback(cls)
 		return tuple.Tuple{}, false, false
 	}
-	res, err := m.node.LeaseRead(m.groupsOf(cls).wg, target, payload, m.cfg.LeaseTimeout)
+	res, err := m.node.LeaseRead(m.groupsOf(cls).wg, target, payload, leaseTimeout)
 	if err != nil {
 		m.leaseFallback(cls)
 		return tuple.Tuple{}, false, false
@@ -156,7 +161,7 @@ func (m *Machine) leaseServed(cls class.ID, saved float64) {
 	ls.classStats(cls).leased++
 	c, ok := ls.cLeased[cls]
 	if !ok {
-		c = m.o.Counter("core.read.leased." + string(cls))
+		c = m.o.Counter(m.o.Series("core.read.leased.{class}", string(cls)))
 		ls.cLeased[cls] = c
 	}
 	ls.mu.Unlock()
@@ -172,7 +177,7 @@ func (m *Machine) leaseFallback(cls class.ID) {
 	ls.classStats(cls).fallback++
 	c, ok := ls.cFallback[cls]
 	if !ok {
-		c = m.o.Counter("core.read.fallback." + string(cls))
+		c = m.o.Counter(m.o.Series("core.read.fallback.{class}", string(cls)))
 		ls.cFallback[cls] = c
 	}
 	ls.mu.Unlock()

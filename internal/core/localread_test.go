@@ -155,21 +155,24 @@ func TestLocalReadsAcrossPolicyLeaves(t *testing.T) {
 	}
 
 	// With the readers gone, update pressure pushes the outsider out for good.
-	for i := int64(1 << 20); outsider.MemberOf(taskClass); i++ {
-		if time.Now().After(deadline) {
-			t.Fatal("outsider never left")
-		}
-		if _, err := basic.Insert(taskTuple(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// The leave resolves after Evict ran; wait for the move to finish so no
-	// join is still in flight.
-	for outsider.moveInFlight(taskClass) {
-		time.Sleep(time.Millisecond)
-	}
-	if outsider.MemberOf(taskClass) {
-		t.Skip("a late policy join won the race; nothing to assert about absence")
+	// join is still in flight. A join the readers started can still land
+	// after the leave, so push again until the outsider stays out.
+	for i := int64(1 << 20); ; {
+		for ; outsider.MemberOf(taskClass); i++ {
+			if time.Now().After(deadline) {
+				t.Fatal("outsider never left")
+			}
+			if _, err := basic.Insert(taskTuple(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for outsider.moveInFlight(taskClass) {
+			time.Sleep(time.Millisecond)
+		}
+		if !outsider.MemberOf(taskClass) {
+			break
+		}
 	}
 	outsider.srv.mu.Lock()
 	_, exists := outsider.srv.classes[taskClass]

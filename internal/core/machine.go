@@ -164,7 +164,7 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 		cPromote:     o.Counter("core.support.promotions"),
 	}
 	for _, k := range allOpKinds {
-		m.lat[k] = o.Histogram("core.op." + k.String() + ".latency.seconds")
+		m.lat[k] = o.Histogram(o.Series("core.op.{kind}.latency.seconds", k.String()))
 	}
 	for _, cls := range basicClasses {
 		m.basic[cls] = true
@@ -183,7 +183,7 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 		coord = m.pol.CoordFn()
 	}
 	m.node = vsync.NewNodeOpts(ep, machineHandler{m: m},
-		vsync.NodeOptions{Obs: o, Audit: cfg.Audit, Coord: coord})
+		vsync.NodeOptions{Obs: o, Coord: coord})
 	// Namespaced per machine so in-process clusters sharing one Obs keep
 	// every machine's collector registered (names replace on collision).
 	o.AddCollector(fmt.Sprintf("core.audit.m%d", id), m.collectAudit)
@@ -575,7 +575,7 @@ func (m *Machine) policyFor(cls class.ID) adaptive.Policy {
 func (m *Machine) gaugeFor(cls class.ID) *obs.Gauge {
 	g, ok := m.polGauges[cls]
 	if !ok {
-		g = m.o.Gauge("core.policy.counter." + string(cls))
+		g = m.o.Gauge(m.o.Series("core.policy.counter.{class}", string(cls)))
 		m.polGauges[cls] = g
 	}
 	return g

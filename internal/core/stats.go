@@ -175,16 +175,17 @@ func RenderStages(hists map[string]obs.HistSnapshot) string {
 
 // ReportMetrics flattens reports into scrape-time metrics for an
 // obs.Collector, one name per (kind, measure):
-// core.op.<kind>.{count,fails,msg_cost,work,time}.
-func ReportMetrics(rs []OpReport) map[string]float64 {
+// core.op.<kind>.{count,fails,msg_cost,work,time}, each declared in reg as
+// a family labeled by kind.
+func ReportMetrics(reg *obs.Registry, rs []OpReport) map[string]float64 {
 	out := make(map[string]float64, len(rs)*5)
 	for _, r := range rs {
-		prefix := "core.op." + r.Kind.String() + "."
-		out[prefix+"count"] = float64(r.Count)
-		out[prefix+"fails"] = float64(r.Fails)
-		out[prefix+"msg_cost"] = r.MsgCost
-		out[prefix+"work"] = r.Work
-		out[prefix+"time"] = r.Time
+		kind := r.Kind.String()
+		out[reg.Series("core.op.{kind}.count", kind)] = float64(r.Count)
+		out[reg.Series("core.op.{kind}.fails", kind)] = float64(r.Fails)
+		out[reg.Series("core.op.{kind}.msg_cost", kind)] = r.MsgCost
+		out[reg.Series("core.op.{kind}.work", kind)] = r.Work
+		out[reg.Series("core.op.{kind}.time", kind)] = r.Time
 	}
 	return out
 }

@@ -41,7 +41,7 @@ func TestTraceInsertCostAttribution(t *testing.T) {
 	if root.Class != "task/2" {
 		t.Fatalf("root class = %q", root.Class)
 	}
-	asm := obs.Assemble(root.Trace, o.Spans().Spans(), cost.DefaultModel())
+	asm := obs.Assemble(root.Trace, o.Spans().Snapshot(), cost.DefaultModel())
 	if !asm.Complete() {
 		t.Fatalf("insert trace incomplete: gaps=%+v spans=%+v", asm.Gaps, asm.Spans)
 	}
@@ -104,7 +104,7 @@ func TestTraceReadPaths(t *testing.T) {
 		t.Fatalf("member read: %v ok=%v", err, ok)
 	}
 	root := latestTrace(t, o)
-	asm := obs.Assemble(root.Trace, o.Spans().Spans(), cost.DefaultModel())
+	asm := obs.Assemble(root.Trace, o.Spans().Snapshot(), cost.DefaultModel())
 	if !asm.Complete() || root.Name != "op.read" {
 		t.Fatalf("member read trace: root=%+v gaps=%+v", root, asm.Gaps)
 	}
@@ -128,7 +128,7 @@ func TestTraceReadPaths(t *testing.T) {
 		t.Fatalf("outsider read: %v ok=%v", err, ok)
 	}
 	root = latestTrace(t, o)
-	asm = obs.Assemble(root.Trace, o.Spans().Spans(), cost.DefaultModel())
+	asm = obs.Assemble(root.Trace, o.Spans().Snapshot(), cost.DefaultModel())
 	if !asm.Complete() || root.Name != "op.read" {
 		t.Fatalf("outsider read trace: root=%+v gaps=%+v", root, asm.Gaps)
 	}
@@ -173,7 +173,7 @@ func TestTraceReadDelAndSwap(t *testing.T) {
 	if root.Name != "op.swap" || root.Fail {
 		t.Fatalf("swap root = %+v", root)
 	}
-	if asm := obs.Assemble(root.Trace, o.Spans().Spans(), cost.DefaultModel()); !asm.Complete() {
+	if asm := obs.Assemble(root.Trace, o.Spans().Snapshot(), cost.DefaultModel()); !asm.Complete() {
 		t.Fatalf("swap trace incomplete: %+v", asm.Gaps)
 	}
 	if _, ok, err := m.ReadDel(taskTplExact(8)); err != nil || !ok {

@@ -43,14 +43,19 @@ func replayFlightBundle(t *testing.T, seed uint64) []byte {
 	sampler := flight.NewSampler(o.Reg(), flight.SamplerOptions{
 		Interval: 10 * time.Millisecond, Retention: time.Hour, Now: now,
 	})
-	trail := flight.NewAuditTrail(0)
-	trail.SetNow(now)
 	dir := t.TempDir()
 	rec := flight.NewRecorder(flight.RecorderOptions{
-		Dir: dir, Obs: o, Sampler: sampler, Audit: trail,
-		Rules: flight.DefaultRules(0, 0), NoProfiles: true, Now: now,
+		Dir: dir, Obs: o, Sampler: sampler,
+		Rules: flight.DefaultRules(), NoProfiles: true, Now: now,
 	})
 
+	// Ownership edges go into the event ring as vsync emits them, but with
+	// the logical clock's time: the manifest carries each edge's time.
+	own := func(group string, epoch uint64, owner transport.NodeID, kind string, takeover float64) {
+		o.Events().Add(obs.Event{Time: now(), Kind: obs.KindOwnership, Attrs: []obs.Attr{
+			obs.KV("group", group), obs.KV("epoch", epoch), obs.KV("owner", owner),
+			obs.KV("kind", kind), obs.KV("takeover_s", takeover)}})
+	}
 	epoch := uint64(0)
 	for i, st := range sc.Steps {
 		o.Emit("plan-step", obs.KV("i", i), obs.KV("op", int(st.Op)), obs.KV("node", int(st.Node)))
@@ -61,13 +66,11 @@ func replayFlightBundle(t *testing.T, seed uint64) []byte {
 			// records a takeover edge under the next live epoch.
 			epoch++
 			survivor := transport.NodeID(st.Node%transport.NodeID(sc.N) + 1)
-			trail.RecordOwnership(fmt.Sprintf("wg/step/%d", i), epoch, survivor,
-				flight.OwnTakeover, 500*time.Millisecond)
+			own(fmt.Sprintf("wg/step/%d", i), epoch, survivor, obs.OwnTakeover, 0.5)
 			o.Histogram("vsync.takeover.seconds.wg/step").Observe(0.5)
 		case OpRestart:
 			epoch++
-			trail.RecordOwnership(fmt.Sprintf("wg/step/%d", i), epoch, st.Node,
-				flight.OwnFresh, 0)
+			own(fmt.Sprintf("wg/step/%d", i), epoch, st.Node, obs.OwnFresh, 0)
 		case OpProbe:
 			o.Histogram(obs.StageOrder).Observe(float64(i%7) * 1e-4)
 		}

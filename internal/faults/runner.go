@@ -47,8 +47,8 @@ type RunOptions struct {
 	// one Obs (as with Trace), a sampler snapshots the merged registry,
 	// the default trigger rules watch it, and when the scenario completes
 	// a final bundle is force-captured — so every chaos run leaves at
-	// least one postmortem artifact, with the placement audit trail wired
-	// through core.Config.Audit. Bundle IDs land in Result.Bundles.
+	// least one postmortem artifact, its ownership timeline folded from
+	// the shared event ring. Bundle IDs land in Result.Bundles.
 	// Wall-clock data, excluded from the deterministic Out report.
 	FlightDir string
 	// FlightInterval overrides the flight sampler interval (default 50ms).
@@ -153,7 +153,9 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 	}
 	o := opt.Obs
 	if o == nil {
-		o = obs.Nop()
+		// Default rings, not Nop's 64 events: a flight bundle folds its
+		// ownership timeline out of this event ring.
+		o = obs.New(obs.Options{})
 	}
 	plan := NewPlan(sc.Seed, o)
 	ck := NewChecker(o)
@@ -175,11 +177,9 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 	var rec *flight.Recorder
 	if opt.FlightDir != "" {
 		// The flight plane also wants the cluster-wide merge: one shared
-		// registry to sample and one audit trail that sees every machine's
+		// registry to sample and one event ring that sees every machine's
 		// ownership edges.
 		ccfg.Obs = o
-		trail := flight.NewAuditTrail(0)
-		ccfg.Audit = trail
 		interval := opt.FlightInterval
 		if interval <= 0 {
 			interval = 50 * time.Millisecond
@@ -188,8 +188,7 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 			Interval: interval, Retention: 5 * time.Minute,
 		})
 		rec = flight.NewRecorder(flight.RecorderOptions{
-			Dir: opt.FlightDir, Obs: o, Sampler: sampler, Audit: trail,
-			Rules:  flight.DefaultRules(0, 0),
+			Dir: opt.FlightDir, Obs: o, Sampler: sampler,
 			Window: 5 * time.Minute,
 		})
 		sampler.Start()
@@ -381,7 +380,7 @@ func (r *runner) snapshotProbeTraces(id transport.NodeID, since time.Time) {
 	if !r.opt.Trace {
 		return
 	}
-	spans := r.o.Spans().Spans()
+	spans := r.o.Spans().Snapshot()
 	for _, s := range spans {
 		if s.Parent == 0 && s.Machine == uint64(id) && !s.Start.Before(since) {
 			r.probeTraces = append(r.probeTraces, ProbeTrace{

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"paso/internal/obs"
 )
 
 // Handler serves the time-series ring at /timeseries:
@@ -117,26 +119,19 @@ func (r *Recorder) Handler() http.Handler {
 	})
 }
 
-// PlacementHandler serves the placement view at /placement: the machine's
-// recorded ownership timeline, the newest owner per group, and (when the
-// assignment callback is non-nil) the placement function's current
-// assignment.
-func PlacementHandler(trail *AuditTrail, assignment func() any) http.Handler {
+// PlacementHandler serves the placement view at /placement: the ownership
+// timeline folded from o's event ring, the newest owner per group, and
+// (when the assignment callback is non-nil) the placement function's
+// current assignment. total is the event ring's lifetime count — the
+// timeline shares that ring, so Seq gaps show what it has dropped.
+func PlacementHandler(o *obs.Obs, assignment func() any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetEscapeHTML(false)
 		enc.SetIndent("", "  ")
-		var (
-			events []OwnershipEvent
-			owners map[string]OwnershipEvent
-			total  uint64
-		)
-		if trail != nil {
-			events = trail.Events()
-			owners = trail.Owners()
-			total = trail.Total()
-		}
+		total := o.Events().Total()
+		edges := Ownership(o.Events().Snapshot())
 		var asn any
 		if assignment != nil {
 			asn = assignment()
@@ -146,6 +141,6 @@ func PlacementHandler(trail *AuditTrail, assignment func() any) http.Handler {
 			Owners     map[string]OwnershipEvent `json:"owners,omitempty"`
 			Ownership  []OwnershipEvent          `json:"ownership,omitempty"`
 			Assignment any                       `json:"assignment,omitempty"`
-		}{Total: total, Owners: owners, Ownership: events, Assignment: asn})
+		}{Total: total, Owners: owners(edges), Ownership: edges, Assignment: asn})
 	})
 }

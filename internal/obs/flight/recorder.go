@@ -50,22 +50,15 @@ type Rule struct {
 	Threshold int64 `json:"threshold"`
 }
 
-// DefaultRules arms the four anomaly triggers the issue tree already has
-// signals for: send-stall episodes, coordinator backlog breaching its high
-// watermark, a takeover recovery running longer than takeoverMax, and the
-// λ−k+1 fault-tolerance margin hitting zero (a recorded violation).
-// Non-positive arguments take the defaults (backlog 1024, takeover 2s).
-func DefaultRules(backlogHWM int64, takeoverMax time.Duration) []Rule {
-	if backlogHWM <= 0 {
-		backlogHWM = 1024
-	}
-	if takeoverMax <= 0 {
-		takeoverMax = 2 * time.Second
-	}
+// DefaultRules arms the four anomaly triggers the tree has signals for:
+// send-stall episodes, coordinator backlog reaching 1024 queued casts, a
+// takeover recovery running 2s or longer, and the λ−k+1 fault-tolerance
+// margin hitting zero (a recorded violation).
+func DefaultRules() []Rule {
 	return []Rule{
 		{Name: "send-stall", Prefix: "transport.send.stalls", Kind: RuleIncrease, Threshold: 1},
-		{Name: "coord-backlog", Prefix: "vsync.coord.backlog", Kind: RuleAbove, Threshold: backlogHWM},
-		{Name: "slow-takeover", Prefix: "vsync.takeover.seconds", Suffix: seriesMax, Kind: RuleAbove, Threshold: takeoverMax.Microseconds()},
+		{Name: "coord-backlog", Prefix: "vsync.coord.backlog", Kind: RuleAbove, Threshold: 1024},
+		{Name: "slow-takeover", Prefix: "vsync.takeover.seconds", Suffix: seriesMax, Kind: RuleAbove, Threshold: (2 * time.Second).Microseconds()},
 		{Name: "ftc-margin", Prefix: "core.ftc.violations", Kind: RuleIncrease, Threshold: 1},
 	}
 }
@@ -117,19 +110,17 @@ func (m *Manifest) fingerprint() string {
 type RecorderOptions struct {
 	// Dir is the bundle directory; it is created on first capture.
 	Dir string
-	// Obs supplies the event ring, span ring, and registry the bundles
-	// capture.
+	// Obs supplies the event ring (and the ownership timeline folded from
+	// it), the span ring, and the registry the bundles capture.
 	Obs *obs.Obs
 	// Sampler supplies the time-series window; when non-nil the recorder
 	// arms its rules on the sampler's frames via OnSample.
 	Sampler *Sampler
-	// Audit supplies the ownership timeline (may be nil).
-	Audit *AuditTrail
 	// Placement, when non-nil, is serialized into placement.json next to
-	// the audit timeline — pasod wires the placement policy's current
+	// the ownership timeline — pasod wires the placement policy's current
 	// assignment here.
 	Placement func() any
-	// Rules are the armed triggers. Default: DefaultRules(0, 0).
+	// Rules are the armed triggers. Default: DefaultRules().
 	Rules []Rule
 	// Window is how much time-series history each bundle captures,
 	// ending at the trigger. Default 1m.
@@ -173,7 +164,7 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 		opts.Obs = obs.Nop()
 	}
 	if len(opts.Rules) == 0 {
-		opts.Rules = DefaultRules(0, 0)
+		opts.Rules = DefaultRules()
 	}
 	if opts.Window <= 0 {
 		opts.Window = time.Minute
@@ -293,14 +284,16 @@ func (r *Recorder) Capture(trigger, reason string) (string, error) {
 	}
 	defer os.RemoveAll(tmp)
 
-	// Event and span rings.
-	events := r.opts.Obs.Events().Last(r.opts.Events)
+	// Event and span rings. The ownership timeline is folded from the whole
+	// event ring, not just the captured tail.
+	all := r.opts.Obs.Events().Snapshot()
+	events := all[max(len(all)-r.opts.Events, 0):]
 	m.Events = len(events)
 	m.EventsTotal = r.opts.Obs.Events().Total()
 	if err := writeJSON(filepath.Join(tmp, "events.json"), events); err != nil {
 		return "", err
 	}
-	spans := r.opts.Obs.Spans().Spans()
+	spans := r.opts.Obs.Spans().Snapshot()
 	m.Spans = len(spans)
 	m.SpansTotal = r.opts.Obs.Spans().Total()
 	if err := writeJSON(filepath.Join(tmp, "spans.json"), spans); err != nil {
@@ -319,20 +312,15 @@ func (r *Recorder) Capture(trigger, reason string) (string, error) {
 	}
 
 	// Placement: ownership timeline plus the current assignment.
-	if r.opts.Audit != nil || r.opts.Placement != nil {
-		p := placementDump{}
-		if r.opts.Audit != nil {
-			p.Ownership = r.opts.Audit.Events()
-			m.Ownership = p.Ownership
-		}
-		if r.opts.Placement != nil {
-			p.Assignment = r.opts.Placement()
-		}
-		if err := writeJSON(filepath.Join(tmp, "placement.json"), p); err != nil {
-			return "", err
-		}
-		m.Files = append(m.Files, "placement.json")
+	p := placementDump{Ownership: Ownership(all)}
+	m.Ownership = p.Ownership
+	if r.opts.Placement != nil {
+		p.Assignment = r.opts.Placement()
 	}
+	if err := writeJSON(filepath.Join(tmp, "placement.json"), p); err != nil {
+		return "", err
+	}
+	m.Files = append(m.Files, "placement.json")
 
 	// Runtime profiles.
 	if !r.opts.NoProfiles {

@@ -12,8 +12,8 @@ import (
 	"paso/internal/obs"
 )
 
-// testRecorder wires a sampler, audit trail, and recorder over one obs
-// instance with deterministic clocks and profiles off.
+// testRecorder wires a sampler and recorder over one obs instance with
+// deterministic clocks and profiles off.
 func testRecorder(t *testing.T, opts RecorderOptions) (*obs.Obs, *Sampler, *Recorder, *stepClock) {
 	t.Helper()
 	o := obs.Nop()
@@ -86,11 +86,9 @@ func TestRecorderRateLimit(t *testing.T) {
 
 func TestRecorderCaptureBundleContents(t *testing.T) {
 	o, s, r, _ := testRecorder(t, RecorderOptions{
-		Audit:     NewAuditTrail(0),
 		Placement: func() any { return map[string]int{"wg/a/0": 1} },
 	})
-	r.opts.Audit.SetNow(r.opts.Now)
-	r.opts.Audit.RecordOwnership("wg/a/0", 1, 1, OwnFresh, 0)
+	o.Emit(obs.KindOwnership, obs.KV("group", "wg/a/0"), obs.KV("epoch", 1), obs.KV("owner", 1), obs.KV("kind", obs.OwnFresh))
 	o.Emit("test-event", obs.KV("k", "v"))
 	o.Counter("some.counter").Add(3)
 	s.SampleNow()

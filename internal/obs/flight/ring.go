@@ -13,10 +13,10 @@
 //     bundle — event ring, span ring, the metric window around the
 //     trigger, goroutine and heap profiles, the placement state — into a
 //     manifest-indexed directory, fetchable with `pasoctl flight`;
-//   - a placement audit trail (AuditTrail): the per-class ownership
-//     timeline (live epoch, coordinator, claim kind, takeover duration)
-//     recorded by vsync's sequencers, included in bundles and served at
-//     /placement.
+//   - the ownership fold (Ownership): the per-group ownership timeline
+//     (live epoch, coordinator, claim kind, takeover duration) read back
+//     from the ownership events vsync's sequencers emit into the obs event
+//     ring, included in bundles and served at /placement.
 //
 // Everything here is an observer: nothing in this package appears on the
 // wire or influences protocol decisions (PROTOCOL.md, "Observability").
@@ -100,17 +100,15 @@ type SamplerOptions struct {
 type Sampler struct {
 	reg      *obs.Registry
 	interval time.Duration
-	slots    int
 	now      func() time.Time
 
-	mu     sync.Mutex
-	names  []string          // id → series name, append-only
-	ids    map[string]uint32 // series name → id
-	last   []int64           // id → value at the newest frame
-	base   []int64           // id → value just before the oldest retained frame
-	baseAt time.Time         // timestamp of the frame the base absorbed last
-	frames []frame           // ring, oldest first
-	scratch map[string]int64 // reused flatten target
+	mu       sync.Mutex
+	names    []string          // id → series name, append-only
+	ids      map[string]uint32 // series name → id
+	last     []int64           // id → value at the newest frame
+	base     []int64           // id → value just before the oldest retained frame
+	frames   *obs.Ring[frame]
+	scratch  map[string]int64 // reused flatten target
 	onSample []func(prev, cur map[string]int64, at time.Time)
 
 	stopMu  sync.Mutex
@@ -137,8 +135,8 @@ func NewSampler(reg *obs.Registry, opts SamplerOptions) *Sampler {
 	return &Sampler{
 		reg:      reg,
 		interval: opts.Interval,
-		slots:    slots,
 		now:      opts.Now,
+		frames:   obs.NewRing[frame](slots),
 		ids:      make(map[string]uint32),
 		scratch:  make(map[string]int64),
 	}
@@ -242,14 +240,9 @@ func (s *Sampler) SampleNow() {
 		s.last[id] = v
 		prevID = id
 	}
-	s.frames = append(s.frames, frame{at: at, buf: buf, n: len(changed)})
-
-	// Evict: fold the oldest frame's deltas into the base vector.
-	for len(s.frames) > s.slots {
-		old := s.frames[0]
-		s.applyFrame(old, s.base)
-		s.baseAt = old.at
-		s.frames = s.frames[1:]
+	f := frame{at: at, buf: buf, n: len(changed)}
+	if old, evicted := s.frames.Add(f); evicted {
+		s.applyFrame(old, s.base) // the evicted frame folds into the base
 	}
 
 	// Snapshot prev/cur for the trigger callbacks. prev is reconstructed
@@ -267,7 +260,7 @@ func (s *Sampler) SampleNow() {
 			prev[name] = s.last[id]
 		}
 		// Undo this frame's deltas to get the previous values.
-		s.unapplyFrameInto(s.frames[len(s.frames)-1], prev)
+		s.unapplyFrameInto(f, prev)
 	}
 	s.mu.Unlock()
 
@@ -355,7 +348,7 @@ func (s *Sampler) Window(from, to time.Time, prefix string) []Series {
 		return t
 	}
 
-	for _, f := range s.frames {
+	for _, f := range s.frames.Snapshot() {
 		b := f.buf
 		id := uint32(0)
 		inWindow := (from.IsZero() || !f.at.Before(from)) && (to.IsZero() || !f.at.After(to))
@@ -405,18 +398,13 @@ func (s *Sampler) Names() []string {
 }
 
 // Frames reports how many frames the ring currently retains.
-func (s *Sampler) Frames() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.frames)
-}
+func (s *Sampler) Frames() int { return len(s.frames.Snapshot()) }
 
 // Bounds returns the ring's retained time range (zero,zero when empty).
 func (s *Sampler) Bounds() (oldest, newest time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.frames) == 0 {
+	fs := s.frames.Snapshot()
+	if len(fs) == 0 {
 		return time.Time{}, time.Time{}
 	}
-	return s.frames[0].at, s.frames[len(s.frames)-1].at
+	return fs[0].at, fs[len(fs)-1].at
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -92,7 +93,7 @@ func (o *Obs) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := o.sh.reg.Snapshot()
 	derived := o.Collect()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writePrometheus(w, snap, derived)
+	writePrometheus(w, snap, derived, o.sh.reg.labelsCopy())
 }
 
 func (o *Obs) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
@@ -120,35 +121,26 @@ func wantsJSON(r *http.Request) bool {
 	return strings.Contains(accept, "application/json")
 }
 
-// promFamilies maps the registry's dynamic-suffix metric families —
-// names minted per group or per peer, like "vsync.order.seconds.wg/job/2"
-// — onto properly labeled Prometheus series. Without this table those
-// suffixes would be crushed into the metric name by promName, losing the
-// group identity and mangling arbitrary class-name bytes; with it the
-// suffix becomes a label value, escaped per the exposition format, so
-// hostile class names (quotes, backslashes, newlines) stay valid text.
-var promFamilies = []struct {
-	prefix string // registry name prefix, including the trailing separator
-	family string // the Prometheus metric name the family renders as
-	label  string // the label the suffix becomes
-}{
-	{"vsync.order.seconds.", "vsync.order.seconds", "group"},
-	{"vsync.coord.backlog.", "vsync.coord.backlog", "group"},
-	{"vsync.takeover.seconds.", "vsync.takeover.seconds", "group"},
-	{"transport.sendq.depth.p", "transport.sendq.depth", "peer"},
-	{"transport.sendq.hwm.p", "transport.sendq.hwm", "peer"},
-}
+// promKey is one registry name as a Prometheus series: the metric name and,
+// for a labeled family (Registry.Series), its `key="escaped value"` pair.
+type promKey struct{ name, pn, labels string }
 
-// promSeries splits a registry name into its Prometheus metric name and
-// (for dynamic families) a `label="escaped value"` pair; labels is ""
-// for plain metrics.
-func promSeries(name string) (pn, labels string) {
-	for _, f := range promFamilies {
-		if strings.HasPrefix(name, f.prefix) && len(name) > len(f.prefix) {
-			return promName(f.family), f.label + `="` + promLabel(name[len(f.prefix):]) + `"`
+// promSeries maps registry names onto Prometheus series, sorted by metric
+// name so each family's series are contiguous, as the format requires. A
+// labeled series renders as family{key="value"}, escaped per the exposition
+// format, so hostile class names (quotes, backslashes, newlines) stay valid
+// text and class IDs that sanitize alike ("a.b/1", "a_b/1") stay distinct.
+func promSeries(names []string, labels map[string]label) []promKey {
+	out := make([]promKey, 0, len(names))
+	for _, name := range names {
+		k := promKey{name: name, pn: promName(name)}
+		if l, ok := labels[name]; ok {
+			k.pn, k.labels = promName(l.family), l.key+`="`+promLabel(l.value)+`"`
 		}
+		out = append(out, k)
 	}
-	return promName(name), ""
+	sort.SliceStable(out, func(i, j int) bool { return out[i].pn < out[j].pn })
+	return out
 }
 
 // writePrometheus renders the exposition text format. Histograms are
@@ -156,9 +148,9 @@ func promSeries(name string) (pn, labels string) {
 // series over the non-empty log buckets plus the mandatory `+Inf` bucket,
 // `_sum`, and `_count` — lossless with respect to the registry snapshot,
 // so a scraper (or a test) can reconstruct every bucket count exactly.
-// Dynamic-suffix families (promFamilies) render as one metric with a
-// label per series; a # TYPE line is emitted once per metric name.
-func writePrometheus(w http.ResponseWriter, snap RegistrySnapshot, derived map[string]float64) {
+// Labeled families render as one metric with a label per series; a # TYPE
+// line is emitted once per metric name.
+func writePrometheus(w http.ResponseWriter, snap RegistrySnapshot, derived map[string]float64, labels map[string]label) {
 	typed := make(map[string]bool)
 	typeLine := func(pn, kind string) {
 		if !typed[pn] {
@@ -172,37 +164,33 @@ func writePrometheus(w http.ResponseWriter, snap RegistrySnapshot, derived map[s
 		}
 		return "{" + labels + "}"
 	}
-	for _, name := range sortedKeys(snap.Counters) {
-		pn, labels := promSeries(name)
-		typeLine(pn, "counter")
-		fmt.Fprintf(w, "%s%s %d\n", pn, brace(labels), snap.Counters[name])
+	for _, k := range promSeries(sortedKeys(snap.Counters), labels) {
+		typeLine(k.pn, "counter")
+		fmt.Fprintf(w, "%s%s %d\n", k.pn, brace(k.labels), snap.Counters[k.name])
 	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		pn, labels := promSeries(name)
-		typeLine(pn, "gauge")
-		fmt.Fprintf(w, "%s%s %d\n", pn, brace(labels), snap.Gauges[name])
+	for _, k := range promSeries(sortedKeys(snap.Gauges), labels) {
+		typeLine(k.pn, "gauge")
+		fmt.Fprintf(w, "%s%s %d\n", k.pn, brace(k.labels), snap.Gauges[k.name])
 	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		pn, labels := promSeries(name)
+	for _, k := range promSeries(sortedKeys(snap.Histograms), labels) {
+		h := snap.Histograms[k.name]
 		le := `le=`
-		if labels != "" {
-			le = labels + `,le=`
+		if k.labels != "" {
+			le = k.labels + `,le=`
 		}
-		typeLine(pn, "histogram")
+		typeLine(k.pn, "histogram")
 		var cum uint64
 		for _, b := range h.Buckets {
 			cum += b.Count
-			fmt.Fprintf(w, "%s_bucket{%s\"%s\"} %d\n", pn, le, promFloat(b.Upper), cum)
+			fmt.Fprintf(w, "%s_bucket{%s\"%s\"} %d\n", k.pn, le, promFloat(b.Upper), cum)
 		}
-		fmt.Fprintf(w, "%s_bucket{%s\"+Inf\"} %d\n", pn, le, h.Count)
-		fmt.Fprintf(w, "%s_sum%s %s\n", pn, brace(labels), promFloat(h.Sum))
-		fmt.Fprintf(w, "%s_count%s %d\n", pn, brace(labels), h.Count)
+		fmt.Fprintf(w, "%s_bucket{%s\"+Inf\"} %d\n", k.pn, le, h.Count)
+		fmt.Fprintf(w, "%s_sum%s %s\n", k.pn, brace(k.labels), promFloat(h.Sum))
+		fmt.Fprintf(w, "%s_count%s %d\n", k.pn, brace(k.labels), h.Count)
 	}
-	for _, name := range sortedKeys(derived) {
-		pn, labels := promSeries(name)
-		typeLine(pn, "gauge")
-		fmt.Fprintf(w, "%s%s %s\n", pn, brace(labels), promFloat(derived[name]))
+	for _, k := range promSeries(sortedKeys(derived), labels) {
+		typeLine(k.pn, "gauge")
+		fmt.Fprintf(w, "%s%s %s\n", k.pn, brace(k.labels), promFloat(derived[k.name]))
 	}
 }
 
@@ -258,7 +246,9 @@ func (o *Obs) handleTrace(w http.ResponseWriter, r *http.Request) {
 			n = v
 		}
 	}
-	events := o.sh.trace.Last(n)
+	// Filter before limiting: ownership edges share the ring with every
+	// other kind, so ?kind=ownership&n=20 means the last 20 edges.
+	events := o.sh.events.Snapshot()
 	if kind := r.URL.Query().Get("kind"); kind != "" {
 		kept := events[:0]
 		for _, e := range events {
@@ -268,6 +258,9 @@ func (o *Obs) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		events = kept
 	}
+	if n >= 0 && len(events) > n {
+		events = events[len(events)-n:]
+	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -275,7 +268,7 @@ func (o *Obs) handleTrace(w http.ResponseWriter, r *http.Request) {
 		Total    uint64  `json:"total"`
 		Capacity int     `json:"capacity"`
 		Events   []Event `json:"events"`
-	}{Total: o.sh.trace.Total(), Capacity: o.sh.trace.Cap(), Events: events})
+	}{Total: o.sh.events.Total(), Capacity: o.sh.events.Cap(), Events: events})
 }
 
 // ParseTraceID parses a trace/span ID as rendered by the tracing surfaces

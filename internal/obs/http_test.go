@@ -216,24 +216,30 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 }
 
-// TestPrometheusHostileLabels pins the exact exposition for dynamic-suffix
-// family metrics whose suffix carries every byte the text format must
+// TestPrometheusHostileLabels pins the exact exposition for labeled
+// family metrics whose label value carries every byte the text format must
 // escape. Class names are arbitrary strings, so a group like
 // `wg/ev"il\cls` with embedded newlines must come out as a quoted label
 // value with `\"`, `\\`, `\n`, `\r` escapes — one line per series, never a
-// broken line.
+// broken line. Class IDs that sanitize to the same metric name ("a.b/1",
+// "a_b/1") must stay two series of one family, not one duplicated name.
 func TestPrometheusHostileLabels(t *testing.T) {
 	o := New(Options{})
 	hostile := "wg/ev\"il\\cls\nx\r/0"
 	const esc = `wg/ev\"il\\cls\nx\r/0`
-	o.Gauge("vsync.coord.backlog." + hostile).Set(5)
-	o.Gauge("vsync.coord.backlog.wg/ok/1").Set(7)
-	o.Histogram("vsync.order.seconds." + hostile).Observe(1e-10)
+	o.Gauge(o.Series("vsync.coord.backlog.{group}", hostile)).Set(5)
+	o.Gauge(o.Series("vsync.coord.backlog.{group}", "wg/ok/1")).Set(7)
+	o.Histogram(o.Series("vsync.order.seconds.{group}", hostile)).Observe(1e-10)
+	o.Counter(o.Series("core.read.leased.{class}", "a.b/1")).Add(2)
+	o.Counter(o.Series("core.read.leased.{class}", "a_b/1")).Add(3)
 
 	rec := httptest.NewRecorder()
 	o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 
 	want := strings.Join([]string{
+		"# TYPE core_read_leased counter",
+		`core_read_leased{class="a.b/1"} 2`,
+		`core_read_leased{class="a_b/1"} 3`,
 		"# TYPE vsync_coord_backlog gauge",
 		`vsync_coord_backlog{group="` + esc + `"} 5`,
 		`vsync_coord_backlog{group="wg/ok/1"} 7`,
@@ -252,6 +258,30 @@ func TestPrometheusHostileLabels(t *testing.T) {
 	// produced extra exposition lines.
 	if n := strings.Count(got, "\n"); n != strings.Count(want, "\n") {
 		t.Errorf("exposition has %d lines, want %d — a label value leaked a raw newline", n, strings.Count(want, "\n"))
+	}
+	// The flat registry names are unchanged by the label declaration.
+	snap := o.Reg().Snapshot()
+	if snap.Gauges["vsync.coord.backlog.wg/ok/1"] != 7 || snap.Counters["core.read.leased.a.b/1"] != 2 {
+		t.Errorf("flat names moved: %v %v", snap.Gauges, snap.Counters)
+	}
+}
+
+// TestSeriesFamilies: the family is the template minus its placeholder's
+// dot-segment, wherever that segment sits.
+func TestSeriesFamilies(t *testing.T) {
+	r := NewRegistry()
+	for tmpl, want := range map[string]label{
+		"vsync.order.seconds.{group}":    {"vsync.order.seconds", "group", "wg/x"},
+		"transport.sendq.depth.p{peer}":  {"transport.sendq.depth", "peer", "wg/x"},
+		"core.op.{kind}.latency.seconds": {"core.op.latency.seconds", "kind", "wg/x"},
+	} {
+		name := r.Series(tmpl, "wg/x")
+		if got := r.labelsCopy()[name]; got != want {
+			t.Errorf("Series(%q) = %q labeled %+v, want %+v", tmpl, name, got, want)
+		}
+	}
+	if name := r.Series("transport.sendq.hwm.p{peer}", "3"); name != "transport.sendq.hwm.p3" {
+		t.Errorf("flat name = %q", name)
 	}
 }
 
@@ -307,6 +337,16 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	if len(got.Events) != 1 || got.Events[0].Kind != "policy-join" {
 		t.Errorf("limited events = %+v", got.Events)
+	}
+	// ?kind= filters before ?n= limits: the newest view change, though it
+	// is not among the newest events.
+	rec = httptest.NewRecorder()
+	o.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace?kind=view-change&n=1", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if len(got.Events) != 1 || got.Events[0].Kind != "view-change" {
+		t.Errorf("filtered then limited events = %+v", got.Events)
 	}
 }
 

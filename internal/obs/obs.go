@@ -1,7 +1,8 @@
 // Package obs is the observability layer shared by every subsystem: a
 // lock-cheap metrics registry (counters, gauges, bounded-bucket
-// histograms), a structured event log built on log/slog, and a ring-buffer
-// event trace for live introspection.
+// histograms), a structured event log built on log/slog, and one generic
+// bounded ring (Ring) holding the recent events and spans for live
+// introspection.
 //
 // The paper's argument is quantitative — Figure 1's msg-cost = α + β·|m|
 // accounting and the (3+λ/K) / (6+2λ/K) competitive ratios — so a running
@@ -12,11 +13,11 @@
 // /metrics, /trace, and pprof endpoints served by Obs.ServeDebug (wired up
 // by cmd/pasod's -debug-addr flag).
 //
-// An *Obs value bundles one registry, one trace ring, and one logger.
-// Layers receive it through their config (core.Config.Obs, tcp.Options.Obs)
-// and must never see nil: constructors substitute Nop(), which records
-// metrics and trace events but discards log output, so hot paths never
-// branch on instrumentation being present.
+// An *Obs value bundles one registry, one event ring, one span store, and
+// one logger. Layers receive it through their config (core.Config.Obs,
+// tcp.Options.Obs) and must never see nil: constructors substitute Nop(),
+// which records metrics and events but discards log output, so hot paths
+// never branch on instrumentation being present.
 package obs
 
 import (
@@ -26,6 +27,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"time"
 )
 
 // Attr is one key/value attribute of a structured event.
@@ -46,18 +48,18 @@ type Collector func() map[string]float64
 
 // shared is the state an Obs and all its With-derived children point at.
 type shared struct {
-	reg   *Registry
-	trace *Trace
-	spans *SpanStore
+	reg    *Registry
+	events *Ring[Event]
+	spans  *SpanStore
 
 	mu         sync.Mutex
 	collectors map[string]Collector
 	handlers   map[string]http.Handler
 }
 
-// Obs bundles a metrics registry, an event trace ring, and a structured
-// logger. Derive per-machine or per-class views with With; all views share
-// the same registry, trace, and collectors.
+// Obs bundles a metrics registry, an event ring, a span store, and a
+// structured logger. Derive per-machine or per-class views with With; all
+// views share the same registry, rings, and collectors.
 type Obs struct {
 	sh   *shared
 	log  *slog.Logger
@@ -74,7 +76,7 @@ type Options struct {
 	SpanCap int
 }
 
-// New builds an Obs with a fresh registry and trace ring.
+// New builds an Obs with a fresh registry and rings.
 func New(opts Options) *Obs {
 	if opts.TraceCap <= 0 {
 		opts.TraceCap = 1024
@@ -86,10 +88,12 @@ func New(opts Options) *Obs {
 	if log == nil {
 		log = slog.New(discardHandler{})
 	}
+	events := NewRing[Event](opts.TraceCap)
+	events.stamp = func(e *Event, seq uint64) { e.Seq = seq }
 	return &Obs{
 		sh: &shared{
 			reg:        NewRegistry(),
-			trace:      NewTrace(opts.TraceCap),
+			events:     events,
 			spans:      NewSpanStore(opts.SpanCap),
 			collectors: make(map[string]Collector),
 			handlers:   make(map[string]http.Handler),
@@ -98,13 +102,13 @@ func New(opts Options) *Obs {
 	}
 }
 
-// Nop returns an Obs that records metrics and trace events but logs
-// nowhere. It is what layers substitute for a nil Obs so instrumented code
-// never nil-checks.
+// Nop returns an Obs that records metrics and events but logs nowhere. It
+// is what layers substitute for a nil Obs so instrumented code never
+// nil-checks. Its rings grow on use, so an idle Nop holds no slots.
 func Nop() *Obs { return New(Options{TraceCap: 64, SpanCap: 1024}) }
 
 // With derives a view that stamps the given attributes on every event it
-// emits (and on its slog records). The registry, trace, and collectors are
+// emits (and on its slog records). The registry, rings, and collectors are
 // shared with the parent.
 func (o *Obs) With(attrs ...Attr) *Obs {
 	args := make([]any, 0, len(attrs)*2)
@@ -124,8 +128,9 @@ func (o *Obs) Reg() *Registry { return o.sh.reg }
 // Logger returns the view's slog logger (with its base attributes applied).
 func (o *Obs) Logger() *slog.Logger { return o.log }
 
-// Events returns the trace ring.
-func (o *Obs) Events() *Trace { return o.sh.trace }
+// Events returns the event ring: the one timeline of view changes, policy
+// decisions, peer edges and ownership edges.
+func (o *Obs) Events() *Ring[Event] { return o.sh.events }
 
 // Spans returns the operation span store.
 func (o *Obs) Spans() *SpanStore { return o.sh.spans }
@@ -136,10 +141,13 @@ func (o *Obs) Counter(name string) *Counter { return o.sh.reg.Counter(name) }
 // Gauge is shorthand for Reg().Gauge.
 func (o *Obs) Gauge(name string) *Gauge { return o.sh.reg.Gauge(name) }
 
+// Series is shorthand for Reg().Series.
+func (o *Obs) Series(tmpl, value string) string { return o.sh.reg.Series(tmpl, value) }
+
 // Histogram is shorthand for Reg().Histogram.
 func (o *Obs) Histogram(name string) *Histogram { return o.sh.reg.Histogram(name) }
 
-// Emit records a structured event: it is appended to the trace ring and
+// Emit records a structured event: it is appended to the event ring and
 // logged through the slog logger with the view's base attributes. Emit is
 // safe from any goroutine, never blocks on consumers, and is cheap enough
 // for protocol event paths (view changes, policy decisions, peer up/down)
@@ -151,7 +159,7 @@ func (o *Obs) Emit(kind string, attrs ...Attr) {
 		all = append(all, o.base...)
 		all = append(all, attrs...)
 	}
-	o.sh.trace.Add(Event{Kind: kind, Attrs: all})
+	o.sh.events.Add(Event{Time: time.Now(), Kind: kind, Attrs: all})
 	if o.log.Enabled(context.Background(), slog.LevelInfo) {
 		args := make([]any, 0, len(attrs)*2)
 		for _, a := range attrs {

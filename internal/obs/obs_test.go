@@ -15,7 +15,7 @@ func TestWithSharesState(t *testing.T) {
 		t.Error("With view should share the registry")
 	}
 	child.Emit("peer-up", KV("peer", 2))
-	evs := o.Events().Events()
+	evs := o.Events().Snapshot()
 	if len(evs) != 1 {
 		t.Fatalf("events = %+v", evs)
 	}

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"maps"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -12,13 +14,19 @@ import (
 // atomic thereafter.
 //
 // Metric names are dot-separated paths (e.g. "transport.msgs.sent");
-// the Prometheus renderer sanitizes them at output time.
+// the Prometheus renderer sanitizes them at output time. A name minted per
+// group, peer or class declares its label with Series, and the registry
+// remembers it for the renderer.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	labels   map[string]label
 }
+
+// label is the Prometheus identity of one labeled series: family{key="value"}.
+type label struct{ family, key, value string }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
@@ -26,7 +34,37 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		labels:   make(map[string]label),
 	}
+}
+
+// Series mints the name of one series of a labeled family. tmpl is a
+// dotted name in which one dot-segment holds a {key} placeholder —
+// "vsync.order.seconds.{group}", "transport.sendq.depth.p{peer}",
+// "core.op.{kind}.latency.seconds". The returned name substitutes value for
+// the placeholder (the flat name /metrics.json, the flight sampler and its
+// rules see); Prometheus renders the series as family{key="value"}, the
+// family being tmpl without the placeholder's segment.
+func (r *Registry) Series(tmpl, value string) string {
+	lo, hi := strings.IndexByte(tmpl, '{'), strings.IndexByte(tmpl, '}')
+	name := tmpl[:lo] + value + tmpl[hi+1:]
+	segStart := max(strings.LastIndexByte(tmpl[:lo], '.'), 0)
+	segEnd := len(tmpl)
+	if i := strings.IndexByte(tmpl[hi:], '.'); i >= 0 {
+		segEnd = hi + i
+	}
+	l := label{family: strings.Trim(tmpl[:segStart]+tmpl[segEnd:], "."), key: tmpl[lo+1 : hi], value: value}
+	r.mu.Lock()
+	r.labels[name] = l
+	r.mu.Unlock()
+	return name
+}
+
+// labelsCopy returns the declared labels, keyed by series name.
+func (r *Registry) labelsCopy() map[string]label {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return maps.Clone(r.labels)
 }
 
 // Counter returns the named counter, creating it on first use.

@@ -3,7 +3,6 @@ package obs
 import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -70,101 +69,34 @@ func NextID() uint64 {
 	return atomic.AddUint64(&idCounter, 0x9e3779b97f4a7c15)
 }
 
-// SpanStore is a fixed-capacity ring of completed spans with a by-trace
-// index over the retained window. Record never blocks and overwriting is
-// oldest-first, mirroring the event Trace ring.
-type SpanStore struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  uint64
-	byTrc map[uint64][]int // trace → ring slots (may contain stale slots)
-}
+// SpanStore is the ring of completed spans a machine recorded. ByTrace and
+// Roots filter a snapshot rather than keep an index: they serve debug
+// requests only, over at most the ring's capacity (8,192 spans in pasod).
+type SpanStore struct{ Ring[Span] }
 
-// NewSpanStore builds a ring holding the last capacity spans (min 1).
+// NewSpanStore builds a store holding the last capacity spans (min 1).
 func NewSpanStore(capacity int) *SpanStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanStore{
-		buf:   make([]Span, capacity),
-		byTrc: make(map[uint64][]int, capacity),
-	}
+	return &SpanStore{Ring[Span]{cap: max(capacity, 1)}}
 }
 
 // Record appends a completed span, stamping End (and Start) when zero.
 func (st *SpanStore) Record(s Span) {
-	now := time.Now()
 	if s.End.IsZero() {
-		s.End = now
+		s.End = time.Now()
 	}
 	if s.Start.IsZero() {
 		s.Start = s.End
 	}
-	st.mu.Lock()
-	slot := int(st.next % uint64(len(st.buf)))
-	old := st.buf[slot]
-	if st.next >= uint64(len(st.buf)) && old.Trace != 0 {
-		st.dropIndex(old.Trace, slot)
-	}
-	st.buf[slot] = s
-	st.byTrc[s.Trace] = append(st.byTrc[s.Trace], slot)
-	st.next++
-	st.mu.Unlock()
+	st.Add(s)
 }
-
-// dropIndex removes slot from a trace's index entry; callers hold st.mu.
-func (st *SpanStore) dropIndex(trace uint64, slot int) {
-	idx := st.byTrc[trace]
-	for i, sl := range idx {
-		if sl == slot {
-			idx = append(idx[:i], idx[i+1:]...)
-			break
-		}
-	}
-	if len(idx) == 0 {
-		delete(st.byTrc, trace)
-	} else {
-		st.byTrc[trace] = idx
-	}
-}
-
-// Total returns how many spans were ever recorded (including overwritten).
-func (st *SpanStore) Total() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.next
-}
-
-// Cap returns the ring capacity.
-func (st *SpanStore) Cap() int { return len(st.buf) }
 
 // ByTrace returns the retained spans of one trace, oldest-first.
 func (st *SpanStore) ByTrace(trace uint64) []Span {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	idx := st.byTrc[trace]
-	out := make([]Span, 0, len(idx))
-	for _, slot := range idx {
-		if st.buf[slot].Trace == trace {
-			out = append(out, st.buf[slot])
+	var out []Span
+	for _, s := range st.Snapshot() {
+		if s.Trace == trace {
+			out = append(out, s)
 		}
-	}
-	return out
-}
-
-// Spans returns all retained spans oldest-first.
-func (st *SpanStore) Spans() []Span {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := uint64(len(st.buf))
-	count := st.next
-	if count > n {
-		count = n
-	}
-	out := make([]Span, 0, count)
-	start := st.next - count
-	for i := uint64(0); i < count; i++ {
-		out = append(out, st.buf[(start+i)%n])
 	}
 	return out
 }
@@ -172,8 +104,8 @@ func (st *SpanStore) Spans() []Span {
 // Roots returns up to n most recent root spans (Parent == 0), newest
 // first — the per-operation index behind /trace/ops and `pasoctl trace`.
 func (st *SpanStore) Roots(n int) []Span {
-	all := st.Spans()
-	out := make([]Span, 0, n)
+	all := st.Snapshot()
+	out := make([]Span, 0, max(n, 0))
 	for i := len(all) - 1; i >= 0 && (n <= 0 || len(out) < n); i-- {
 		if all[i].Parent == 0 {
 			out = append(out, all[i])

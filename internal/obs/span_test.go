@@ -33,9 +33,9 @@ func TestSpanStoreRingAndIndex(t *testing.T) {
 	if st.Cap() != 4 {
 		t.Fatalf("Cap = %d, want 4", st.Cap())
 	}
-	all := st.Spans()
+	all := st.Snapshot()
 	if len(all) != 4 {
-		t.Fatalf("Spans len = %d, want 4", len(all))
+		t.Fatalf("Snapshot len = %d, want 4", len(all))
 	}
 	// Oldest-first window: traces 3..6 survive, 1 and 2 were overwritten.
 	for i, s := range all {
@@ -44,7 +44,7 @@ func TestSpanStoreRingAndIndex(t *testing.T) {
 		}
 	}
 	if got := st.ByTrace(1); len(got) != 0 {
-		t.Fatalf("evicted trace still indexed: %+v", got)
+		t.Fatalf("evicted trace still found: %+v", got)
 	}
 	if got := st.ByTrace(5); len(got) != 1 || got[0].ID != 50 {
 		t.Fatalf("ByTrace(5) = %+v", got)
@@ -84,6 +84,14 @@ func TestSpanStoreRoots(t *testing.T) {
 	}
 	if got := st.Roots(1); len(got) != 1 || got[0].Trace != 3 {
 		t.Fatalf("Roots(1) = %+v", got)
+	}
+	// Both filters see only what the ring retains: an evicted span is gone.
+	small := NewSpanStore(2)
+	for i := uint64(1); i <= 3; i++ {
+		small.Record(Span{Trace: i, ID: i})
+	}
+	if len(small.ByTrace(1)) != 0 || len(small.ByTrace(3)) != 1 || len(small.Roots(10)) != 2 {
+		t.Fatalf("after eviction ByTrace(1)=%v ByTrace(3)=%v Roots=%v", small.ByTrace(1), small.ByTrace(3), small.Roots(10))
 	}
 }
 

@@ -251,10 +251,11 @@ func (e *Endpoint) AddPeer(id transport.NodeID, addr string) {
 	if _, exists := peers[id]; exists || id == e.id || e.closed.Load() {
 		return
 	}
+	label := fmt.Sprint(id)
 	p := &peer{
 		id: id, addr: addr, q: make(chan outFrame, sendQueueCap),
-		gDepth: e.o.Gauge(fmt.Sprintf("transport.sendq.depth.p%d", id)),
-		gHwm:   e.o.Gauge(fmt.Sprintf("transport.sendq.hwm.p%d", id)),
+		gDepth: e.o.Gauge(e.o.Series("transport.sendq.depth.p{peer}", label)),
+		gHwm:   e.o.Gauge(e.o.Series("transport.sendq.hwm.p{peer}", label)),
 	}
 	next := maps.Clone(peers)
 	next[id] = p

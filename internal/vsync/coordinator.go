@@ -8,24 +8,13 @@ import (
 	"paso/internal/transport"
 )
 
-// Ownership-transition kinds forwarded to the PlacementAudit. The strings
-// match internal/obs/flight's OwnFresh / OwnTakeover / OwnHandoff /
-// OwnAbdicate (flight cannot be imported here without inverting the
-// layering, so the contract is by value).
-const (
-	ownFresh    = "fresh"
-	ownTakeover = "takeover"
-	ownHandoff  = "handoff"
-	ownAbdicate = "abdicate"
-)
-
-// recordOwnership forwards one ownership edge to the configured audit
-// trail; without one the call is a nil check.
+// recordOwnership emits one ownership edge (obs.KindOwnership) into the
+// node's event timeline, where internal/obs/flight folds it back into the
+// per-group ownership history. Purely an observer: nothing emitted here
+// feeds back into placement.
 func (n *Node) recordOwnership(group, kind string, owner transport.NodeID, takeover time.Duration) {
-	if n.audit == nil {
-		return
-	}
-	n.audit.RecordOwnership(group, n.liveEpoch, owner, kind, takeover)
+	n.o.Emit(obs.KindOwnership, obs.KV("group", group), obs.KV("epoch", n.liveEpoch),
+		obs.KV("owner", owner), obs.KV("kind", kind), obs.KV("takeover_s", takeover.Seconds()))
 }
 
 // coordState is the sequencing state of the groups the placement function
@@ -42,7 +31,7 @@ type coordState struct {
 	claims map[string]map[transport.NodeID]uint64
 	// recoveryStart stamps when the survivor-quorum wait began; the gap to
 	// finishRecovery is the takeover duration recorded per rebuilt group
-	// (vsync.takeover.seconds.<group>, and the ownership audit trail).
+	// (vsync.takeover.seconds.<group>, and the takeover ownership event).
 	recoveryStart time.Time
 	queued        []queuedReq
 	// dirty lists groups with staged casts awaiting sequencing; the loop
@@ -281,7 +270,7 @@ func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
 				n.syncCoordGroups()
 				// Adopting the last holder's state is a handoff, not a
 				// crash takeover: no recovery quorum ran for it.
-				n.recordOwnership(name, ownHandoff, n.self, 0)
+				n.recordOwnership(name, obs.OwnHandoff, n.self, 0)
 			}
 			cg.members = []transport.NodeID{from}
 			cg.nextSeq = info.Last + 1
@@ -410,8 +399,8 @@ func (n *Node) finishRecovery() {
 		}
 		g.nextSeq = target + 1
 		cs.groups[name] = g
-		n.o.Histogram("vsync.takeover.seconds." + name).Observe(takeover.Seconds())
-		n.recordOwnership(name, ownTakeover, n.self, takeover)
+		n.o.Histogram(n.o.Series("vsync.takeover.seconds.{group}", name)).Observe(takeover.Seconds())
+		n.recordOwnership(name, obs.OwnTakeover, n.self, takeover)
 		for _, c := range claims {
 			if c.last < target {
 				// UpTo is the donation floor: the donor defers the snapshot
@@ -436,8 +425,8 @@ func (n *Node) newCoordGroup(name string) *coordGroup {
 	return &coordGroup{
 		name:     name,
 		nextSeq:  1,
-		hOrder:   n.o.Histogram("vsync.order.seconds." + name),
-		gBacklog: n.o.Gauge("vsync.coord.backlog." + name),
+		hOrder:   n.o.Histogram(n.o.Series("vsync.order.seconds.{group}", name)),
+		gBacklog: n.o.Gauge(n.o.Series("vsync.coord.backlog.{group}", name)),
 	}
 }
 
@@ -449,7 +438,7 @@ func (n *Node) coordGroupFor(name string) *coordGroup {
 		g = n.newCoordGroup(name)
 		n.cs.groups[name] = g
 		n.syncCoordGroups()
-		n.recordOwnership(name, ownFresh, n.self, 0)
+		n.recordOwnership(name, obs.OwnFresh, n.self, 0)
 	}
 	return g
 }

@@ -187,8 +187,6 @@ type Node struct {
 	cClaimCoord    *obs.Counter
 	cClaimConflict *obs.Counter
 	cMovedClasses  *obs.Counter
-	// audit receives ownership-transition records (nil disables).
-	audit PlacementAudit
 }
 
 // wirePool recycles the wires the hot path mints per operation — the
@@ -270,28 +268,15 @@ type CoordFn func(group string, live []transport.NodeID) transport.NodeID
 // by the lowest-ID live node, so one machine orders everything.
 func LowestLive(_ string, live []transport.NodeID) transport.NodeID { return live[0] }
 
-// PlacementAudit receives ownership edges as the node observes
-// them: fresh group creation, takeover after a crash (with the measured
-// recovery duration), adoption of another sequencer's groups, and
-// abdication to a placement-designated owner. Implementations must be safe
-// for concurrent use and must return quickly — calls happen on the event
-// loop. internal/obs/flight's AuditTrail is the engine's implementation; a
-// nil audit disables recording. Kind strings match flight.OwnFresh,
-// OwnTakeover, OwnHandoff, and OwnAbdicate.
-type PlacementAudit interface {
-	RecordOwnership(group string, epoch uint64, owner transport.NodeID, kind string, takeover time.Duration)
-}
-
 // NodeOptions configures optional node behavior for NewNodeOpts.
 type NodeOptions struct {
 	// Obs is the observability sink; nil records into a throwaway sink.
+	// Ownership edges (fresh creation, takeover with its recovery
+	// duration, handoff, abdication) land in its event ring.
 	Obs *obs.Obs
 	// Coord derives each group's sequencer from the live set; nil means
 	// LowestLive.
 	Coord CoordFn
-	// Audit, when non-nil, records this node's view of group-ownership
-	// transitions.
-	Audit PlacementAudit
 }
 
 // NewNode attaches a node to the group layer and starts its event loop.
@@ -301,8 +286,8 @@ func NewNode(ep transport.Endpoint, h Handler) *Node {
 }
 
 // NewNodeOpts is NewNode with an observability sink (gcast counts and
-// latencies, view-change and ownership events, state-transfer bytes), a
-// placement function, and an ownership audit trail.
+// latencies, view-change and ownership events, state-transfer bytes) and a
+// placement function.
 func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 	o := opts.Obs
 	if o == nil {
@@ -357,7 +342,6 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		cClaimCoord:    o.Counter("vsync.claims.coord"),
 		cClaimConflict: o.Counter("vsync.claims.conflict"),
 		cMovedClasses:  o.Counter("placement.moved.classes"),
-		audit:          opts.Audit,
 
 		cLeaseServed:  o.Counter("vsync.lease.served"),
 		cLeaseRefused: o.Counter("vsync.lease.refused"),
@@ -366,7 +350,7 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 	}
 	n.owned, _ = ep.(transport.OwnedSender)
 	for t := tCastReq; t <= tMaxType; t++ {
-		n.hFrame[t] = o.Histogram("vsync.frame.bytes." + t.String())
+		n.hFrame[t] = o.Histogram(o.Series("vsync.frame.bytes.{type}", t.String()))
 	}
 	// Request IDs must not collide across incarnations of the same node ID
 	// (a restarted machine's early requests would otherwise be swallowed

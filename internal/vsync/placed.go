@@ -127,7 +127,7 @@ func (n *Node) abdicateGroup(name string, g *coordGroup, newOwner transport.Node
 		}})
 	}
 	n.cCoordMove.Inc()
-	n.recordOwnership(name, ownAbdicate, newOwner, 0)
+	n.recordOwnership(name, obs.OwnAbdicate, newOwner, 0)
 	n.o.Emit("group-abdicate",
 		obs.KV("group", name), obs.KV("to", newOwner), obs.KV("last", last))
 }

@@ -403,7 +403,7 @@ func TestLowestLiveHandback(t *testing.T) {
 		t.Fatalf("node 1 received %d coordinator claims, want %d", got, len(groups))
 	}
 	recoveries := 0
-	for _, e := range h.os[1].Events().Events() {
+	for _, e := range h.os[1].Events().Snapshot() {
 		if e.Kind == "takeover-recovery" {
 			recoveries++
 		}

@@ -66,7 +66,7 @@ func (h *traceHarness) crash(id transport.NodeID) {
 func (h *traceHarness) collect() []obs.Span {
 	var out []obs.Span
 	for _, o := range h.os {
-		out = append(out, o.Spans().Spans()...)
+		out = append(out, o.Spans().Snapshot()...)
 	}
 	return out
 }
