@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench loc doccheck chaos chaos-leases flight-smoke trace-race wire-fuzz check clean
+.PHONY: build test race vet bench loc doccheck chaos chaos-leases flight-smoke wire-fuzz check clean
 
 build:
 	$(GO) build ./...
@@ -8,9 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency-heavy packages must stay race-clean.
+# Every concurrent package, and the cmd/ end-to-end tests, must stay
+# race-clean. No -run subset: a new test is covered by default.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./internal/... ./cmd/...
 
 vet:
 	$(GO) vet ./...
@@ -26,13 +27,6 @@ loc:
 # Doc comments on vsync/simnet/faults are normative (FAULTS.md, PROTOCOL.md).
 doccheck:
 	$(GO) test -run TestExportedDocs ./internal/lint/
-
-# The distributed-tracing plane under the race detector: span propagation
-# through batching/view changes/failover, the pasoctl trace path, the one
-# obs.Ring, and ownership edges from vsync to pasoctl top.
-trace-race:
-	$(GO) test -race -run 'Trace|Span|Assemble|Ring|Ownership' -count=1 \
-		./internal/vsync/ ./internal/obs/... ./internal/core/ ./internal/faults/ ./cmd/pasoctl/
 
 # Coverage-guided fuzzing of the wire codec, the tuple codec inside it, and
 # core's command/response codec and client line protocol (80s total

@@ -22,12 +22,11 @@ const auditWindow = 8192
 // so tests and operators can watch the Theorem 2/3 bounds (3+λ/K, 6+2λ/K)
 // hold on the running system. Callers hold polMu.
 type ratioAuditor struct {
-	events        []opt.Event
-	online        float64
-	joins, leaves int
-	maxK          int
-	costAware     bool
-	resets        int
+	events    []opt.Event
+	online    float64
+	maxK      int
+	costAware bool
+	resets    int
 }
 
 // read charges one read observed at this machine. joined marks a Join
@@ -40,19 +39,15 @@ func (a *ratioAuditor) read(member bool, rgSize, joinCost int, joined bool) {
 		a.online += e.CostOut()
 		if joined {
 			a.online += float64(e.JoinCost)
-			a.joins++
 		}
 	}
 	a.push(e)
 }
 
 // update charges one member update (cost 1; leaving is free).
-func (a *ratioAuditor) update(joinCost int, left bool) {
+func (a *ratioAuditor) update(joinCost int) {
 	e := opt.Event{Kind: opt.Update, RgSize: 1, JoinCost: joinCost, QCost: 1}.Normalized()
 	a.online += e.CostIn()
-	if left {
-		a.leaves++
-	}
 	a.push(e)
 }
 
@@ -63,7 +58,6 @@ func (a *ratioAuditor) push(e opt.Event) {
 	if len(a.events) >= auditWindow {
 		a.events = a.events[:0]
 		a.online = 0
-		a.joins, a.leaves = 0, 0
 		a.resets++
 	}
 	a.events = append(a.events, e)
@@ -117,8 +111,6 @@ func (m *Machine) collectAudit() map[string]float64 {
 		out[m.o.Series("adaptive.ratio.{class}", c)] = r
 		out[m.o.Series("adaptive.online.{class}", c)] = a.online
 		out[m.o.Series("adaptive.opt.{class}", c)] = optCost
-		out[m.o.Series("adaptive.audit.events.{class}", c)] = float64(len(a.events))
-		out[m.o.Series("adaptive.audit.joins.{class}", c)] = float64(a.joins)
 	}
 	return out
 }

@@ -32,9 +32,8 @@ func driveAuditor(p adaptive.Policy, a *ratioAuditor, events []opt.Event) {
 		case opt.Update:
 			if member {
 				d := p.Update(true)
-				trigger := d == adaptive.Leave
-				a.update(e.JoinCost, trigger)
-				if trigger {
+				a.update(e.JoinCost)
+				if d == adaptive.Leave {
 					member = false
 				}
 			}
@@ -72,8 +71,8 @@ func TestAuditorBasicWithinTheorem2(t *testing.T) {
 					t.Fatalf("λ=%d K=%d seq %d: no ratio", lambda, k, si)
 				}
 				if r > bound+1e-9 {
-					t.Errorf("λ=%d K=%d seq %d: audited ratio %.3f > bound %.3f (online=%v joins=%d)",
-						lambda, k, si, r, bound, a.online, a.joins)
+					t.Errorf("λ=%d K=%d seq %d: audited ratio %.3f > bound %.3f (online=%v)",
+						lambda, k, si, r, bound, a.online)
 				}
 			}
 		}

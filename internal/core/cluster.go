@@ -283,9 +283,6 @@ func (c *Cluster) Restart(id transport.NodeID) error {
 	return c.startMachine(id)
 }
 
-// Lambda returns the configured crash tolerance λ (§3.1).
-func (c *Cluster) Lambda() int { return c.cfg.Lambda }
-
 // Classes returns the classifier's class universe, sorted.
 func (c *Cluster) Classes() []class.ID {
 	out := append([]class.ID(nil), c.cfg.Classifier.Classes()...)

@@ -29,16 +29,9 @@ type Config struct {
 	// Model is the α+β communication cost model (§3.3).
 	Model cost.Model
 
-	// StoreKind selects the default per-class local data structure (§5:
-	// hash for dictionary queries, tree for ranges, list for general
-	// patterns).
+	// StoreKind selects every class's local data structure (§5: hash for
+	// dictionary queries, tree for ranges, list for general patterns).
 	StoreKind storage.Kind
-
-	// StoreKindFor optionally overrides the store kind per class (§5:
-	// "several such data structures may be used" — e.g. tree stores for
-	// range-partitioned buckets, a list for the catch-all). Returning 0
-	// falls back to StoreKind.
-	StoreKindFor func(cls class.ID) storage.Kind
 
 	// TreeKeyField is the field index tree stores order on.
 	TreeKeyField int

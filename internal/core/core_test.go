@@ -608,41 +608,3 @@ func TestAdaptivePerClassIndependence(t *testing.T) {
 		t.Fatal("reading task pulled a replica of result (classes not independent)")
 	}
 }
-
-func TestPerClassStoreKinds(t *testing.T) {
-	cfg := testConfig()
-	cfg.StoreKind = storage.KindHash
-	cfg.StoreKindFor = func(cls class.ID) storage.Kind {
-		if cls == "task/2" {
-			return storage.KindTree
-		}
-		return 0 // fall back to the default
-	}
-	cfg.TreeKeyField = 1
-	c := newTestCluster(t, cfg, 3)
-	m := c.Machine(1)
-	for i := int64(0); i < 20; i++ {
-		if _, err := m.Insert(taskTuple(i * 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Range queries work against the tree-backed class.
-	got, ok, err := m.Read(tuple.NewTemplate(
-		tuple.Eq(tuple.String("task")),
-		tuple.Range(tuple.Int(40), tuple.Int(50)),
-	))
-	if err != nil || !ok {
-		t.Fatalf("range read: ok=%v err=%v", ok, err)
-	}
-	if k := got.Field(1).MustInt(); k < 40 || k > 50 {
-		t.Fatalf("range read returned %d", k)
-	}
-	// The default-kind class still serves.
-	if _, err := m.Insert(tuple.Make(tuple.String("result"), tuple.Int(1))); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := m.Read(tuple.NewTemplate(
-		tuple.Eq(tuple.String("result")), tuple.Any(tuple.KindInt))); !ok {
-		t.Fatal("default-store class read failed")
-	}
-}

@@ -34,21 +34,15 @@ type leaseState struct {
 	cands map[class.ID][]transport.NodeID
 	rr    map[class.ID]uint32
 
-	perClass map[class.ID]*leaseClassStats
-	leased   int64
 	fallback int64
 	// savedCost accumulates Model.LeasedReadSaving over every leased
 	// read: the §3.3 msg-cost of the ordered gcasts that never happened.
 	savedCost float64
 
+	// The per-class core.read.{leased,fallback}.{class} counters, resolved
+	// on a class's first outcome.
 	cLeased   map[class.ID]*obs.Counter
 	cFallback map[class.ID]*obs.Counter
-}
-
-// leaseClassStats tallies one class's fast-path outcomes on one machine.
-type leaseClassStats struct {
-	leased   int64
-	fallback int64
 }
 
 // leaseTarget picks the serving member for one leased read: the class's
@@ -151,14 +145,12 @@ func (m *Machine) leasedRead(cls class.ID, payload []byte, legStart time.Time, t
 	return r.obj, r.ok, true
 }
 
-// leaseServed accounts one fast-path read: per-class and total tallies,
-// the per-class counter, and the §3.3 saving audit.
+// leaseServed accounts one fast-path read: the per-class counter and the
+// §3.3 saving audit (the OpReadLeased row counts it in total).
 func (m *Machine) leaseServed(cls class.ID, saved float64) {
 	ls := &m.lease
 	ls.mu.Lock()
-	ls.leased++
 	ls.savedCost += saved
-	ls.classStats(cls).leased++
 	c, ok := ls.cLeased[cls]
 	if !ok {
 		c = m.o.Counter(m.o.Series("core.read.leased.{class}", string(cls)))
@@ -174,7 +166,6 @@ func (m *Machine) leaseFallback(cls class.ID) {
 	ls := &m.lease
 	ls.mu.Lock()
 	ls.fallback++
-	ls.classStats(cls).fallback++
 	c, ok := ls.cFallback[cls]
 	if !ok {
 		c = m.o.Counter(m.o.Series("core.read.fallback.{class}", string(cls)))
@@ -184,86 +175,59 @@ func (m *Machine) leaseFallback(cls class.ID) {
 	c.Inc()
 }
 
-// classStats returns (creating lazily) one class's tallies; callers hold
-// ls.mu.
-func (ls *leaseState) classStats(cls class.ID) *leaseClassStats {
-	s, ok := ls.perClass[cls]
-	if !ok {
-		s = &leaseClassStats{}
-		ls.perClass[cls] = s
-	}
-	return s
-}
-
 // LeaseStats reports the machine's leased-read outcomes: reads served on
-// the fast path, reads that fell back to the ordered path, and the
-// accumulated §3.3 msg-cost the served ones saved over the gcasts they
-// replaced.
+// the fast path (its OpReadLeased row), reads that fell back to the ordered
+// path, and the accumulated §3.3 msg-cost the served ones saved over the
+// gcasts they replaced.
 func (m *Machine) LeaseStats() (leased, fallback int64, savedCost float64) {
+	leased = int64(m.ops.snapshot()[OpReadLeased].Count)
 	ls := &m.lease
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return ls.leased, ls.fallback, ls.savedCost
-}
-
-// collectLease is the scrape-time collector behind the lease.* metrics:
-// total served/fallback counts, the accumulated saved §3.3 cost, and the
-// per-read saving (the "saved Gcast cost per leased read" the audit
-// reports).
-func (m *Machine) collectLease() map[string]float64 {
-	ls := &m.lease
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if ls.leased == 0 && ls.fallback == 0 {
-		return nil
-	}
-	out := map[string]float64{
-		"lease.reads":      float64(ls.leased),
-		"lease.fallbacks":  float64(ls.fallback),
-		"lease.saved.cost": ls.savedCost,
-	}
-	if ls.leased > 0 {
-		out["lease.saved.per.read"] = ls.savedCost / float64(ls.leased)
-	}
-	return out
+	return leased, ls.fallback, ls.savedCost
 }
 
 // RenderLeaseReport formats the machine's per-class leased/fallback table
 // with the share of non-member reads the fast path served and the §3.3
-// saving audit — the body of `pasoctl stats` when leases are enabled.
+// saving audit — the body of `pasoctl stats` when leases are enabled. The
+// rows read the core.read.{leased,fallback}.{class} counters, which are
+// this machine's own when it has an Obs to itself (cmd/pasod).
 func (m *Machine) RenderLeaseReport() string {
+	leased, _, saved := m.LeaseStats()
 	ls := &m.lease
 	ls.mu.Lock()
-	classes := make([]class.ID, 0, len(ls.perClass))
-	for cls := range ls.perClass {
+	rows := make(map[class.ID][2]int64, len(ls.cLeased)+len(ls.cFallback))
+	for cls, c := range ls.cLeased {
+		r := rows[cls]
+		r[0] = c.Value()
+		rows[cls] = r
+	}
+	for cls, c := range ls.cFallback {
+		r := rows[cls]
+		r[1] = c.Value()
+		rows[cls] = r
+	}
+	ls.mu.Unlock()
+	classes := make([]class.ID, 0, len(rows))
+	for cls := range rows {
 		classes = append(classes, cls)
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
 	tb := stats.NewTable("leases", "leased reads per class (fast path vs ordered fallback)",
 		"class", "leased", "fallback", "leased%")
 	for _, cls := range classes {
-		s := ls.perClass[cls]
-		total := s.leased + s.fallback
+		r := rows[cls]
 		pct := "—"
-		if total > 0 {
-			pct = fmt.Sprintf("%.1f", 100*float64(s.leased)/float64(total))
+		if total := r[0] + r[1]; total > 0 {
+			pct = fmt.Sprintf("%.1f", 100*float64(r[0])/float64(total))
 		}
-		tb.AddRow(string(cls), stats.D(int(s.leased)), stats.D(int(s.fallback)), pct)
+		tb.AddRow(string(cls), stats.D(int(r[0])), stats.D(int(r[1])), pct)
 	}
 	if len(classes) == 0 {
 		tb.AddNote("no leased reads attempted yet")
 	} else {
 		tb.AddNote("saved msg-cost=%.0f (%.1f per leased read, §3.3 audit)",
-			ls.savedCost, savedPerRead(ls.savedCost, ls.leased))
+			saved, saved/float64(max(leased, 1)))
 	}
-	ls.mu.Unlock()
 	return strings.TrimRight(tb.Render(), "\n") + "\n"
-}
-
-// savedPerRead guards the per-read saving against a zero denominator.
-func savedPerRead(saved float64, leased int64) float64 {
-	if leased == 0 {
-		return 0
-	}
-	return saved / float64(leased)
 }

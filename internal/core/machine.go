@@ -57,7 +57,6 @@ type Machine struct {
 	cFTC         *obs.Counter
 	cPolicyJoin  *obs.Counter
 	cPolicyLeave *obs.Counter
-	cPromote     *obs.Counter
 
 	polMu     sync.Mutex
 	policies  map[class.ID]adaptive.Policy
@@ -161,7 +160,6 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 		cFTC:         o.Counter("core.ftc.violations"),
 		cPolicyJoin:  o.Counter("core.policy.joins"),
 		cPolicyLeave: o.Counter("core.policy.leaves"),
-		cPromote:     o.Counter("core.support.promotions"),
 	}
 	for _, k := range allOpKinds {
 		m.lat[k] = o.Histogram(o.Series("core.op.{kind}.latency.seconds", k.String()))
@@ -174,7 +172,6 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 	}
 	m.srv = newServer(cfg, o, m.onUpdate, m.notifyReader)
 	m.pol = cfg.placementPolicy()
-	m.lease.perClass = make(map[class.ID]*leaseClassStats)
 	m.lease.rr = make(map[class.ID]uint32)
 	m.lease.cLeased = make(map[class.ID]*obs.Counter)
 	m.lease.cFallback = make(map[class.ID]*obs.Counter)
@@ -187,7 +184,6 @@ func newMachine(id transport.NodeID, ep transport.Endpoint, cfg Config, basicCla
 	// Namespaced per machine so in-process clusters sharing one Obs keep
 	// every machine's collector registered (names replace on collision).
 	o.AddCollector(fmt.Sprintf("core.audit.m%d", id), m.collectAudit)
-	o.AddCollector(fmt.Sprintf("core.lease.m%d", id), m.collectLease)
 	m.wg.Add(1)
 	go m.actionWorker()
 	return m
@@ -636,7 +632,7 @@ func (m *Machine) onUpdate(cls class.ID) {
 	}
 	if !m.basic[cls] {
 		_, costAware := p.(adaptive.CostAware)
-		m.auditFor(cls, costAware).update(maxInt(m.srv.classLen(cls), 1), trigger)
+		m.auditFor(cls, costAware).update(maxInt(m.srv.classLen(cls), 1))
 	}
 	thr, name := policyThreshold(p), p.Name()
 	m.polMu.Unlock()
@@ -717,7 +713,6 @@ func (m *Machine) MakeBasic(cls class.ID) error {
 	}
 	l := float64(maxInt(m.srv.classLen(cls), 1))
 	m.record(OpJoin, start, m.cfg.Model.Msg(m.srv.classLen(cls)*32), l, l, false)
-	m.cPromote.Inc()
 	m.o.Emit("make-basic", obs.KV("class", cls), obs.KV("objects", m.srv.classLen(cls)))
 	return nil
 }

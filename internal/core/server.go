@@ -67,13 +67,7 @@ func newServer(cfg Config, o *obs.Obs, onUpdate func(class.ID), notify func(tran
 func (s *server) stateFor(cls class.ID) *classState {
 	cs, ok := s.classes[cls]
 	if !ok {
-		kind := s.cfg.StoreKind
-		if s.cfg.StoreKindFor != nil {
-			if k := s.cfg.StoreKindFor(cls); k != 0 {
-				kind = k
-			}
-		}
-		st, err := storage.New(kind, s.cfg.TreeKeyField)
+		st, err := storage.New(s.cfg.StoreKind, s.cfg.TreeKeyField)
 		if err != nil {
 			// Config is validated at cluster construction; an invalid
 			// kind here is a programmer error.

@@ -82,13 +82,6 @@ func (d *Director) Set(peer transport.NodeID, m ConnMode) {
 // Clear returns the peer to ModePass (equivalent to Set(peer, ModePass)).
 func (d *Director) Clear(peer transport.NodeID) { d.Set(peer, ModePass) }
 
-// Mode reports the peer's current mode.
-func (d *Director) Mode(peer transport.NodeID) ConnMode {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.modes[peer]
-}
-
 // mode returns the peer's mode plus a channel that closes on the next
 // mode change (for stalled writers to wait on).
 func (d *Director) mode(peer transport.NodeID) (ConnMode, <-chan struct{}) {

@@ -41,12 +41,11 @@ func replayFlightBundle(t *testing.T, seed uint64) []byte {
 
 	o := obs.New(obs.Options{TraceCap: 4096, SpanCap: 1024})
 	sampler := flight.NewSampler(o.Reg(), flight.SamplerOptions{
-		Interval: 10 * time.Millisecond, Retention: time.Hour, Now: now,
+		Interval: 10 * time.Millisecond, Now: now,
 	})
 	dir := t.TempDir()
 	rec := flight.NewRecorder(flight.RecorderOptions{
-		Dir: dir, Obs: o, Sampler: sampler,
-		Rules: flight.DefaultRules(), NoProfiles: true, Now: now,
+		Dir: dir, Obs: o, Sampler: sampler, NoProfiles: true, Now: now,
 	})
 
 	// Ownership edges go into the event ring as vsync emits them, but with

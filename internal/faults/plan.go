@@ -2,7 +2,6 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"paso/internal/obs"
@@ -117,9 +116,6 @@ func NewPlan(seed uint64, o *obs.Obs) *Plan {
 	return &Plan{seed: seed, o: o, counters: make(map[link]uint64)}
 }
 
-// Seed returns the plan's decision-stream seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // SetRules replaces the active rule set. Frame counters are NOT reset:
 // indices address a link's full frame history, so the same frame gets the
 // same decision no matter when the rule window opened.
@@ -132,26 +128,6 @@ func (p *Plan) SetRules(rules ...LinkRule) {
 
 // ClearRules removes every rule; subsequent frames pass untouched.
 func (p *Plan) ClearRules() { p.SetRules() }
-
-// Rules returns a copy of the active rule set.
-func (p *Plan) Rules() []LinkRule {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]LinkRule(nil), p.rules...)
-}
-
-// HasDelays reports whether any active rule can hold frames (harnesses
-// then keep the delay queue draining with simnet.Net.Tick).
-func (p *Plan) HasDelays() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, r := range p.rules {
-		if r.DelayP > 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // Frame implements simnet.Injector: count the frame on its link, decide
 // its fate from the decision stream, and log the fault if one fired.
@@ -224,24 +200,4 @@ func (p *Plan) Events() []FaultEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]FaultEvent(nil), p.events...)
-}
-
-// EventLines renders the executed fault log sorted by (from, to, index) —
-// a canonical order independent of firing interleaving.
-func (p *Plan) EventLines() []string {
-	evs := p.Events()
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].From != evs[j].From {
-			return evs[i].From < evs[j].From
-		}
-		if evs[i].To != evs[j].To {
-			return evs[i].To < evs[j].To
-		}
-		return evs[i].Index < evs[j].Index
-	})
-	out := make([]string, len(evs))
-	for i, e := range evs {
-		out[i] = e.String()
-	}
-	return out
 }

@@ -28,13 +28,6 @@ type RunOptions struct {
 	// This is wall-clock execution-order data, NOT part of the
 	// deterministic surface. Nil discards.
 	Obs *obs.Obs
-	// SettleTimeout bounds every settle poll (default 30s); exceeding it
-	// is an invariant violation.
-	SettleTimeout time.Duration
-	// AwaitTimeout bounds OpAwait (default 60s); an async insert still
-	// stalled that long after its loss window closed is a liveness
-	// violation.
-	AwaitTimeout time.Duration
 	// Trace turns on cross-machine operation tracing for the scenario's
 	// cluster and snapshots every probe leg's assembled trace into
 	// Result.ProbeTraces immediately after the leg runs — so a later
@@ -51,8 +44,6 @@ type RunOptions struct {
 	// the shared event ring. Bundle IDs land in Result.Bundles.
 	// Wall-clock data, excluded from the deterministic Out report.
 	FlightDir string
-	// FlightInterval overrides the flight sampler interval (default 50ms).
-	FlightInterval time.Duration
 	// Leases enables the leased-read fast path for the scenario's cluster
 	// (core.Config.LeasedReads): probe reads from machines outside the
 	// probe class's support go point-to-point to one member under the view
@@ -107,6 +98,16 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 // §5). Generous: protocol frames settle in microseconds.
 const quiescePause = 150 * time.Millisecond
 
+// Run bounds. Exceeding settleTimeout in a settle poll is an invariant
+// violation; an async insert still stalled awaitTimeout after its loss
+// window closed is a liveness violation. flightInterval is the flight
+// sampler's period when FlightDir is set.
+const (
+	settleTimeout  = 30 * time.Second
+	awaitTimeout   = 60 * time.Second
+	flightInterval = 50 * time.Millisecond
+)
+
 // asyncOp is one in-flight OpAsyncInsert.
 type asyncOp struct {
 	node transport.NodeID
@@ -145,12 +146,6 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 	if opt.Out == nil {
 		opt.Out = io.Discard
 	}
-	if opt.SettleTimeout <= 0 {
-		opt.SettleTimeout = 30 * time.Second
-	}
-	if opt.AwaitTimeout <= 0 {
-		opt.AwaitTimeout = 60 * time.Second
-	}
 	o := opt.Obs
 	if o == nil {
 		// Default rings, not Nop's 64 events: a flight bundle folds its
@@ -180,13 +175,7 @@ func Run(sc *Scenario, opt RunOptions) (*Result, error) {
 		// registry to sample and one event ring that sees every machine's
 		// ownership edges.
 		ccfg.Obs = o
-		interval := opt.FlightInterval
-		if interval <= 0 {
-			interval = 50 * time.Millisecond
-		}
-		sampler := flight.NewSampler(o.Reg(), flight.SamplerOptions{
-			Interval: interval, Retention: 5 * time.Minute,
-		})
+		sampler := flight.NewSampler(o.Reg(), flight.SamplerOptions{Interval: flightInterval})
 		rec = flight.NewRecorder(flight.RecorderOptions{
 			Dir: opt.FlightDir, Obs: o, Sampler: sampler,
 			Window: 5 * time.Minute,
@@ -427,7 +416,7 @@ func (r *runner) exec(num int, st Step) {
 		}
 		line("async-insert m=%d slot=%d: launched", st.Node, st.Slot)
 	case OpAwait:
-		deadline := time.After(r.opt.AwaitTimeout)
+		deadline := time.After(awaitTimeout)
 		for _, a := range r.pending {
 			select {
 			case <-a.done:
@@ -440,7 +429,7 @@ func (r *runner) exec(num int, st Step) {
 			case <-deadline:
 				r.violate(fmt.Sprintf(
 					"async insert m=%d v=%d did not complete %s after its loss window closed (liveness)",
-					a.node, a.val, r.opt.AwaitTimeout))
+					a.node, a.val, awaitTimeout))
 				line("await m=%d: STALLED", a.node)
 			}
 		}
@@ -556,14 +545,14 @@ func (r *runner) exec(num int, st Step) {
 // detector sees the peers and the coordinator restates it, and a probe that
 // lands in that window reads the stale local replica.
 func (r *runner) settle() string {
-	deadline := time.Now().Add(r.opt.SettleTimeout)
+	deadline := time.Now().Add(settleTimeout)
 	var err error
 	for {
 		if err = r.cluster.CheckConverged(); err == nil {
 			return "ok"
 		}
 		if time.Now().After(deadline) {
-			r.violate(fmt.Sprintf("settle: invariants did not converge in %s: %v", r.opt.SettleTimeout, err))
+			r.violate(fmt.Sprintf("settle: invariants did not converge in %s: %v", settleTimeout, err))
 			return "FAIL: " + err.Error()
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -16,52 +16,58 @@ import (
 	"paso/internal/obs"
 )
 
-// RuleKind selects how a trigger rule reads its series.
-type RuleKind string
+// ruleKind selects how a trigger rule reads its series.
+type ruleKind string
 
 const (
-	// RuleIncrease fires when the matched series' values grew by at least
-	// Threshold between two consecutive samples — the shape of episodic
+	// ruleIncrease fires when the matched series' values grew by at least
+	// threshold between two consecutive samples — the shape of episodic
 	// counters (send-stall episodes, λ−k+1 margin violations).
-	RuleIncrease RuleKind = "increase"
-	// RuleAbove fires when any matched series crosses Threshold from
+	ruleIncrease ruleKind = "increase"
+	// ruleAbove fires when any matched series crosses threshold from
 	// below — the shape of watermark gauges (coordinator backlog) and
 	// all-time maxima (takeover duration).
-	RuleAbove RuleKind = "above"
+	ruleAbove ruleKind = "above"
 )
 
-// Rule is one armed trigger: it watches every flattened series whose name
-// starts with Prefix and fires per RuleKind. Rules are evaluated on every
+// rule is one armed trigger: it watches every flattened series whose name
+// starts with prefix and fires per kind. Rules are evaluated on every
 // sampler frame, so detection latency is one sampling interval.
-type Rule struct {
-	// Name identifies the rule in manifests and bundle IDs; it must be
-	// nonempty, unique among the armed rules, and filesystem-safe.
-	Name string `json:"name"`
-	// Prefix selects the series (exact names match their own prefix);
-	// Suffix, when set, additionally requires the name to end with it —
+type rule struct {
+	// name identifies the rule in manifests and bundle IDs (unique,
+	// filesystem-safe).
+	name string
+	// prefix selects the series (exact names match their own prefix);
+	// suffix, when set, additionally requires the name to end with it —
 	// how a rule targets one derived series of a per-group histogram
 	// family ("vsync.takeover.seconds.<group>.max_us").
-	Prefix string   `json:"prefix"`
-	Suffix string   `json:"suffix,omitempty"`
-	Kind   RuleKind `json:"kind"`
-	// Threshold: minimum per-sample increase (RuleIncrease) or the level
-	// to cross (RuleAbove). Histogram-derived *_us series are in
+	prefix, suffix string
+	kind           ruleKind
+	// threshold: minimum per-sample increase (ruleIncrease) or the level
+	// to cross (ruleAbove). Histogram-derived *_us series are in
 	// microseconds.
-	Threshold int64 `json:"threshold"`
+	threshold int64
 }
 
-// DefaultRules arms the four anomaly triggers the tree has signals for:
-// send-stall episodes, coordinator backlog reaching 1024 queued casts, a
-// takeover recovery running 2s or longer, and the λ−k+1 fault-tolerance
-// margin hitting zero (a recorded violation).
-func DefaultRules() []Rule {
-	return []Rule{
-		{Name: "send-stall", Prefix: "transport.send.stalls", Kind: RuleIncrease, Threshold: 1},
-		{Name: "coord-backlog", Prefix: "vsync.coord.backlog", Kind: RuleAbove, Threshold: 1024},
-		{Name: "slow-takeover", Prefix: "vsync.takeover.seconds", Suffix: seriesMax, Kind: RuleAbove, Threshold: (2 * time.Second).Microseconds()},
-		{Name: "ftc-margin", Prefix: "core.ftc.violations", Kind: RuleIncrease, Threshold: 1},
-	}
+// rules are the four anomaly triggers the tree has signals for: send-stall
+// episodes, coordinator backlog reaching 1024 queued casts, a takeover
+// recovery running 2s or longer, and the λ−k+1 fault-tolerance margin
+// hitting zero (a recorded violation).
+var rules = []rule{
+	{name: "send-stall", prefix: "transport.send.stalls", kind: ruleIncrease, threshold: 1},
+	{name: "coord-backlog", prefix: "vsync.coord.backlog", kind: ruleAbove, threshold: 1024},
+	{name: "slow-takeover", prefix: "vsync.takeover.seconds", suffix: seriesMax, kind: ruleAbove, threshold: (2 * time.Second).Microseconds()},
+	{name: "ftc-margin", prefix: "core.ftc.violations", kind: ruleIncrease, threshold: 1},
 }
+
+// Capture bounds. A bundle keeps the newest bundleEvents event-ring entries;
+// triggers firing within minInterval of the previous capture are counted
+// and dropped; the directory keeps the newest maxBundles bundles.
+const (
+	bundleEvents = 512
+	minInterval  = 30 * time.Second
+	maxBundles   = 16
+)
 
 // Manifest indexes one diagnostic bundle. Everything a reader needs to
 // decide whether to fetch the bundle is here; Fingerprint covers only the
@@ -120,19 +126,9 @@ type RecorderOptions struct {
 	// the ownership timeline — pasod wires the placement policy's current
 	// assignment here.
 	Placement func() any
-	// Rules are the armed triggers. Default: DefaultRules().
-	Rules []Rule
 	// Window is how much time-series history each bundle captures,
 	// ending at the trigger. Default 1m.
 	Window time.Duration
-	// Events bounds the captured event-ring entries. Default 512.
-	Events int
-	// MinInterval rate-limits captures: triggers firing sooner after the
-	// previous capture are counted and dropped. Default 30s.
-	MinInterval time.Duration
-	// MaxBundles bounds the directory; the oldest bundle is evicted past
-	// it. Default 16.
-	MaxBundles int
 	// NoProfiles skips the goroutine and heap profile files (tests that
 	// compare bundles bit-for-bit use this; profiles are inherently
 	// run-dependent).
@@ -151,7 +147,7 @@ type Recorder struct {
 	mu       sync.Mutex
 	seq      int
 	lastFire time.Time
-	fired    map[string]bool // RuleAbove edge state, keyed by rule name
+	fired    map[string]bool // ruleAbove edge state, keyed by rule name
 
 	cBundles    *obs.Counter
 	cSuppressed *obs.Counter
@@ -163,20 +159,8 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	if opts.Obs == nil {
 		opts.Obs = obs.Nop()
 	}
-	if len(opts.Rules) == 0 {
-		opts.Rules = DefaultRules()
-	}
 	if opts.Window <= 0 {
 		opts.Window = time.Minute
-	}
-	if opts.Events <= 0 {
-		opts.Events = 512
-	}
-	if opts.MinInterval <= 0 {
-		opts.MinInterval = 30 * time.Second
-	}
-	if opts.MaxBundles <= 0 {
-		opts.MaxBundles = 16
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -195,21 +179,21 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 
 // observe evaluates every armed rule against one sampler frame.
 func (r *Recorder) observe(prev, cur map[string]int64, at time.Time) {
-	for _, rule := range r.opts.Rules {
-		if r.eval(rule, prev, cur) {
-			r.fire(rule, at)
+	for _, rl := range rules {
+		if r.eval(rl, prev, cur) {
+			r.fire(rl, at)
 		}
 	}
 }
 
 // eval applies one rule to a (prev, cur) frame pair.
-func (r *Recorder) eval(rule Rule, prev, cur map[string]int64) bool {
+func (r *Recorder) eval(rl rule, prev, cur map[string]int64) bool {
 	match := func(name string) bool {
-		return strings.HasPrefix(name, rule.Prefix) &&
-			(rule.Suffix == "" || strings.HasSuffix(name, rule.Suffix))
+		return strings.HasPrefix(name, rl.prefix) &&
+			(rl.suffix == "" || strings.HasSuffix(name, rl.suffix))
 	}
-	switch rule.Kind {
-	case RuleIncrease:
+	switch rl.kind {
+	case ruleIncrease:
 		var grew int64
 		for name, v := range cur {
 			if !match(name) {
@@ -219,19 +203,19 @@ func (r *Recorder) eval(rule Rule, prev, cur map[string]int64) bool {
 				grew += d
 			}
 		}
-		return grew >= rule.Threshold
-	case RuleAbove:
+		return grew >= rl.threshold
+	case ruleAbove:
 		above := false
 		for name, v := range cur {
-			if match(name) && v >= rule.Threshold {
+			if match(name) && v >= rl.threshold {
 				above = true
 				break
 			}
 		}
 		// Edge-triggered: fire on the crossing, re-arm when it clears.
 		r.mu.Lock()
-		was := r.fired[rule.Name]
-		r.fired[rule.Name] = above
+		was := r.fired[rl.name]
+		r.fired[rl.name] = above
 		r.mu.Unlock()
 		return above && !was
 	}
@@ -239,17 +223,17 @@ func (r *Recorder) eval(rule Rule, prev, cur map[string]int64) bool {
 }
 
 // fire rate-limits and captures. Suppressed fires are counted.
-func (r *Recorder) fire(rule Rule, at time.Time) {
+func (r *Recorder) fire(rl rule, at time.Time) {
 	r.mu.Lock()
-	if !r.lastFire.IsZero() && at.Sub(r.lastFire) < r.opts.MinInterval {
+	if !r.lastFire.IsZero() && at.Sub(r.lastFire) < minInterval {
 		r.mu.Unlock()
 		r.cSuppressed.Inc()
 		return
 	}
 	r.lastFire = at
 	r.mu.Unlock()
-	if _, err := r.Capture(rule.Name, fmt.Sprintf("rule %s on %s", rule.Kind, rule.Prefix)); err != nil {
-		r.opts.Obs.Logger().Error("flight capture failed", "rule", rule.Name, "err", err)
+	if _, err := r.Capture(rl.name, fmt.Sprintf("rule %s on %s", rl.kind, rl.prefix)); err != nil {
+		r.opts.Obs.Logger().Error("flight capture failed", "rule", rl.name, "err", err)
 	}
 }
 
@@ -287,7 +271,7 @@ func (r *Recorder) Capture(trigger, reason string) (string, error) {
 	// Event and span rings. The ownership timeline is folded from the whole
 	// event ring, not just the captured tail.
 	all := r.opts.Obs.Events().Snapshot()
-	events := all[max(len(all)-r.opts.Events, 0):]
+	events := all[max(len(all)-bundleEvents, 0):]
 	m.Events = len(events)
 	m.EventsTotal = r.opts.Obs.Events().Total()
 	if err := writeJSON(filepath.Join(tmp, "events.json"), events); err != nil {
@@ -354,14 +338,14 @@ type placementDump struct {
 	Assignment any              `json:"assignment,omitempty"`
 }
 
-// evict removes the oldest bundles past MaxBundles (IDs sort by their
+// evict removes the oldest bundles past maxBundles (IDs sort by their
 // zero-padded sequence prefix, so lexical order is capture order).
 func (r *Recorder) evict() {
 	ids, err := bundleIDs(r.opts.Dir)
 	if err != nil {
 		return
 	}
-	for len(ids) > r.opts.MaxBundles {
+	for len(ids) > maxBundles {
 		os.RemoveAll(filepath.Join(r.opts.Dir, ids[0]))
 		ids = ids[1:]
 	}

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +19,7 @@ func testRecorder(t *testing.T, opts RecorderOptions) (*obs.Obs, *Sampler, *Reco
 	t.Helper()
 	o := obs.Nop()
 	clk := newStepClock(time.Second)
-	s := NewSampler(o.Reg(), SamplerOptions{Interval: time.Second, Retention: time.Minute, Now: clk.Now})
+	s := NewSampler(o.Reg(), SamplerOptions{Interval: time.Second, Now: clk.Now})
 	opts.Dir = t.TempDir()
 	opts.Obs = o
 	opts.Sampler = s
@@ -28,7 +29,7 @@ func testRecorder(t *testing.T, opts RecorderOptions) (*obs.Obs, *Sampler, *Reco
 }
 
 func TestRecorderRuleIncreaseFires(t *testing.T) {
-	o, s, r, _ := testRecorder(t, RecorderOptions{MinInterval: time.Nanosecond})
+	o, s, r, _ := testRecorder(t, RecorderOptions{})
 	stalls := o.Counter("transport.send.stalls")
 
 	s.SampleNow() // baseline frame, nothing moves
@@ -48,32 +49,40 @@ func TestRecorderRuleIncreaseFires(t *testing.T) {
 }
 
 func TestRecorderRuleAboveIsEdgeTriggered(t *testing.T) {
-	o, s, r, _ := testRecorder(t, RecorderOptions{MinInterval: time.Nanosecond})
+	o, s, r, clk := testRecorder(t, RecorderOptions{})
 	backlog := o.Gauge("vsync.coord.backlog")
 
+	// Every sample lands past the rate limit, so only edge triggering
+	// keeps the still-above frame from firing.
 	backlog.Set(2000) // above the default 1024 HWM
 	s.SampleNow()     // crossing: fires
-	s.SampleNow()     // still above: must NOT re-fire
+	clk.advance(minInterval)
+	s.SampleNow() // still above: must NOT re-fire
 	backlog.Set(10)
+	clk.advance(minInterval)
 	s.SampleNow() // cleared: re-arms
 	backlog.Set(3000)
+	clk.advance(minInterval)
 	s.SampleNow() // second crossing: fires again
 
 	bundles, err := ListBundles(r.opts.Dir)
 	if err != nil || len(bundles) != 2 {
 		t.Fatalf("bundles = %d (err %v), want 2 (edge-triggered)", len(bundles), err)
 	}
+	if n := o.Counter("flight.triggers.suppressed").Value(); n != 0 {
+		t.Fatalf("flight.triggers.suppressed = %d, want 0: a still-above frame tried to fire", n)
+	}
 }
 
 func TestRecorderRateLimit(t *testing.T) {
-	o, s, r, _ := testRecorder(t, RecorderOptions{MinInterval: time.Hour})
+	o, s, r, _ := testRecorder(t, RecorderOptions{})
 	stalls := o.Counter("transport.send.stalls")
 
 	s.SampleNow()
 	stalls.Inc()
 	s.SampleNow() // fires
 	stalls.Inc()
-	s.SampleNow() // 1s later: suppressed by the 1h MinInterval
+	s.SampleNow() // 1s later: suppressed by the 30s minInterval
 
 	bundles, _ := ListBundles(r.opts.Dir)
 	if len(bundles) != 1 {
@@ -128,18 +137,19 @@ func TestRecorderCaptureBundleContents(t *testing.T) {
 }
 
 func TestRecorderEvictsOldBundles(t *testing.T) {
-	_, _, r, _ := testRecorder(t, RecorderOptions{MaxBundles: 2})
-	for i := 0; i < 4; i++ {
+	_, _, r, _ := testRecorder(t, RecorderOptions{})
+	for i := 0; i < maxBundles+2; i++ {
 		if _, err := r.Trigger("manual", "evict test"); err != nil {
 			t.Fatalf("Trigger %d: %v", i, err)
 		}
 	}
 	bundles, err := ListBundles(r.opts.Dir)
-	if err != nil || len(bundles) != 2 {
-		t.Fatalf("bundles = %d (err %v), want 2 after eviction", len(bundles), err)
+	if err != nil || len(bundles) != maxBundles {
+		t.Fatalf("bundles = %d (err %v), want %d after eviction", len(bundles), err, maxBundles)
 	}
-	if bundles[0].ID != "b0003-manual" || bundles[1].ID != "b0004-manual" {
-		t.Fatalf("survivors = %s, %s; want the two newest", bundles[0].ID, bundles[1].ID)
+	first, last := bundles[0].ID, bundles[len(bundles)-1].ID
+	if want := fmt.Sprintf("b%04d-manual", maxBundles+2); first != "b0003-manual" || last != want {
+		t.Fatalf("survivors = %s..%s; want b0003-manual..%s, the newest", first, last, want)
 	}
 }
 

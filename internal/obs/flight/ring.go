@@ -4,8 +4,8 @@
 //
 //   - a time-series ring (Sampler): a fixed-interval sampler that
 //     snapshots the whole metrics registry into delta-compressed frames —
-//     bounded memory, configurable interval and retention, queryable by
-//     window — served at /timeseries on pasod;
+//     bounded memory, a configurable interval over five minutes of
+//     retention, queryable by window — served at /timeseries on pasod;
 //   - a flight recorder (Recorder): trigger rules armed on signals the
 //     system already emits (send-stall episodes, coordinator backlog
 //     breaching its high watermark, a takeover recovery running long, the
@@ -76,13 +76,14 @@ type frame struct {
 	n   int // number of (id, delta) pairs
 }
 
+// retention is how much history a sampler's ring keeps.
+const retention = 5 * time.Minute
+
 // SamplerOptions configures NewSampler. The zero value gives a 250ms
-// interval retaining 5 minutes.
+// interval.
 type SamplerOptions struct {
 	// Interval is the sampling period. Default 250ms.
 	Interval time.Duration
-	// Retention bounds how much history the ring keeps. Default 5m.
-	Retention time.Duration
 	// Now overrides the clock (tests; deterministic bundles). Default
 	// time.Now.
 	Now func() time.Time
@@ -94,7 +95,7 @@ type SamplerOptions struct {
 // debug scrapes, never with metric writers: registry updates stay
 // lock-free atomics and the sampler only reads them through Snapshot.
 //
-// Memory is bounded by construction: the ring holds Retention/Interval
+// Memory is bounded by construction: the ring holds retention/Interval
 // frames, each frame only the deltas of series that moved, plus one
 // absolute base vector that absorbs evicted frames.
 type Sampler struct {
@@ -122,13 +123,10 @@ func NewSampler(reg *obs.Registry, opts SamplerOptions) *Sampler {
 	if opts.Interval <= 0 {
 		opts.Interval = 250 * time.Millisecond
 	}
-	if opts.Retention <= 0 {
-		opts.Retention = 5 * time.Minute
-	}
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	slots := int(opts.Retention / opts.Interval)
+	slots := int(retention / opts.Interval)
 	if slots < 2 {
 		slots = 2
 	}

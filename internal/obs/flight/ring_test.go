@@ -29,9 +29,16 @@ func (c *stepClock) Now() time.Time {
 	return c.t
 }
 
-func newTestSampler(reg *obs.Registry, interval, retention time.Duration) (*Sampler, *stepClock) {
+// advance moves the clock forward by d without a reading.
+func (c *stepClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+func newTestSampler(reg *obs.Registry, interval time.Duration) (*Sampler, *stepClock) {
 	clk := newStepClock(interval)
-	s := NewSampler(reg, SamplerOptions{Interval: interval, Retention: retention, Now: clk.Now})
+	s := NewSampler(reg, SamplerOptions{Interval: interval, Now: clk.Now})
 	return s, clk
 }
 
@@ -49,7 +56,7 @@ func seriesByName(t *testing.T, out []Series, name string) Series {
 
 func TestSamplerWindowReplaysDeltas(t *testing.T) {
 	o := obs.Nop()
-	s, _ := newTestSampler(o.Reg(), time.Second, time.Minute)
+	s, _ := newTestSampler(o.Reg(), time.Second)
 
 	c := o.Counter("test.counter")
 	g := o.Gauge("test.gauge")
@@ -81,7 +88,7 @@ func TestSamplerWindowReplaysDeltas(t *testing.T) {
 
 func TestSamplerHistogramFanout(t *testing.T) {
 	o := obs.Nop()
-	s, _ := newTestSampler(o.Reg(), time.Second, time.Minute)
+	s, _ := newTestSampler(o.Reg(), time.Second)
 
 	h := o.Histogram("test.lat.seconds")
 	h.Observe(0.001)
@@ -105,8 +112,8 @@ func TestSamplerHistogramFanout(t *testing.T) {
 
 func TestSamplerEvictionFoldsIntoBase(t *testing.T) {
 	o := obs.Nop()
-	// retention/interval = 3 slots.
-	s, _ := newTestSampler(o.Reg(), time.Second, 3*time.Second)
+	// The 5-minute retention holds 3 frames 100 s apart.
+	s, _ := newTestSampler(o.Reg(), 100*time.Second)
 
 	c := o.Counter("test.counter")
 	for i := 0; i < 8; i++ {
@@ -136,7 +143,7 @@ func TestSamplerEvictionFoldsIntoBase(t *testing.T) {
 
 func TestSamplerWindowBoundsAndAnchor(t *testing.T) {
 	o := obs.Nop()
-	s, clk := newTestSampler(o.Reg(), time.Second, time.Minute)
+	s, clk := newTestSampler(o.Reg(), time.Second)
 
 	c := o.Counter("test.counter")
 	c.Inc()
@@ -156,7 +163,7 @@ func TestSamplerWindowBoundsAndAnchor(t *testing.T) {
 
 func TestSamplerNamesAndPrefixFilter(t *testing.T) {
 	o := obs.Nop()
-	s, _ := newTestSampler(o.Reg(), time.Second, time.Minute)
+	s, _ := newTestSampler(o.Reg(), time.Second)
 	o.Counter("aaa.one").Inc()
 	o.Counter("bbb.two").Inc()
 	s.SampleNow()
@@ -173,7 +180,7 @@ func TestSamplerNamesAndPrefixFilter(t *testing.T) {
 
 func TestSamplerOnSampleSeesDeltas(t *testing.T) {
 	o := obs.Nop()
-	s, _ := newTestSampler(o.Reg(), time.Second, time.Minute)
+	s, _ := newTestSampler(o.Reg(), time.Second)
 	c := o.Counter("test.counter")
 
 	type obsFrame struct{ prev, cur int64 }
@@ -196,20 +203,30 @@ func TestSamplerOnSampleSeesDeltas(t *testing.T) {
 }
 
 // TestSamplerConcurrent exercises the sampler under the race detector:
-// metric writers, the sampling tick, and window readers all run at once.
+// metric writers, two samplers, and window readers all run at once, and
+// the ring keeps wrapping so eviction into the base races the readers.
 // The registry side stays lock-free atomics; the sampler serializes its
 // own state — this test is the proof.
 func TestSamplerConcurrent(t *testing.T) {
 	o := obs.Nop()
-	s := NewSampler(o.Reg(), SamplerOptions{Interval: time.Millisecond, Retention: 100 * time.Millisecond})
+	// 100 s frames leave 3 slots in the 5-minute retention, so a few
+	// samples wrap the ring.
+	s := NewSampler(o.Reg(), SamplerOptions{Interval: 100 * time.Second})
 	s.OnSample(func(prev, cur map[string]int64, at time.Time) {
 		_ = cur["hot.counter"] // rules-style read of the shared snapshot
 	})
-	s.Start()
-	defer s.Stop()
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var samples atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			s.SampleNow() // contends with the reader goroutine's SampleNow
+			samples.Add(1)
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -228,7 +245,8 @@ func TestSamplerConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			s.SampleNow() // contends with the ticker goroutine on purpose
+			s.SampleNow()
+			samples.Add(1)
 			_ = s.Window(time.Time{}, time.Time{}, "")
 			_ = s.Names()
 			_, _ = s.Bounds()
@@ -239,7 +257,10 @@ func TestSamplerConcurrent(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	if s.Frames() == 0 {
-		t.Fatal("sampler took no frames while running")
+	if n := samples.Load(); n <= 3 {
+		t.Fatalf("%d samples in 50ms; the 3-slot ring never wrapped", n)
+	}
+	if got := s.Frames(); got != 3 {
+		t.Fatalf("Frames() = %d, want the 3-slot cap", got)
 	}
 }

@@ -87,9 +87,6 @@ func (p *Policy) Classes() []class.ID {
 	return append([]class.ID(nil), p.classes...)
 }
 
-// Lambda returns the replication degree the policy places supports for.
-func (p *Policy) Lambda() int { return p.lambda }
-
 // Assignment is the full placement for one live set: per-class coordinator
 // and support membership, plus the balance cap in force.
 type Assignment struct {

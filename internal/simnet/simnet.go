@@ -97,9 +97,6 @@ func New(model cost.Model) *Net {
 	}
 }
 
-// Model returns the cost model in force.
-func (n *Net) Model() cost.Model { return n.model }
-
 // Meter returns the bus cost meter. All sends by all nodes accumulate here.
 func (n *Net) Meter() *cost.Counter { return n.meter }
 
@@ -403,10 +400,7 @@ type Endpoint struct {
 	closed bool
 }
 
-var (
-	_ transport.Endpoint    = (*Endpoint)(nil)
-	_ transport.OwnedSender = (*Endpoint)(nil)
-)
+var _ transport.Endpoint = (*Endpoint)(nil)
 
 // ID implements transport.Endpoint.
 func (e *Endpoint) ID() transport.NodeID { return e.id }
@@ -426,7 +420,7 @@ func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
 	return nil
 }
 
-// SendOwned implements transport.OwnedSender. The simulated bus copies the
+// SendOwned implements transport.Endpoint. The simulated bus copies the
 // payload per delivery before Send returns, so the pooled buffer can be
 // recycled immediately — encode-buffer reuse behaves identically in
 // simulation and deployment.

@@ -60,9 +60,6 @@ func NewTree(keyField int) *Tree {
 	return &Tree{keyField: keyField, root: newTreeNode(nil, nil, nil)}
 }
 
-// KeyField returns the field index the tree orders on.
-func (s *Tree) KeyField() int { return s.keyField }
-
 // Insert implements Store.
 func (s *Tree) Insert(seq uint64, t tuple.Tuple) {
 	k := treeKey{seq: seq}

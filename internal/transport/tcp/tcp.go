@@ -106,9 +106,6 @@ type Endpoint struct {
 	o            *obs.Obs
 	cMsgsSent    *obs.Counter
 	cBytesSent   *obs.Counter
-	cMsgsRecv    *obs.Counter
-	cBytesRecv   *obs.Counter
-	cHBSent      *obs.Counter
 	cHBMiss      *obs.Counter
 	gPeersUp     *obs.Gauge
 	cFlushes     *obs.Counter
@@ -124,7 +121,7 @@ type Endpoint struct {
 }
 
 // outFrame is one queued outgoing frame. hb marks heartbeats (and the
-// hello), which are counted separately from data frames. owned marks a
+// hello), which the data-frame counters skip. owned marks a
 // payload drawn from the transport buffer pool (SendOwned): the writer
 // recycles it once the frame is written or dropped. at is the enqueue
 // time of data frames off the coarse clock (a queue crossing: its
@@ -190,10 +187,7 @@ func (p *peer) closeConn() {
 	p.mu.Unlock()
 }
 
-var (
-	_ transport.Endpoint    = (*Endpoint)(nil)
-	_ transport.OwnedSender = (*Endpoint)(nil)
-)
+var _ transport.Endpoint = (*Endpoint)(nil)
 
 // Listen starts an endpoint accepting frames on addr (use "127.0.0.1:0"
 // to pick a free port; Addr reports the actual address). Peers are added
@@ -219,9 +213,6 @@ func Listen(id transport.NodeID, addr string, opts Options) (*Endpoint, error) {
 	}
 	e.cMsgsSent = e.o.Counter("transport.msgs.sent")
 	e.cBytesSent = e.o.Counter("transport.bytes.sent")
-	e.cMsgsRecv = e.o.Counter("transport.msgs.recv")
-	e.cBytesRecv = e.o.Counter("transport.bytes.recv")
-	e.cHBSent = e.o.Counter("transport.heartbeats.sent")
 	e.cHBMiss = e.o.Counter("transport.heartbeat.misses")
 	e.gPeersUp = e.o.Gauge("transport.peers.up")
 	e.cFlushes = e.o.Counter("transport.flushes")
@@ -294,7 +285,7 @@ func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
 	return e.send(to, payload, false)
 }
 
-// SendOwned implements transport.OwnedSender: Send, except the payload
+// SendOwned implements transport.Endpoint: Send, except the payload
 // buffer came from transport.GetBuf and the endpoint recycles it after the
 // frame is written or dropped.
 func (e *Endpoint) SendOwned(to transport.NodeID, payload []byte) error {
@@ -451,9 +442,7 @@ func (e *Endpoint) writerLoop(p *peer) {
 		}
 		var msgs, bytes int64
 		for _, fr := range batch {
-			if fr.hb {
-				e.cHBSent.Inc()
-			} else {
+			if !fr.hb {
 				msgs++
 				bytes += int64(len(fr.payload))
 				e.hFrameBytes.Observe(float64(frameHdrSize + len(fr.payload)))
@@ -590,8 +579,6 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 			e.markSeen(from)
 		}
 		if len(payload) > 0 {
-			e.cMsgsRecv.Inc()
-			e.cBytesRecv.Add(int64(len(payload)))
 			e.mbox.Put(transport.Item{Kind: transport.KindMsg, From: from, Payload: payload})
 		}
 	}

@@ -77,14 +77,11 @@ var (
 	ErrUnknownPeer = errors.New("transport: unknown peer")
 )
 
-// OwnedSender is the pooled-buffer send path. An endpoint implementing it
+// OwnedSender is the pooled-buffer send path every Endpoint offers. It
 // accepts payload buffers drawn from GetBuf and takes ownership: once the
 // frame has been written to the wire (or dropped), the endpoint recycles
 // the buffer with PutBuf. The caller must not read, mutate, or retain the
-// buffer after SendOwned returns. Encoders probe for this interface and
-// fall back to Send — where the buffer simply leaks to the garbage
-// collector, which is always safe — when the transport does not implement
-// it.
+// buffer after SendOwned returns.
 type OwnedSender interface {
 	// SendOwned is Send with buffer-ownership transfer; same delivery
 	// semantics, same errors.
@@ -103,8 +100,8 @@ var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b 
 const maxPooledBuf = 1 << 20
 
 // GetBuf returns an empty payload buffer from the shared pool. Append to
-// it, hand the result to an OwnedSender, and the transport recycles it; on
-// any other path the buffer is garbage collected like a plain allocation.
+// it, hand the result to SendOwned, and the transport recycles it; on any
+// other path the buffer is garbage collected like a plain allocation.
 func GetBuf() []byte {
 	return (*bufPool.Get().(*[]byte))[:0]
 }
@@ -127,6 +124,9 @@ type Endpoint interface {
 	// Send transmits payload to the peer. Sending to a down node is not
 	// an error; the message is silently dropped (as on a real LAN).
 	Send(to NodeID, payload []byte) error
+	// OwnedSender is Send for pooled buffers; the group layer sends every
+	// frame through it.
+	OwnedSender
 	// Recv returns the ordered receive stream. The channel is closed when
 	// the endpoint closes.
 	Recv() <-chan Item

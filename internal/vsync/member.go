@@ -182,7 +182,6 @@ func (n *Node) apply(g *memberState, orderer transport.NodeID, w *wire) {
 // emitViewChange records an ordered membership event with the old and new
 // membership, so a live /trace shows exactly how each view evolved.
 func (n *Node) emitViewChange(g *memberState, event string, subject transport.NodeID, old []transport.NodeID) {
-	n.cViewChange.Inc()
 	n.o.Emit("view-change",
 		obs.KV("group", g.name),
 		obs.KV("event", event),
@@ -268,7 +267,6 @@ func (n *Node) memberState_(from transport.NodeID, w *wire) {
 	if err != nil {
 		return
 	}
-	n.cStateRecv.Add(int64(len(w.Payload)))
 	n.h.Install(g.name, env.App)
 	g.delivered = make(map[uint64]*deliveredRing, len(env.Delivered))
 	for origin, entries := range env.Delivered {

@@ -71,10 +71,6 @@ type Node struct {
 	ep   transport.Endpoint
 	h    Handler
 	self transport.NodeID
-	// owned is non-nil when the endpoint supports pooled-buffer sends
-	// (both bundled transports do): encoded frames then cycle through the
-	// transport buffer pool instead of being allocated per message.
-	owned transport.OwnedSender
 	// dec decodes incoming frames, interning group names. Loop-owned.
 	dec wireDecoder
 
@@ -144,10 +140,8 @@ type Node struct {
 	cGcast      *obs.Counter
 	cGcastFail  *obs.Counter
 	hGcastLat   *obs.Histogram
-	cViewChange *obs.Counter
 	cCoordMove  *obs.Counter
 	cStateSent  *obs.Counter
-	cStateRecv  *obs.Counter
 	cBatchSends *obs.Counter
 	cBatchMsgs  *obs.Counter
 	hBatchOcc   *obs.Histogram
@@ -180,13 +174,10 @@ type Node struct {
 	cLeaseRefused *obs.Counter
 	cLeaseFenced  *obs.Counter
 	hStageLease   *obs.Histogram
-	// Placement churn accounting: claims gathered during recovery, claim
-	// conflicts resolved by epoch, and classes whose owner moved across a
-	// live-set change.
-	cClaimMember   *obs.Counter
-	cClaimCoord    *obs.Counter
-	cClaimConflict *obs.Counter
-	cMovedClasses  *obs.Counter
+	// Placement churn accounting: coordinator claims gathered during
+	// recovery, and classes whose owner moved across a live-set change.
+	cClaimCoord   *obs.Counter
+	cMovedClasses *obs.Counter
 }
 
 // wirePool recycles the wires the hot path mints per operation — the
@@ -316,10 +307,8 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		cGcast:      o.Counter("vsync.gcast.total"),
 		cGcastFail:  o.Counter("vsync.gcast.fail"),
 		hGcastLat:   o.Histogram("vsync.gcast.latency.seconds"),
-		cViewChange: o.Counter("vsync.view.changes"),
 		cCoordMove:  o.Counter("vsync.coord.changes"),
 		cStateSent:  o.Counter("vsync.state.bytes.sent"),
-		cStateRecv:  o.Counter("vsync.state.bytes.recv"),
 		cBatchSends: o.Counter("vsync.batch.sends"),
 		cBatchMsgs:  o.Counter("vsync.batch.msgs"),
 		hBatchOcc:   o.Histogram("vsync.batch.occupancy"),
@@ -338,17 +327,14 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		cDoneDirect:   o.Counter("vsync.cast.completed.direct"),
 		cDoneGathered: o.Counter("vsync.cast.completed.gathered"),
 
-		cClaimMember:   o.Counter("vsync.claims.member"),
-		cClaimCoord:    o.Counter("vsync.claims.coord"),
-		cClaimConflict: o.Counter("vsync.claims.conflict"),
-		cMovedClasses:  o.Counter("placement.moved.classes"),
+		cClaimCoord:   o.Counter("vsync.claims.coord"),
+		cMovedClasses: o.Counter("placement.moved.classes"),
 
 		cLeaseServed:  o.Counter("vsync.lease.served"),
 		cLeaseRefused: o.Counter("vsync.lease.refused"),
 		cLeaseFenced:  o.Counter("vsync.lease.fenced"),
 		hStageLease:   o.Histogram(obs.StageLeaseServe),
 	}
-	n.owned, _ = ep.(transport.OwnedSender)
 	for t := tCastReq; t <= tMaxType; t++ {
 		n.hFrame[t] = o.Histogram(o.Series("vsync.frame.bytes.{type}", t.String()))
 	}
@@ -811,18 +797,14 @@ func (n *Node) sendNow(to transport.NodeID, w *wire) error {
 }
 
 // transmit hands one encoded frame to the transport, transferring buffer
-// ownership when the endpoint supports it. The frame's encoded size is
-// recorded per message type — the actual |m| that the §3.3 msg-cost model
-// prices.
+// ownership. The frame's encoded size is recorded per message type — the
+// actual |m| that the §3.3 msg-cost model prices.
 func (n *Node) transmit(to transport.NodeID, t msgType, buf []byte, encStart time.Time) error {
 	n.hStageEncode.Observe(time.Since(encStart).Seconds())
 	if h := n.hFrame[t]; h != nil {
 		h.Observe(float64(len(buf)))
 	}
-	if n.owned != nil {
-		return n.owned.SendOwned(to, buf)
-	}
-	return n.ep.Send(to, buf)
+	return n.ep.SendOwned(to, buf)
 }
 
 // liveChanged reacts to any membership edge (including the constructor's

@@ -181,9 +181,6 @@ func (n *Node) coordClaim(from transport.NodeID, w *wire) {
 		if n.coordOf(name) != n.self {
 			continue
 		}
-		if info.Member {
-			n.cClaimMember.Inc()
-		}
 		if info.Coord {
 			n.cClaimCoord.Inc()
 		}
@@ -202,7 +199,6 @@ func (n *Node) coordClaim(from transport.NodeID, w *wire) {
 			continue
 		}
 		if g := cs.groups[name]; g != nil && info.Coord && info.CoordLast >= g.nextSeq {
-			n.cClaimConflict.Inc()
 			n.o.Emit("claim-conflict",
 				obs.KV("group", name), obs.KV("from", from),
 				obs.KV("claim", info.CoordLast), obs.KV("next", g.nextSeq))
