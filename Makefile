@@ -43,10 +43,12 @@ wire-fuzz:
 	$(GO) test -fuzz FuzzProtocolParse -fuzztime 10s -run '^$$' ./internal/core/
 
 # Deterministic fault-injection smoke under the race detector; failures
-# replay bit-identically from the same seed (README, "Chaos testing").
+# replay bit-identically from the same seed (README, "Chaos testing"). The
+# generated seed draws five rounds from every scenario kind.
 chaos:
 	$(GO) run -race ./cmd/paso-chaos -scenario rolling-crash -seed 42
 	$(GO) run -race ./cmd/paso-chaos -scenario flapping-partition -seed 7
+	$(GO) run -race ./cmd/paso-chaos -scenario generated -seed 3 -rounds 5
 
 # The same seeded rolling-crash schedule with the leased-read fast path
 # enabled: the lease must be invisible to the λ−k+1 invariant and the

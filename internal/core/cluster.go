@@ -352,7 +352,8 @@ func (c *Cluster) CheckInvariants() error {
 // CheckInvariants: every live machine's failure detector sees exactly the
 // live machines, and for every class exactly one machine sequences wg(C)
 // (and rg(C)), the machines that count themselves members are exactly the
-// ones on that sequencer's member list, and they report the same ClassLen.
+// ones on that sequencer's member list, and they hold the same contents
+// (ClassDigest).
 // A machine healed out of a partition still counts itself a member of its
 // stale series until the coordinator restates it; this is the check that
 // sees it. Same calling rule as CheckInvariants.
@@ -390,8 +391,8 @@ func (c *Cluster) CheckConverged() error {
 				return fmt.Errorf("core: %s: %d sequencer(s) listing %v, self-declared members are %v", g, owners, listed, self)
 			}
 			for _, m := range members {
-				if a, b := members[0].ClassLen(cls), m.ClassLen(cls); a != b {
-					return fmt.Errorf("core: %s: machine %d holds %d objects, machine %d holds %d", g, self[0], a, m.id, b)
+				if a, b := members[0].ClassDigest(cls), m.ClassDigest(cls); a != b {
+					return fmt.Errorf("core: %s: machine %d holds digest %016x, machine %d holds %016x", g, self[0], a, m.id, b)
 				}
 			}
 		}

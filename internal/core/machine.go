@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"time"
 
@@ -339,6 +340,16 @@ func (m *Machine) MemberOf(cls class.ID) bool { return m.node.Member(m.groupsOf(
 
 // ClassLen returns the local live-object count for a class (ℓ).
 func (m *Machine) ClassLen(cls class.ID) int { return m.srv.classLen(cls) }
+
+// ClassDigest hashes the class's write-group snapshot (FNV-64a). The
+// snapshot lists entries in ascending arrival order, so replicas holding
+// equal contents give equal digests. Computed on demand, never on the apply
+// path (Cluster.CheckConverged).
+func (m *Machine) ClassDigest(cls class.ID) uint64 {
+	h := fnv.New64a()
+	h.Write(m.srv.Snapshot(wgName(cls)))
+	return h.Sum64()
+}
 
 // Node exposes the vsync node (used by the cluster layer and tests).
 func (m *Machine) Node() *vsync.Node { return m.node }

@@ -1,9 +1,11 @@
 package faults
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -250,6 +252,66 @@ func TestOneWayPartitionHeals(t *testing.T) {
 	}
 }
 
+// TestLostInterrogationRetried heals a {m} | rest partition one direction at
+// a time: m's outbound links first, so machine 1 sees m come back and
+// interrogates it over a link that is still cut. The interrogation is
+// retried until answered, so once the reverse links heal m is restated and
+// rejoins with state transfer: the cluster converges, and m reads the value
+// inserted while it was cut off.
+func TestLostInterrogationRetried(t *testing.T) {
+	net := simnet.New(cost.DefaultModel())
+	cluster, err := core.NewClusterOn(core.SimFabric(net), core.Config{
+		Classifier: Classifier(),
+		Lambda:     1,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+	var m transport.NodeID
+	for _, id := range cluster.Support(ProbeClass) {
+		if id != 1 {
+			m = id
+		}
+	}
+	var rest []transport.NodeID
+	for id := transport.NodeID(1); id <= 3; id++ {
+		if id != m {
+			rest = append(rest, id)
+		}
+	}
+	for _, r := range rest {
+		net.Cut(m, r)
+		net.Cut(r, m)
+	}
+	const v = int64(5151)
+	if _, err := cluster.Machine(1).Insert(probeTuple(v)); err != nil {
+		t.Fatalf("insert on the majority: %v", err)
+	}
+	for _, r := range rest {
+		net.Uncut(m, r)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if live, _ := cluster.Machine(1).Node().LiveView(); slices.Contains(live, m) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("machine 1 never saw %d come back", m)
+		}
+	}
+	for _, r := range rest {
+		net.Uncut(r, m)
+	}
+	for deadline := time.Now().Add(5 * time.Second); cluster.CheckConverged() != nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no convergence after the heal: %v", cluster.CheckConverged())
+		}
+	}
+	if _, ok, err := cluster.Machine(m).Read(probeTemplate(v)); err != nil || !ok {
+		t.Fatalf("machine %d misses the value written while it was cut off: ok=%v err=%v", m, ok, err)
+	}
+}
+
 // TestSeedDeterminism is the FAULTS.md §5 regression: the same scenario
 // and seed must replay an identical report and executed fault sequence;
 // a different seed must diverge. slow-coordinator is the scenario whose
@@ -368,6 +430,37 @@ func TestScenarioRollingCrash(t *testing.T)      { runScenario(t, "rolling-crash
 func TestScenarioFlappingPartition(t *testing.T) { runScenario(t, "flapping-partition", 7) }
 func TestScenarioLossyLink(t *testing.T)         { runScenario(t, "lossy-link", 13) }
 func TestScenarioSlowCoordinator(t *testing.T)   { runScenario(t, "slow-coordinator", 3) }
+
+// TestScenarioGenerated runs sixteen generated schedules of five rounds
+// over n ∈ {4, 5, 6} and λ ∈ {1, 2}, every second one with leased reads.
+// A failure prints the paso-chaos command line that replays it.
+func TestScenarioGenerated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full scenarios")
+	}
+	for i := 0; i < 16; i++ {
+		seed, n, lambda, leases := uint64(i+1), 4+i%3, 1+i/3%2, i%2 == 1
+		replay := fmt.Sprintf("paso-chaos -scenario generated -seed %d -n %d -lambda %d -rounds 5", seed, n, lambda)
+		if leases {
+			replay += " -leases"
+		}
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			sc, err := Build("generated", seed, n, lambda, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			res, err := Run(sc, RunOptions{Out: &out, Leases: leases})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK() {
+				t.Errorf("%s:\n%s\nreport:\n%s", replay, strings.Join(res.Violations, "\n"), out.String())
+			}
+		})
+	}
+}
 
 // TestFlappingPartitionHealStable is the regression for the post-heal
 // settle race: the CLI's default flapping-partition plan (n=5, two rounds,

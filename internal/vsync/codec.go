@@ -15,6 +15,7 @@ import (
 //
 //	frame    := magic(1) envelope
 //	envelope := type(1) flags(1) body
+//	type     : an assigned msgType (1-14, 16, 17); any other byte is rejected
 //	flags    : bit0 = Fail, bit1 = Infos present,
 //	           bits 2-4 = eventKind, bits 5-7 reserved (zero)
 //	body (type != tBatch):
@@ -312,6 +313,10 @@ func (d *wireDecoder) decode(b []byte) (*wire, error) {
 
 func (d *wireDecoder) decodeEnvelope(r *rbuf, w *wire, inner bool) {
 	w.Type = msgType(r.u8())
+	if !w.Type.assigned() {
+		r.fail()
+		return
+	}
 	flags := r.u8()
 	if flags&flagReserved != 0 {
 		r.fail()

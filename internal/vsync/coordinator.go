@@ -21,14 +21,20 @@ func (n *Node) recordOwnership(group, kind string, owner transport.NodeID, takeo
 // maps to this node. It is created by the node's first takeover recovery
 // and rebuilt from survivors after a previous owner's crash.
 type coordState struct {
-	groups     map[string]*coordGroup
+	groups map[string]*coordGroup
+	// wait is the one set of peers this node is waiting on for a report
+	// that counts: a newcomer on Up, every live peer during a takeover
+	// recovery, a claimant just sent tRestate. The loop re-sends tSync to
+	// each every syncRetry (placed.go); a Down removes the peer.
+	wait       map[transport.NodeID]bool
 	recovering bool
-	syncWait   map[transport.NodeID]bool
-	reports    map[transport.NodeID]map[string]syncInfo
-	// claims holds coordinator claims pushed with tClaim while a recovery
-	// runs (group → claimant → last assigned sequence); finishRecovery
-	// merges them with the claims embedded in the reports.
-	claims map[string]map[transport.NodeID]uint64
+	// reports holds the running recovery's counted reports, each peer's
+	// merged by per-group maximum (fold).
+	reports map[transport.NodeID]map[string]syncInfo
+	// resynced remembers, per rebuilt group and lagging claimant, the donor
+	// already asked to resync it, so a recovery pass re-sends a snapshot
+	// only when the donor changed; every membership edge clears it.
+	resynced map[resyncKey]transport.NodeID
 	// recoveryStart stamps when the survivor-quorum wait began; the gap to
 	// finishRecovery is the takeover duration recorded per rebuilt group
 	// (vsync.takeover.seconds.<group>, and the takeover ownership event).
@@ -167,6 +173,12 @@ func (r *pendingRing) del(seq uint64) {
 	}
 }
 
+// resyncKey names one lagging claimant of one group a recovery rebuilds.
+type resyncKey struct {
+	group string
+	node  transport.NodeID
+}
+
 type queuedReq struct {
 	from transport.NodeID
 	w    *wire
@@ -204,40 +216,62 @@ func removeIDCopy(ids []transport.NodeID, id transport.NodeID) []transport.NodeI
 	return ids
 }
 
-// coordSyncInfo records a node's group report: during recovery it counts
-// toward the survivor quorum; otherwise it is an unsolicited report from a
-// newly discovered node, merged against the established state.
+// coordSyncInfo takes one report, a tSync answer or an unsolicited nudge.
+// Unless it passes the view check (viewAgrees) it is dropped, and a waited-on
+// sender stays waiting. One that counts takes its sender out of the wait
+// set, starts the epoch's recovery if it names a group unsequenced here,
+// feeds a running recovery, and is merged against the groups we sequence.
 func (n *Node) coordSyncInfo(from transport.NodeID, w *wire) {
+	if !n.viewAgrees(w) {
+		return
+	}
+	for name := range w.Infos {
+		if n.unsequenced(name) {
+			n.ensureRecovery() // a no-op once this epoch's recovery ran
+			break
+		}
+	}
 	cs := n.cs
 	if cs == nil {
 		return
 	}
-	if cs.recovering && cs.syncWait[from] {
-		cs.reports[from] = w.Infos
-		delete(cs.syncWait, from)
-		if len(cs.syncWait) == 0 {
-			n.finishRecovery()
-		}
-		return
-	}
+	delete(cs.wait, from)
 	if cs.recovering {
-		// A report from outside the recovery quorum: fold it in as an
-		// extra claim set; finishRecovery filters by liveness anyway.
-		cs.reports[from] = w.Infos
-		return
+		cs.fold(from, w.Infos)
 	}
 	n.mergeReport(from, w.Infos)
+	if cs.recovering && len(cs.wait) == 0 {
+		n.finishRecovery()
+	}
 }
 
-// mergeReport reconciles an unsolicited membership report with the
-// established group state:
+// fold merges one counted report into the running recovery. A second
+// report from the same peer merges into the first by per-group maximum, so
+// no claim is lost.
+func (cs *coordState) fold(from transport.NodeID, infos map[string]syncInfo) {
+	r := cs.reports[from]
+	if r == nil {
+		r = make(map[string]syncInfo, len(infos))
+		cs.reports[from] = r
+	}
+	for name, info := range infos {
+		si := r[name]
+		si.Member = si.Member || info.Member
+		si.Last = max(si.Last, info.Last)
+		r[name] = si
+	}
+}
+
+// mergeReport reconciles a counted report with the groups this node
+// sequences (groups a running recovery will rebuild are left to it):
 //
 //   - a claim for a group with no current members is adopted (the claimant
 //     is the last holder of that state — discarding it would lose data);
 //   - a claim from a node we do not count as a member, or whose delivery
 //     counter runs ahead of the group's sequence, comes from a divergent
 //     series (bootstrap split or post-eviction flap): the claimant is told
-//     to wipe and rejoin, receiving fresh state from a current member.
+//     to wipe and rejoin, receiving fresh state from a current member, and
+//     is waited on until a report of it no longer claims the old series.
 func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
 	cs := n.cs
 	for name, info := range infos {
@@ -248,22 +282,10 @@ func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
 			continue // another owner's group; its coordinator reconciles it
 		}
 		cg := cs.groups[name]
+		if cg == nil && cs.recovering {
+			continue // the running recovery rebuilds it from the full quorum
+		}
 		if cg == nil || len(cg.members) == 0 {
-			if n.recoveredEpoch != n.liveEpoch {
-				// An unknown group that maps to us in a view we have not
-				// recovered must go through the full quorum, not
-				// single-report adoption — other members may hold higher
-				// sequences. This reply becomes the sender's recovery report.
-				n.ensureRecovery()
-				if n.cs.recovering {
-					n.cs.reports[from] = infos
-					delete(n.cs.syncWait, from)
-					if len(n.cs.syncWait) == 0 {
-						n.finishRecovery()
-					}
-				}
-				return
-			}
 			if cg == nil {
 				cg = n.newCoordGroup(name)
 				cs.groups[name] = cg
@@ -274,12 +296,6 @@ func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
 			}
 			cg.members = []transport.NodeID{from}
 			cg.nextSeq = info.Last + 1
-			if info.Coord && info.CoordLast >= cg.nextSeq {
-				// The claimant also sequenced the group (an abdicator that
-				// was its own member): start past everything it assigned.
-				// Safe with a single member — it delivers its own tail.
-				cg.nextSeq = info.CoordLast + 1
-			}
 			continue
 		}
 		if containsID(cg.members, from) && info.Last < cg.nextSeq {
@@ -292,6 +308,7 @@ func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
 			n.evictMember(cg, from)
 		}
 		n.send(from, &wire{Type: tRestate, Group: name})
+		n.await(from)
 	}
 }
 
@@ -314,100 +331,70 @@ func (n *Node) evictMember(g *coordGroup, id transport.NodeID) {
 	n.dropFromPending(g, id)
 }
 
-// finishRecovery merges survivor reports into fresh sequencing state,
-// resynchronizes members that missed deliveries during the failover, and
-// replays queued requests. Only groups that map to this node are rebuilt
-// (each owner recovers its own), groups already under our sequencing keep
-// our authoritative record, and coordinator claims — from
-// reports and pushed tClaims — raise the rebuilt next sequence past any
-// range the previous sequencer assigned.
+// finishRecovery is a recovery pass, run whenever the wait set empties or
+// our own state catches up. It rebuilds each unsequenced group the reports
+// (ours taken now) name: members are the live member claimants, the next
+// sequence follows the highest one delivered. A claimant behind it is
+// resynced from the most advanced one and waited on; the recovery finishes
+// only once every claimant has caught up, so no rebuilt series starts ahead
+// of a member, and a donor that dies first is replaced at the next pass.
 func (n *Node) finishRecovery() {
 	cs := n.cs
-	cs.recovering = false
-	n.recoveredEpoch = n.liveEpoch
-	// Takeover duration: quorum wait through state rebuild. Zero when the
-	// state was seeded without a recovery (solo bootstrap).
-	var takeover time.Duration
-	if !cs.recoveryStart.IsZero() {
-		takeover = time.Since(cs.recoveryStart)
-		cs.recoveryStart = time.Time{}
-	}
+	cs.fold(n.self, n.ownSyncInfos())
 	type claim struct {
 		node transport.NodeID
 		last uint64
 	}
 	byGroup := make(map[string][]claim)
-	coordLast := make(map[string]map[transport.NodeID]uint64)
-	record := func(name string, node transport.NodeID, last uint64) {
-		gm := coordLast[name]
-		if gm == nil {
-			gm = make(map[transport.NodeID]uint64)
-			coordLast[name] = gm
-		}
-		if last > gm[node] {
-			gm[node] = last
-		}
-	}
 	for node, infos := range cs.reports {
-		if !n.live[node] {
-			continue
-		}
 		for name, info := range infos {
-			if info.Member {
-				byGroup[name] = append(byGroup[name], claim{node: node, last: info.Last})
-			}
-			if info.Coord {
-				record(name, node, info.CoordLast)
+			if info.Member && n.unsequenced(name) {
+				byGroup[name] = append(byGroup[name], claim{node, info.Last})
 			}
 		}
 	}
-	for name, gm := range cs.claims {
-		for node, last := range gm {
-			if n.live[node] {
-				record(name, node, last)
-			}
-		}
-	}
-	cs.claims = nil
+	rebuilt := make([]*coordGroup, 0, len(byGroup))
+	behind := false
 	for name, claims := range byGroup {
-		if n.coordOf(name) != n.self {
-			continue // that group's owner runs its own recovery
-		}
-		if cs.groups[name] != nil {
-			continue // already sequencing it; our record is authoritative
-		}
 		g := n.newCoordGroup(name)
 		var donor transport.NodeID
-		var maxLast uint64
+		var target uint64
 		for _, c := range claims {
 			g.members = addIDCopy(g.members, c.node)
-			if c.last >= maxLast {
-				maxLast = c.last
-				donor = c.node
-			}
-		}
-		// A coordinator claim counts only when the claimant is itself a live
-		// member: it alone is guaranteed to deliver its own tail, so it can
-		// donate the range (g.last, claim] to the others. A claim from a
-		// non-member is ignored safely — no live member delivered anything
-		// past maxLast, so those sequence numbers are free to reassign.
-		target := maxLast
-		for node, last := range coordLast[name] {
-			if last > target && containsID(g.members, node) {
-				target, donor = last, node
+			if c.last >= target {
+				target, donor = c.last, c.node
 			}
 		}
 		g.nextSeq = target + 1
-		cs.groups[name] = g
-		n.o.Histogram(n.o.Series("vsync.takeover.seconds.{group}", name)).Observe(takeover.Seconds())
-		n.recordOwnership(name, obs.OwnTakeover, n.self, takeover)
+		rebuilt = append(rebuilt, g)
 		for _, c := range claims {
-			if c.last < target {
-				// UpTo is the donation floor: the donor defers the snapshot
-				// until its own deliveries reach it (donorResync).
-				n.send(donor, &wire{Type: tResync, Group: name, Subject: nid(c.node), UpTo: target})
+			if c.last == target {
+				continue
+			}
+			behind = true
+			k := resyncKey{name, c.node}
+			if cs.resynced[k] != donor {
+				cs.resynced[k] = donor
+				n.send(donor, &wire{Type: tResync, Group: name, Subject: nid(c.node)})
+			}
+			if c.node != n.self {
+				cs.wait[c.node] = true // asked again at the next retry tick
 			}
 		}
+	}
+	if behind {
+		return
+	}
+	cs.recovering = false
+	n.recoveredEpoch = n.liveEpoch
+	cs.reports = nil
+	clear(cs.resynced)
+	// Takeover duration: quorum wait through state rebuild.
+	takeover := time.Since(cs.recoveryStart)
+	for _, g := range rebuilt {
+		cs.groups[g.name] = g
+		n.o.Histogram(n.o.Series("vsync.takeover.seconds.{group}", g.name)).Observe(takeover.Seconds())
+		n.recordOwnership(g.name, obs.OwnTakeover, n.self, takeover)
 	}
 	n.syncCoordGroups()
 	queued := cs.queued
@@ -418,10 +405,8 @@ func (n *Node) finishRecovery() {
 }
 
 // newCoordGroup allocates a coordinator record with its per-group
-// observability handles. Any abdication claim we retained for the name dies
-// here: taking (back) ownership supersedes whatever we last handed off.
+// observability handles.
 func (n *Node) newCoordGroup(name string) *coordGroup {
-	delete(n.abdicated, name)
 	return &coordGroup{
 		name:     name,
 		nextSeq:  1,
@@ -446,7 +431,8 @@ func (n *Node) coordGroupFor(name string) *coordGroup {
 // coordRequest routes a client request (cast, join, or leave): stash when
 // the group maps elsewhere (the sender's detector may be ahead of ours), run
 // the epoch's takeover recovery before sequencing any group we have no
-// record of, queue while recovering, and dispatch otherwise.
+// record of and queue behind it, and dispatch otherwise — a group we
+// already sequence never waits for a recovery.
 func (n *Node) coordRequest(from transport.NodeID, w *wire) {
 	if n.coordOf(w.Group) != n.self {
 		if len(n.preCoord) < preCoordMax {
@@ -454,15 +440,14 @@ func (n *Node) coordRequest(from transport.NodeID, w *wire) {
 		}
 		return
 	}
-	if n.cs == nil || (!n.cs.recovering && n.cs.groups[w.Group] == nil) {
+	if n.unsequenced(w.Group) {
 		// A no-op when this epoch's recovery already ran: a group its quorum
 		// did not report is provably fresh.
 		n.ensureRecovery()
-	}
-	cs := n.cs
-	if cs.recovering {
-		cs.queued = append(cs.queued, queuedReq{from: from, w: w})
-		return
+		if cs := n.cs; cs.recovering {
+			cs.queued = append(cs.queued, queuedReq{from: from, w: w})
+			return
+		}
 	}
 	switch w.Type {
 	case tCastReq:
@@ -636,8 +621,13 @@ func (n *Node) sendReply(to transport.NodeID, reqID uint64, payload []byte, fail
 }
 
 func (n *Node) coordJoin(w *wire) {
-	g := n.coordGroupFor(w.Group)
 	subject := tid(w.Subject)
+	if !n.live[subject] {
+		// A stale retransmission (stashed or queued) from a joiner that has
+		// since died: admitting it would make every gather wait on a corpse.
+		return
+	}
+	g := n.coordGroupFor(w.Group)
 	var donor transport.NodeID
 	for _, m := range g.members {
 		if m != subject {
@@ -724,19 +714,14 @@ func (n *Node) finishCast(g *coordGroup, seq uint64, pc *pendingCast) {
 	putPendingCast(pc)
 }
 
-// coordNodeDown evicts a crashed node from every group and unblocks
-// response gathering that was waiting on it.
+// coordNodeDown stops waiting on a crashed node, evicts it from every group
+// this node sequences — a running recovery does not hold that up — and
+// unblocks response gathering that was waiting on it. The edge's
+// refreshPlacement then re-queries a running recovery's quorum.
 func (n *Node) coordNodeDown(dead transport.NodeID) {
 	cs := n.cs
-	if cs.recovering {
-		delete(cs.syncWait, dead)
-		if len(cs.syncWait) == 0 {
-			n.finishRecovery()
-			// fall through: the dead node may also appear in rebuilt groups
-		} else {
-			return
-		}
-	}
+	delete(cs.wait, dead)
+	delete(cs.reports, dead) // a later incarnation reports afresh
 	for _, g := range cs.groups {
 		if containsID(g.members, dead) {
 			n.evictMember(g, dead)

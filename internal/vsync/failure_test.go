@@ -46,6 +46,45 @@ func TestDonorCrashDuringJoin(t *testing.T) {
 	}
 }
 
+// TestJoinSnapshotLostOnCutLink: the donor's snapshot to a joiner is
+// dropped on a link that is still cut, as while a partition heals one link
+// at a time. When the link heals, the donor's Up at the joiner re-requests
+// the join, a donor answers again, and the join completes with full state.
+func TestJoinSnapshotLostOnCutLink(t *testing.T) {
+	h := newHarness(t, 1, 2, 3)
+	// 3 joins first, so it is the first member other than the joiner and
+	// the coordinator (1) names it donor.
+	for _, id := range []transport.NodeID{3, 1} {
+		if err := h.nds[id].Join("g"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.nds[1].Gcast("g", []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	h.net.Cut(3, 2)
+	joined := make(chan error, 1)
+	nd2 := h.nds[2]
+	go func() { joined <- nd2.Join("g") }()
+	select {
+	case err := <-joined:
+		t.Fatalf("join finished (%v) while its donor could not reach the joiner", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	h.net.Uncut(3, 2)
+	select {
+	case err := <-joined:
+		if err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("join hung after its snapshot was lost")
+	}
+	if got := h.hs[2].log("g"); len(got) != 1 {
+		t.Fatalf("joiner state has %d entries, want 1", len(got))
+	}
+}
+
 // TestLeaveWhileCastsInFlight ensures response gathering completes when a
 // member leaves between ordering and acking.
 func TestLeaveWhileCastsInFlight(t *testing.T) {

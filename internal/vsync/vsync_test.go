@@ -86,7 +86,8 @@ func (h *testHandler) log(group string) []string {
 }
 
 // harness bundles a simnet with nodes, handlers, and one Obs per node. A
-// nil coordFn leaves the nodes on their default placement (LowestLive).
+// nil coordFn leaves the nodes on their default placement (LowestLive); a
+// non-nil wrap decorates every node's endpoint.
 type harness struct {
 	t       *testing.T
 	net     *simnet.Net
@@ -95,6 +96,7 @@ type harness struct {
 	hs      map[transport.NodeID]*testHandler
 	os      map[transport.NodeID]*obs.Obs
 	coordFn CoordFn
+	wrap    func(transport.Endpoint) transport.Endpoint
 }
 
 func newHarness(t *testing.T, ids ...transport.NodeID) *harness {
@@ -105,6 +107,12 @@ func newHarness(t *testing.T, ids ...transport.NodeID) *harness {
 // newHarnessOn builds a harness whose nodes share the placement function fn.
 func newHarnessOn(t *testing.T, fn CoordFn, ids ...transport.NodeID) *harness {
 	t.Helper()
+	return newHarnessWrapped(t, fn, nil, ids...)
+}
+
+// newHarnessWrapped is newHarnessOn with every endpoint decorated by wrap.
+func newHarnessWrapped(t *testing.T, fn CoordFn, wrap func(transport.Endpoint) transport.Endpoint, ids ...transport.NodeID) *harness {
+	t.Helper()
 	h := &harness{
 		t:       t,
 		net:     simnet.New(cost.DefaultModel()),
@@ -113,6 +121,7 @@ func newHarnessOn(t *testing.T, fn CoordFn, ids ...transport.NodeID) *harness {
 		hs:      make(map[transport.NodeID]*testHandler),
 		os:      make(map[transport.NodeID]*obs.Obs),
 		coordFn: fn,
+		wrap:    wrap,
 	}
 	for _, id := range ids {
 		h.start(id)
@@ -133,7 +142,11 @@ func (h *harness) start(id transport.NodeID) *Node {
 	}
 	th := newTestHandler()
 	o := obs.New(obs.Options{TraceCap: 256})
-	nd := NewNodeOpts(ep, th, NodeOptions{Obs: o, Coord: h.coordFn})
+	var tep transport.Endpoint = ep
+	if h.wrap != nil {
+		tep = h.wrap(ep)
+	}
+	nd := NewNodeOpts(tep, th, NodeOptions{Obs: o, Coord: h.coordFn})
 	h.eps[id] = ep
 	h.nds[id] = nd
 	h.hs[id] = th

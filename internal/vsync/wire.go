@@ -27,12 +27,12 @@
 // coordinator change is safe.
 //
 // Divergent histories are reconciled by the coordinator interrogating every
-// newly discovered node (tSync on Up): group claims for classes with no
-// current members are adopted; claims from a divergent sequence series —
-// a bootstrap where nodes briefly coordinated alone before their failure
-// detectors converged, or a member evicted by a detector flap it never saw
-// — are answered with tRestate, making the claimant wipe that group and
-// rejoin with a fresh state transfer. Split-brain sides that lose the merge
+// newly discovered node (tSync on Up, re-sent until a report counts): group
+// claims for classes with no current members are adopted; claims from a
+// divergent sequence series — a bootstrap where nodes briefly coordinated
+// alone before their failure detectors converged, or a member evicted by a
+// detector flap it never saw — are answered with tRestate, making the
+// claimant wipe that group and rejoin with a fresh state transfer. Split-brain sides that lose the merge
 // discard their divergent writes; at bootstrap the groups are empty, and
 // post-flap the surviving series is the one the coordinator kept ordering.
 package vsync
@@ -52,14 +52,14 @@ const (
 	tAck                           // member → coordinator: processed + response
 	tReply                         // coordinator → client: gathered response
 	tState                         // donor → joiner/laggard: state snapshot
-	tSync                          // new coordinator → all: report your groups
-	tSyncInfo                      // node → new coordinator: my group facts
+	tSync                          // coordinator → node: report your groups (retried until the report counts)
+	tSyncInfo                      // node → coordinator: my group facts and live set (reply or nudge)
 	tResync                        // coordinator → donor: push state to laggard
 	tApp                           // application point-to-point message
 	tRestate                       // coordinator → member: your series diverged; wipe and rejoin
 	tBatch                         // container: several messages coalesced into one frame
 	tOrderedRun                    // coordinator → members: contiguous run of sequenced data events
-	tClaim                         // node → group owner: unsolicited placement claim (member nudge or abdication handoff)
+	_                              // 15: unassigned; the decoder rejects it
 	tLeaseRead                     // client → group member: epoch-fenced direct read (bypasses the sequencer)
 	tLeaseReply                    // group member → client: leased-read answer or fence
 )
@@ -99,8 +99,6 @@ func (t msgType) String() string {
 		return "batch"
 	case tOrderedRun:
 		return "orderedrun"
-	case tClaim:
-		return "claim"
 	case tLeaseRead:
 		return "leaseread"
 	case tLeaseReply:
@@ -109,6 +107,9 @@ func (t msgType) String() string {
 		return "invalid"
 	}
 }
+
+// assigned reports whether t is a message type of this wire version.
+func (t msgType) assigned() bool { return t.String() != "invalid" }
 
 // eventKind discriminates sequenced events inside tOrdered.
 type eventKind uint8
@@ -138,7 +139,7 @@ type wire struct {
 	// tOrderedRun and its events it is the completion mark (the receiver's apply
 	// is the last outstanding), carried in the run's two spare flag bits.
 	Size int
-	// UpTo is a sequence floor on state transfers and resyncs; the lease
+	// UpTo is the sequence a state transfer reflects; the lease
 	// messages (tLeaseRead/tLeaseReply) reuse it to carry the sender's view
 	// epoch instead (lease.go), so the fence travels in the existing
 	// envelope with zero codec changes.
@@ -151,7 +152,9 @@ type wire struct {
 	// primitive was not traced.
 	Trace uint64
 	Span  uint64
-	Infos map[string]syncInfo // tSyncInfo only
+	// Infos is a tSyncInfo report's body; the report's Payload carries the
+	// sender's sorted live set, encoded like an evJoin member list.
+	Infos map[string]syncInfo
 	// Batch carries the coalesced messages of a tBatch frame, in send
 	// order. The receiver dispatches them in sequence, so per-destination
 	// FIFO — and with it the total order of tOrdered events — is exactly
@@ -174,17 +177,16 @@ type wire struct {
 	refs int32
 }
 
-// syncInfo is one node's report about one group: its membership facts
-// (tSyncInfo recovery replies) and its coordinator claim — the last
-// sequence number it assigned for the group, reported by current and
-// recently abdicated coordinators so a takeover never reuses or skips a
-// sequence range the old sequencer handed out (PROTOCOL.md, "Coordinator
-// placement and takeover").
+// syncInfo is one node's report about one group: its membership and the
+// last sequence number it delivered there. The v1 layout also has room for
+// a coordinator claim (Coord, CoordLast); nodes decode it but never send
+// one — a report is taken after the sender's own deliveries, so a
+// sequencer's range shows in its Last (PROTOCOL.md, "Coordinator moves").
 type syncInfo struct {
 	Member    bool
 	Last      uint64 // highest delivered sequence number
-	Coord     bool   // sender holds (or last held) the group's sequencer
-	CoordLast uint64 // last sequence the sender assigned as coordinator
+	Coord     bool   // coordinator claim present (unused by current nodes)
+	CoordLast uint64 // the claim's last assigned sequence
 }
 
 // snapshotEnvelope is what a donor actually ships: the application state

@@ -30,10 +30,11 @@ func sampleWires() map[string]*wire {
 		"state":        {Type: tState, Group: "g", UpTo: 9, Payload: []byte{0x7F}},
 		"sync":         {Type: tSync},
 		"syncinfo":     {Type: tSyncInfo, Infos: map[string]syncInfo{"b": {}, "a": {Member: true, Last: 5}, "c": {Member: true, Last: 9, Coord: true, CoordLast: 12}}},
-		"claim":        {Type: tClaim, Infos: map[string]syncInfo{"g": {Coord: true, CoordLast: 7}}},
-		"resync":       {Type: tResync, Group: "g", Subject: 4},
-		"app":          {Type: tApp, Payload: []byte("hello")},
-		"restate":      {Type: tRestate, Group: "g"},
+		// A report as nodes send it: the claim set plus the sender's live set.
+		"syncinfo-live": {Type: tSyncInfo, Payload: idsToWire([]transport.NodeID{1, 2, 3}), Infos: map[string]syncInfo{"g": {Member: true, Last: 5, Coord: true, CoordLast: 7}}},
+		"resync":        {Type: tResync, Group: "g", Subject: 4},
+		"app":           {Type: tApp, Payload: []byte("hello")},
+		"restate":       {Type: tRestate, Group: "g"},
 		"batch": {Type: tBatch, Batch: []wire{
 			{Type: tOrdered, Group: "g", Seq: 8, Event: evData, ReqID: 301, Origin: 3, Payload: []byte{0x0A}},
 			{Type: tAck, Group: "g", Seq: 8, ReqID: 301, Origin: 3},
@@ -97,16 +98,16 @@ func TestWireRoundTripAllTypes(t *testing.T) {
 func TestWireGolden(t *testing.T) {
 	samples := sampleWires()
 	golden := map[string]string{
-		"castreq":      "c101000877672e6a6f622f33ac02030003000000000002dead",
-		"ordered":      "c104040167ac0203070000000080010102dead",
-		"ack-fail":     "c105010167ac02030700000000000000",
-		"reply":        "c1060000ac0200000000020000000101",
-		"join-ordered": "c104080167000001020100000000020102",
-		"syncinfo":     "c109020000000000000000000000030161010501620000016303090c",
-		"claim":        "c10f020000000000000000000000010167020007",
-		"state":        "c107000167000000000000090000017f",
-		"batch":        "c10d000204040167ad020308000000000000010a05000167ad02030800000000000000",
-		"orderedrun":   "c10e0401670902ac020380010102deadad0204000000",
+		"castreq":       "c101000877672e6a6f622f33ac02030003000000000002dead",
+		"ordered":       "c104040167ac0203070000000080010102dead",
+		"ack-fail":      "c105010167ac02030700000000000000",
+		"reply":         "c1060000ac0200000000020000000101",
+		"join-ordered":  "c104080167000001020100000000020102",
+		"syncinfo":      "c109020000000000000000000000030161010501620000016303090c",
+		"syncinfo-live": "c109020000000000000000000003010203010167030507",
+		"state":         "c107000167000000000000090000017f",
+		"batch":         "c10d000204040167ad020308000000000000010a05000167ad02030800000000000000",
+		"orderedrun":    "c10e0401670902ac020380010102deadad0204000000",
 
 		"orderedrun-marked": "c10e0601670902ac020380010102deadad0204000000",
 	}
@@ -184,6 +185,23 @@ func TestWireRejectsWrongVersion(t *testing.T) {
 	}
 	if _, err := decodeWire(nil); err == nil {
 		t.Error("empty frame decoded without error")
+	}
+}
+
+// TestWireRejectsUnassignedTypes: type 15 is unassigned — a peer that still
+// sends the retired claim envelope has its frame rejected, as is any type
+// byte past the last assigned one.
+func TestWireRejectsUnassignedTypes(t *testing.T) {
+	retired, _ := hex.DecodeString("c10f020000000000000000000000010167020007")
+	if _, err := decodeWire(retired); err == nil {
+		t.Error("type 15 frame decoded cleanly")
+	}
+	for _, b := range []byte{0, 15, byte(tMaxType) + 1, 0xFF} {
+		enc := encodeWire(sampleWires()["sync"])
+		enc[1] = b
+		if _, err := decodeWire(enc); err == nil {
+			t.Errorf("type %d decoded cleanly", b)
+		}
 	}
 }
 
