@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -496,17 +497,19 @@ func (r *runner) exec(num int, st Step) {
 		line("flap m=%d: ok", st.Node)
 	case OpPartition:
 		r.ck.Pause()
-		for _, a := range st.A {
-			for _, b := range st.B {
-				r.net.Cut(a, b)
-				r.net.Cut(b, a)
-			}
-		}
+		links(st.A, st.B, r.net.Cut)
+		links(st.B, st.A, r.net.Cut)
 		r.o.Emit("fault-injected", obs.KV("kind", string(KindPartition)),
 			obs.KV("sideA", st.A), obs.KV("sideB", st.B))
 		line("partition %v | %v: ok", st.A, st.B)
 	case OpHeal:
-		r.net.Heal(st.A, st.B)
+		// Link by link: the minority A's outbound links first, the reverse
+		// ones once B has seen A come back, so the interrogations B sends on
+		// those Up edges cross links still cut and must be retried
+		// (PROTOCOL.md, "Coordinator moves").
+		links(st.A, st.B, r.net.Uncut)
+		r.awaitSeen(st.B, st.A)
+		links(st.B, st.A, r.net.Uncut)
 		outcome := r.settle()
 		r.ck.Resume()
 		line("heal %v | %v: %s", st.A, st.B, outcome)
@@ -536,6 +539,28 @@ func (r *runner) exec(num int, st Step) {
 		r.violate(fmt.Sprintf("step %d: unknown op %d", num, st.Op))
 		line("unknown op %d", st.Op)
 	}
+}
+
+// links calls f on every directed link from a node of from to one of to.
+func links(from, to []transport.NodeID, f func(a, b transport.NodeID)) {
+	for _, a := range from {
+		for _, b := range to {
+			f(a, b)
+		}
+	}
+}
+
+// awaitSeen waits, up to the settle timeout, until every live watcher's
+// failure detector counts every target live.
+func (r *runner) awaitSeen(watchers, targets []transport.NodeID) {
+	deadline := time.Now().Add(settleTimeout)
+	links(watchers, targets, func(w, x transport.NodeID) {
+		for m := r.cluster.Machine(w); m != nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if live, _ := m.Node().LiveView(); slices.Contains(live, x) {
+				return
+			}
+		}
+	})
 }
 
 // settle polls the full invariant and replica convergence until both hold
