@@ -145,14 +145,14 @@ func TestSeqRangeCrashPartialDelivery(t *testing.T) {
 		}
 		owner := fn("g", ids)
 		survivors := without(ids, owner)
-		// Tear the link from the sequencer to one member: every run it emits
-		// from here on is partially delivered (that member never sees it),
-		// and no gather can complete — the in-flight window at the crash is
-		// maximal. The member is not the successor: a cut makes its target
-		// see the sequencer as down, and a successor that believes that
-		// starts a second series while the first is still live — the
-		// one-way-cut hazard of FAULTS.md §2.5, not this test's subject.
-		laggard := without(survivors, fn("g", survivors))[0]
+		// Tear the link from the sequencer to its successor: every run it
+		// emits from here on is partially delivered (the successor never
+		// sees it), and no gather can complete — the in-flight window at the
+		// crash is maximal. The cut also makes the successor see the
+		// sequencer die early; its recovery must wait until every other
+		// survivor has seen the crash too, or it would start a second series
+		// while the first is still live (FAULTS.md §2.5).
+		laggard := fn("g", survivors)
 		h.net.Cut(owner, laggard)
 
 		var succeeded sync.Map
