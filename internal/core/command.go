@@ -40,26 +40,33 @@ var errBadCommand = errors.New("core: bad command encoding")
 
 // encodeCommand serializes a command: kind, class, then the object or
 // template. Sizes feed the α+β cost model, so the encoding is the same
-// compact binary as the tuple codec.
+// compact binary as the tuple codec. The buffer is sized once from Size(),
+// so an encode is one allocation and copies each byte once.
 func encodeCommand(c *command) []byte {
-	var body []byte
+	n := 1 + 2 + len(c.class)
 	switch c.kind {
 	case cmdStore:
-		body = tuple.EncodeTuple(c.obj)
+		n += c.obj.Size()
 	case cmdRead, cmdRemove, cmdMark:
-		body = tuple.EncodeTemplate(c.tpl)
+		n += c.tpl.Size()
 	case cmdSwap:
-		tpl := tuple.EncodeTemplate(c.tpl)
-		body = binary.LittleEndian.AppendUint32(nil, uint32(len(tpl)))
-		body = append(body, tpl...)
-		body = append(body, tuple.EncodeTuple(c.obj)...)
+		n += 4 + c.tpl.Size() + c.obj.Size()
 	}
-	cls := []byte(c.class)
-	out := make([]byte, 0, 1+2+len(cls)+len(body))
+	out := make([]byte, 0, n)
 	out = append(out, byte(c.kind))
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(cls)))
-	out = append(out, cls...)
-	out = append(out, body...)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(c.class)))
+	out = append(out, c.class...)
+	switch c.kind {
+	case cmdStore:
+		out = tuple.AppendTuple(out, c.obj)
+	case cmdRead, cmdRemove, cmdMark:
+		out = tuple.AppendTemplate(out, c.tpl)
+	case cmdSwap:
+		at := len(out)
+		out = tuple.AppendTemplate(append(out, 0, 0, 0, 0), c.tpl)
+		binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4))
+		out = tuple.AppendTuple(out, c.obj)
+	}
 	return out
 }
 
@@ -131,31 +138,36 @@ type response struct {
 	obj    tuple.Tuple
 }
 
-// encodeResponse serializes a response.
+// encodeResponse serializes a response into one buffer sized from Size().
 func encodeResponse(r *response) []byte {
-	out := make([]byte, 0, 5+64)
+	n := 5
 	if r.ok {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		n += r.obj.Size()
+	}
+	out := make([]byte, 1, n)
+	if r.ok {
+		out[0] = 1
 	}
 	out = binary.LittleEndian.AppendUint32(out, r.probes)
 	if r.ok {
-		out = append(out, tuple.EncodeTuple(r.obj)...)
+		out = tuple.AppendTuple(out, r.obj)
 	}
 	return out
 }
 
-// decodeResponse parses a response payload.
-func decodeResponse(b []byte) (*response, error) {
+// decodeResponse parses a response payload. The tuple's string and bytes
+// fields alias b: a reply payload is a transport receive frame or a
+// member's encodeResponse slice, both immutable once handed over (DESIGN.md,
+// "Delivery buffer ownership"), so a caller's tuple pins its reply frame.
+func decodeResponse(b []byte) (response, error) {
 	if len(b) < 5 {
-		return nil, errBadCommand
+		return response{}, errBadCommand
 	}
-	r := &response{ok: b[0] == 1, probes: binary.LittleEndian.Uint32(b[1:5])}
+	r := response{ok: b[0] == 1, probes: binary.LittleEndian.Uint32(b[1:5])}
 	if r.ok {
-		obj, err := tuple.DecodeTuple(b[5:])
+		obj, err := tuple.DecodeTupleAlias(b[5:])
 		if err != nil {
-			return nil, fmt.Errorf("decode response: %w", err)
+			return response{}, fmt.Errorf("decode response: %w", err)
 		}
 		r.obj = obj
 	}

@@ -49,7 +49,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := encodeResponse(r)
+		re := encodeResponse(&r)
 		if _, err := decodeResponse(re); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

@@ -10,6 +10,7 @@ import (
 	"paso/internal/storage"
 	"paso/internal/transport"
 	"paso/internal/tuple"
+	"paso/internal/vsync"
 )
 
 // TestDeliverStoreAliasesFrame pins the zero-copy delivery contract end to
@@ -80,5 +81,43 @@ func TestDeliverStoreAliasesFrame(t *testing.T) {
 	}
 	if copied, _ := c.obj.Field(2).AsBytes(); !bytes.Equal(copied, blob) {
 		t.Error("decodeCommand (copying mode) aliased the input buffer's bytes field")
+	}
+}
+
+// TestReplyAliasesFrame extends the contract to replies: a remote read's
+// result decodes with its string and bytes fields pointing into the reply
+// payload — a receive frame, or the slice the member's Deliver returned —
+// so the caller's tuple pins that buffer instead of copying out of it.
+func TestReplyAliasesFrame(t *testing.T) {
+	s := newServer(Config{StoreKind: storage.KindHash}, obs.Nop(),
+		func(class.ID) {}, func(transport.NodeID) {})
+	blob := bytes.Repeat([]byte{0xCD}, 1024)
+	obj := tuple.Make(tuple.String("job"), tuple.String("alias-me-0123456789"), tuple.Bytes(blob))
+	if _, fail := s.Deliver("wg/jobs", 1, encodeCommand(&command{kind: cmdStore, class: "jobs", obj: obj})); fail {
+		t.Fatal("store command rejected")
+	}
+	resp, fail := s.Deliver("wg/jobs", 2, encodeCommand(&command{kind: cmdRead, class: "jobs", tpl: tuple.MatchTuple(obj)}))
+	if fail {
+		t.Fatal("read command found nothing")
+	}
+	got, ok, _ := decodeResult(vsync.Result{Payload: resp})
+	if !ok || !got.Equal(obj) {
+		t.Fatalf("decoded reply = %v %v, want %v", got, ok, obj)
+	}
+	for i := 0; i < 2; i++ {
+		sv, _ := got.Field(i).AsString()
+		p := uintptr(unsafe.Pointer(unsafe.StringData(sv)))
+		lo := uintptr(unsafe.Pointer(&resp[0]))
+		if p < lo || p+uintptr(len(sv)) > lo+uintptr(len(resp)) {
+			t.Errorf("field %d (%q) was copied: string data does not point into the reply", i, sv)
+		}
+	}
+	at := bytes.Index(resp, blob)
+	if at < 0 {
+		t.Fatal("reply does not hold the bytes field verbatim")
+	}
+	resp[at+512] ^= 0xFF
+	if b, _ := got.Field(2).AsBytes(); b[512] != 0xCD^0xFF {
+		t.Error("bytes field was copied: the decoded tuple does not see a write to the reply")
 	}
 }

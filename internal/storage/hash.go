@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"container/list"
-
 	"paso/internal/tuple"
 )
 
@@ -10,152 +8,125 @@ import (
 // answered with one hash probe (the paper's I(.)=Q(.)=D(.)=O(1) case used to
 // normalize costs in §5). Non-ground templates fall back to an oldest-first
 // linear scan, preserving correctness for general criteria.
+//
+// Entries sit on the arrival list and on the chain of their content hash
+// (tuple.ContentHash), both in seq order. A ground lookup walks one chain
+// and matches each entry against the template, so a hash collision costs a
+// probe, never a wrong answer. An insert allocates its entry and nothing
+// else; reads and removes allocate nothing.
 type Hash struct {
-	entries *list.List // of Entry, ascending seq (oldest first)
-	byID    map[tuple.ID]*list.Element
-	byKey   map[string][]*list.Element // FIFO buckets per content key
-	stats   Stats
+	arrivals
+	chains map[uint64]*entry // content hash → oldest entry of its chain
+	stats  Stats
 }
 
 var _ Store = (*Hash)(nil)
 
 // NewHash returns an empty hash store.
 func NewHash() *Hash {
-	return &Hash{
-		entries: list.New(),
-		byID:    make(map[tuple.ID]*list.Element),
-		byKey:   make(map[string][]*list.Element),
-	}
-}
-
-// contentKey is the identity-stripped encoding of the tuple.
-func contentKey(t tuple.Tuple) string {
-	return string(tuple.EncodeTuple(t.WithID(tuple.ID{})))
-}
-
-// groundKey builds the content key a tuple matching tp would have, if tp is
-// fully ground (every matcher OpEq).
-func groundKey(tp tuple.Template) (string, bool) {
-	fields := make([]tuple.Value, tp.Arity())
-	for i := 0; i < tp.Arity(); i++ {
-		m := tp.Matcher(i)
-		if m.Op != tuple.OpEq {
-			return "", false
-		}
-		fields[i] = m.A
-	}
-	return contentKey(tuple.Make(fields...)), true
+	return &Hash{chains: make(map[uint64]*entry)}
 }
 
 // Insert implements Store.
 func (s *Hash) Insert(seq uint64, t tuple.Tuple) {
-	el := s.entries.PushBack(Entry{Seq: seq, Tuple: t})
-	s.byID[t.ID()] = el
-	k := contentKey(t)
-	s.byKey[k] = append(s.byKey[k], el)
+	s.link(&entry{Entry: Entry{Seq: seq, Tuple: t}, hash: t.ContentHash()})
 	s.stats.Inserts++
 	s.stats.InsertProbes++
+}
+
+// link appends e to the arrival list and to the tail of its hash's chain.
+func (s *Hash) link(e *entry) {
+	s.push(e)
+	if head := s.chains[e.hash]; head != nil {
+		tail := head.cprev
+		tail.cnext, e.cprev, head.cprev = e, tail, e
+		return
+	}
+	e.cprev = e
+	s.chains[e.hash] = e
+}
+
+// drop takes e off the arrival list and its chain.
+func (s *Hash) drop(e *entry) {
+	s.unlink(e)
+	head := s.chains[e.hash]
+	switch {
+	case e == head && e.cnext == nil:
+		delete(s.chains, e.hash)
+	case e == head:
+		e.cnext.cprev = e.cprev // the new head keeps the tail
+		s.chains[e.hash] = e.cnext
+	default:
+		e.cprev.cnext = e.cnext
+		if e.cnext != nil {
+			e.cnext.cprev = e.cprev
+		} else {
+			head.cprev = e.cprev
+		}
+	}
+}
+
+// find returns the oldest entry tp matches and the probes it took: for a
+// ground template one for the hash plus one per chain entry passed over,
+// else one per entry scanned.
+func (s *Hash) find(tp tuple.Template) (*entry, int) {
+	h, ground := tp.GroundHash()
+	if !ground {
+		return s.scan(tp)
+	}
+	return s.walk(h, tp)
+}
+
+// walk returns the oldest entry on h's chain that tp matches.
+func (s *Hash) walk(h uint64, tp tuple.Template) (*entry, int) {
+	probes := 1
+	for e := s.chains[h]; e != nil; e = e.cnext {
+		if tp.Matches(e.Tuple) {
+			return e, probes
+		}
+		probes++
+	}
+	return nil, probes
 }
 
 // Read implements Store.
 func (s *Hash) Read(tp tuple.Template) (tuple.Tuple, bool) {
 	s.stats.Reads++
-	if k, ok := groundKey(tp); ok {
-		s.stats.ReadProbes++
-		bucket := s.byKey[k]
-		if len(bucket) == 0 {
-			return tuple.Tuple{}, false
-		}
-		e, _ := bucket[0].Value.(Entry)
-		return e.Tuple, true
+	e, probes := s.find(tp)
+	s.stats.ReadProbes += probes
+	if e == nil {
+		return tuple.Tuple{}, false
 	}
-	for el := s.entries.Front(); el != nil; el = el.Next() {
-		s.stats.ReadProbes++
-		e, _ := el.Value.(Entry)
-		if tp.Matches(e.Tuple) {
-			return e.Tuple, true
-		}
-	}
-	return tuple.Tuple{}, false
+	return e.Tuple, true
 }
 
 // Remove implements Store.
 func (s *Hash) Remove(tp tuple.Template) (tuple.Tuple, bool) {
 	s.stats.Removes++
-	if k, ok := groundKey(tp); ok {
-		s.stats.RemoveProbes++
-		bucket := s.byKey[k]
-		if len(bucket) == 0 {
-			return tuple.Tuple{}, false
-		}
-		el := bucket[0]
-		e, _ := el.Value.(Entry)
-		s.unlink(el, e, k)
-		return e.Tuple, true
+	e, probes := s.find(tp)
+	s.stats.RemoveProbes += probes
+	if e == nil {
+		return tuple.Tuple{}, false
 	}
-	for el := s.entries.Front(); el != nil; el = el.Next() {
-		s.stats.RemoveProbes++
-		e, _ := el.Value.(Entry)
-		if tp.Matches(e.Tuple) {
-			s.unlink(el, e, contentKey(e.Tuple))
-			return e.Tuple, true
-		}
-	}
-	return tuple.Tuple{}, false
-}
-
-// unlink removes el from the ordered list, the id index, and its key bucket.
-func (s *Hash) unlink(el *list.Element, e Entry, key string) {
-	s.entries.Remove(el)
-	delete(s.byID, e.Tuple.ID())
-	bucket := s.byKey[key]
-	for i, b := range bucket {
-		if b == el {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(s.byKey, key)
-	} else {
-		s.byKey[key] = bucket
-	}
+	s.drop(e)
+	return e.Tuple, true
 }
 
 // RemoveByID implements Store.
 func (s *Hash) RemoveByID(id tuple.ID) bool {
-	el, ok := s.byID[id]
-	if !ok {
-		return false
+	e := s.byID(id)
+	if e != nil {
+		s.drop(e)
 	}
-	e, _ := el.Value.(Entry)
-	s.unlink(el, e, contentKey(e.Tuple))
-	return true
-}
-
-// Len implements Store.
-func (s *Hash) Len() int { return s.entries.Len() }
-
-// Snapshot implements Store.
-func (s *Hash) Snapshot() []Entry {
-	out := make([]Entry, 0, s.entries.Len())
-	for el := s.entries.Front(); el != nil; el = el.Next() {
-		e, _ := el.Value.(Entry)
-		out = append(out, e)
-	}
-	return out
+	return e != nil
 }
 
 // Restore implements Store.
 func (s *Hash) Restore(entries []Entry) {
-	s.entries.Init()
-	s.byID = make(map[tuple.ID]*list.Element, len(entries))
-	s.byKey = make(map[string][]*list.Element, len(entries))
+	s.arrivals = arrivals{}
+	s.chains = make(map[uint64]*entry, len(entries))
 	for _, e := range entries {
-		el := s.entries.PushBack(e)
-		s.byID[e.Tuple.ID()] = el
-		k := contentKey(e.Tuple)
-		s.byKey[k] = append(s.byKey[k], el)
+		s.link(&entry{Entry: e, hash: e.Tuple.ContentHash()})
 	}
 }
 

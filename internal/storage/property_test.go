@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,9 +21,15 @@ type scriptOp struct {
 	name   byte
 	key    int64
 	tag    int64
+	flt    int   // index into floats
 	tpl    int   // template shape for remove/read, see template
 	lo, hi int64 // range bounds; lo > hi is an empty range
 }
+
+// floats are the values of the float field: ±0 and two NaN payloads are
+// pairs Value.equal calls equal though their bits differ.
+var floats = []float64{0, math.Copysign(0, -1), 1.5,
+	math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0x7FF8000000000002)}
 
 // Generate implements quick.Generator. Six keys and three tags over a few
 // hundred ops give every key many duplicates, and most ranges hold entries
@@ -37,6 +44,7 @@ func (opScript) Generate(r *rand.Rand, size int) reflect.Value {
 			name: byte('a' + r.Intn(2)),
 			key:  int64(r.Intn(6)),
 			tag:  int64(r.Intn(3)),
+			flt:  r.Intn(len(floats)),
 			tpl:  r.Intn(5),
 			lo:   int64(r.Intn(7)) - 1,
 			hi:   int64(r.Intn(7)) - 1,
@@ -45,29 +53,38 @@ func (opScript) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(opScript{ops: ops})
 }
 
-// template builds the op's search criterion over (name, key, tag) tuples;
-// the tree under test is keyed on field 1.
+// tuple builds the op's (name, key, tag, float) object.
+func (op scriptOp) tuple(id uint64) tuple.Tuple {
+	return tuple.New(tuple.ID{Origin: 3, Seq: id}, tuple.String(string(op.name)),
+		tuple.Int(op.key), tuple.Int(op.tag), tuple.Float(floats[op.flt]))
+}
+
+// template builds the op's search criterion over (name, key, tag, float)
+// tuples; the tree under test is keyed on field 1.
 func (op scriptOp) template() tuple.Template {
 	name, tag := tuple.Eq(tuple.String(string(op.name))), tuple.Eq(tuple.Int(op.tag))
 	keyRange := tuple.Range(tuple.Int(op.lo), tuple.Int(op.hi))
+	anyFloat := tuple.Any(tuple.KindFloat)
 	switch op.tpl {
 	case 0: // OpEq on the key
-		return tuple.NewTemplate(name, tuple.Eq(tuple.Int(op.key)), tuple.Any(tuple.KindInt))
+		return tuple.NewTemplate(name, tuple.Eq(tuple.Int(op.key)), tuple.Any(tuple.KindInt), anyFloat)
 	case 1: // OpRange on the key, possibly empty
-		return tuple.NewTemplate(name, keyRange, tuple.Any(tuple.KindInt))
+		return tuple.NewTemplate(name, keyRange, tuple.Any(tuple.KindInt), anyFloat)
 	case 2: // key unconstrained
-		return tuple.NewTemplate(name, tuple.Any(tuple.KindInt), tag)
+		return tuple.NewTemplate(name, tuple.Any(tuple.KindInt), tag, anyFloat)
 	case 3: // a non-key field decides among the in-range entries
-		return tuple.NewTemplate(tuple.Any(tuple.KindString), keyRange, tag)
+		return tuple.NewTemplate(tuple.Any(tuple.KindString), keyRange, tag, anyFloat)
 	default: // fully ground: the hash store's one-probe path
-		return tuple.NewTemplate(name, tuple.Eq(tuple.Int(op.key)), tag)
+		return tuple.NewTemplate(name, tuple.Eq(tuple.Int(op.key)), tag, tuple.Eq(tuple.Float(floats[op.flt])))
 	}
 }
 
 // TestPropertyStoreKindsEquivalent runs random scripts against all three
 // store kinds: observable behaviour (the tuple each read and remove returns,
 // lengths, snapshot contents) must be identical, also across a
-// snapshot→restore of every replica. The list store is the executable spec.
+// snapshot→restore of every replica. The list store is the executable spec;
+// the float field makes a ground template find −0 under +0 and one NaN
+// under another, as Value.equal does.
 func TestPropertyStoreKindsEquivalent(t *testing.T) {
 	f := func(script opScript) bool {
 		stores := []Store{NewList(), NewHash(), NewTree(1)}
@@ -78,8 +95,7 @@ func TestPropertyStoreKindsEquivalent(t *testing.T) {
 			case 0:
 				seq++
 				idseq++
-				tu := tuple.New(tuple.ID{Origin: 3, Seq: idseq},
-					tuple.String(string(op.name)), tuple.Int(op.key), tuple.Int(op.tag))
+				tu := op.tuple(idseq)
 				for _, s := range stores {
 					s.Insert(seq, tu)
 				}

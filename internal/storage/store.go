@@ -46,7 +46,8 @@ type Store interface {
 	// RemoveByID deletes the object with the given identity if present: a
 	// way to replay a removal decided elsewhere. Replicas agree today by
 	// applying the same ordered Remove, so nothing outside the tests calls
-	// it; list and hash index identities, the tree walks its leaves.
+	// it and no store indexes identities: list and hash walk their arrival
+	// list, the tree its leaves, O(ℓ).
 	RemoveByID(id tuple.ID) bool
 	// Len returns the number of live objects.
 	Len() int

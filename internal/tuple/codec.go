@@ -127,13 +127,18 @@ func decodeValue(d *decoder) Value {
 }
 
 // EncodeTuple serializes a tuple, identity included.
-func EncodeTuple(t Tuple) []byte {
-	e := &encoder{buf: make([]byte, 0, t.Size())}
+func EncodeTuple(t Tuple) []byte { return AppendTuple(make([]byte, 0, t.Size()), t) }
+
+// AppendTuple appends t's EncodeTuple bytes to dst. A caller that sizes dst
+// from Size() once encodes a tuple inside a larger message with one
+// allocation and one copy of every payload byte.
+func AppendTuple(dst []byte, t Tuple) []byte {
+	e := encoder{buf: dst}
 	e.u64(t.id.Origin)
 	e.u64(t.id.Seq)
 	e.u16(uint16(len(t.fields)))
 	for i := range t.fields {
-		encodeValue(e, &t.fields[i])
+		encodeValue(&e, &t.fields[i])
 	}
 	return e.buf
 }
@@ -178,8 +183,11 @@ func decodeTuple(b []byte, alias bool) (Tuple, error) {
 }
 
 // EncodeTemplate serializes a template.
-func EncodeTemplate(tp Template) []byte {
-	e := &encoder{buf: make([]byte, 0, tp.Size())}
+func EncodeTemplate(tp Template) []byte { return AppendTemplate(make([]byte, 0, tp.Size()), tp) }
+
+// AppendTemplate appends tp's EncodeTemplate bytes to dst, as AppendTuple.
+func AppendTemplate(dst []byte, tp Template) []byte {
+	e := encoder{buf: dst}
 	e.u16(uint16(len(tp.matchers)))
 	for i := range tp.matchers {
 		m := &tp.matchers[i]
@@ -194,10 +202,10 @@ func EncodeTemplate(tp Template) []byte {
 		}
 		e.u8(flags)
 		if m.A.IsValid() {
-			encodeValue(e, &m.A)
+			encodeValue(&e, &m.A)
 		}
 		if m.B.IsValid() {
-			encodeValue(e, &m.B)
+			encodeValue(&e, &m.B)
 		}
 	}
 	return e.buf

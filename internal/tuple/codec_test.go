@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math"
 	"testing"
@@ -178,5 +179,25 @@ func TestAliasDecodeViewsBuffer(t *testing.T) {
 		if same := gotP.Matches(tu); same == alias {
 			t.Errorf("alias=%v: decoded template unchanged by a write to its buffer: %v", alias, same)
 		}
+	}
+}
+
+// TestAppendMatchesEncode: AppendTuple and AppendTemplate write exactly
+// EncodeTuple's and EncodeTemplate's bytes after whatever dst holds, and
+// into dst's own array when it has room.
+func TestAppendMatchesEncode(t *testing.T) {
+	prefix := []byte{0xCA, 0xFE}
+	f := func(rt randomTuple) bool {
+		tp := MatchTuple(rt.T)
+		dst := append(make([]byte, 0, len(prefix)+rt.T.Size()), prefix...)
+		got := AppendTuple(dst, rt.T)
+		if &got[0] != &dst[0] || !bytes.Equal(got, append(append([]byte{}, prefix...), EncodeTuple(rt.T)...)) {
+			return false
+		}
+		got = AppendTemplate(prefix, tp)
+		return bytes.Equal(got[len(prefix):], EncodeTemplate(tp)) && bytes.Equal(got[:len(prefix)], prefix)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -185,6 +185,21 @@ func (tp Template) MatchesExcept(t Tuple, skip int) bool {
 	return true
 }
 
+// GroundHash is the ContentHash every tuple the template matches has, when
+// every matcher is OpEq (a ground template); ok is false otherwise. It
+// allocates nothing.
+func (tp Template) GroundHash() (h uint64, ok bool) {
+	h = uint64(len(tp.matchers))
+	for i := range tp.matchers {
+		m := &tp.matchers[i]
+		if m.Op != OpEq {
+			return 0, false
+		}
+		h = m.A.hash(h)
+	}
+	return h, true
+}
+
 // Name returns the exact-match string of the first field when the template
 // pins it with OpEq on a string, else "". Classifiers use this to route
 // Linda-style named tuples.

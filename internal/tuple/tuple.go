@@ -119,6 +119,18 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
+// ContentHash hashes the fields (identity excluded) without allocating.
+// Tuples that Equal calls equal hash alike, so a hash store keyed on it
+// finds every tuple a ground template matches under the template's
+// GroundHash.
+func (t Tuple) ContentHash() uint64 {
+	h := uint64(len(t.fields))
+	for i := range t.fields {
+		h = t.fields[i].hash(h)
+	}
+	return h
+}
+
 // Size returns the approximate encoded size of the tuple in bytes, the |o|
 // of the paper's cost table.
 func (t Tuple) Size() int {

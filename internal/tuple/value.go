@@ -10,6 +10,7 @@ package tuple
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 )
@@ -190,6 +191,42 @@ func (v *Value) equal(o *Value) bool {
 	default:
 		return false
 	}
+}
+
+// hashSeed keys the payload hash. Content hashes index one process's
+// memory only, so a per-process seed is enough.
+var hashSeed = maphash.MakeSeed()
+
+// canonicalNaN is the one bit pattern every NaN hashes as.
+const canonicalNaN = 0x7FF8000000000001
+
+// hash folds the value's kind, scalar and payload into h without
+// allocating. Values that equal calls equal hash alike: −0 hashes as +0 and
+// every NaN as canonicalNaN.
+func (v *Value) hash(h uint64) uint64 {
+	h = mix(h, uint64(v.kind))
+	switch v.kind {
+	case KindInt, KindBool:
+		return mix(h, v.n)
+	case KindFloat:
+		n := v.n
+		if f := math.Float64frombits(n); f == 0 {
+			n = 0
+		} else if f != f {
+			n = canonicalNaN
+		}
+		return mix(h, n)
+	case KindString, KindBytes:
+		return mix(h, maphash.String(hashSeed, v.s))
+	default:
+		return h
+	}
+}
+
+// mix folds one word into a running hash; each step is a bijection of h.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
 }
 
 func (v *Value) compare(o *Value) int {

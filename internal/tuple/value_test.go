@@ -260,3 +260,49 @@ func TestValueMustAccessorsOtherKind(t *testing.T) {
 		}
 	}
 }
+
+// TestContentHashFollowsEqual: tuples Equal calls equal hash alike — −0
+// and +0, NaNs of any payload — and a ground template's GroundHash is the
+// ContentHash of the tuples it matches. Neither allocates.
+func TestContentHashFollowsEqual(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000002)
+	pairs := [][2]Tuple{
+		{Make(String("a"), Float(0)), Make(String("a"), Float(math.Copysign(0, -1)))},
+		{Make(String("a"), Float(nan1)), Make(String("a"), Float(nan2))},
+		{New(ID{Origin: 1, Seq: 1}, Int(7), Bytes([]byte("x"))), New(ID{Origin: 2, Seq: 9}, Int(7), Bytes([]byte("x")))},
+	}
+	for _, p := range pairs {
+		if !p[0].Equal(p[1]) {
+			t.Fatalf("%v and %v are not Equal", p[0], p[1])
+		}
+		if p[0].ContentHash() != p[1].ContentHash() {
+			t.Errorf("%v and %v are Equal but hash apart", p[0], p[1])
+		}
+		if h, ok := MatchTuple(p[1]).GroundHash(); !ok || h != p[0].ContentHash() {
+			t.Errorf("GroundHash of MatchTuple(%v) = %x, %v; want %x", p[1], h, ok, p[0].ContentHash())
+		}
+	}
+	// Kinds, arity and field order all reach the hash.
+	distinct := []Tuple{
+		Make(String("x")), Make(Bytes([]byte("x"))), Make(String("x"), String("")),
+		Make(Int(1), Int(2)), Make(Int(2), Int(1)), Make(Int(1)), Make(Bool(true)), Make(Float(1)),
+	}
+	seen := map[uint64]Tuple{}
+	for _, tu := range distinct {
+		if o, dup := seen[tu.ContentHash()]; dup {
+			t.Errorf("%v and %v share a hash", o, tu)
+		}
+		seen[tu.ContentHash()] = tu
+	}
+	if _, ok := NewTemplate(Eq(String("a")), Any(KindInt)).GroundHash(); ok {
+		t.Error("a template with an OpAny field is ground")
+	}
+	tu := pairs[2][0]
+	tp := MatchTuple(tu)
+	if n := testing.AllocsPerRun(100, func() {
+		_ = tu.ContentHash()
+		_, _ = tp.GroundHash()
+	}); n != 0 {
+		t.Errorf("ContentHash and GroundHash allocate %v times, want 0", n)
+	}
+}

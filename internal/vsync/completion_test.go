@@ -2,6 +2,7 @@ package vsync
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -367,6 +368,97 @@ func TestDirectReplyLostResolvesOnEdge(t *testing.T) {
 		}
 		if a, b := c.hs[seq].count(2), c.hs[member].count(2); a != 1 || b != 1 {
 			t.Fatalf("re-sent cast applied %d and %d times", a, b)
+		}
+	})
+}
+
+// ackTap decorates an endpoint and records the payload length of every tAck
+// it sends, the ones inside a tBatch included, keyed by the cast's origin.
+type ackTap struct {
+	transport.Endpoint
+	mu   *sync.Mutex
+	acks *[]tappedAck
+}
+
+type tappedAck struct {
+	from, origin transport.NodeID
+	payload      int
+}
+
+func (a ackTap) SendOwned(to transport.NodeID, frame []byte) error {
+	if w, err := decodeWire(frame); err == nil {
+		a.mu.Lock()
+		for _, e := range append([]wire{*w}, w.Batch...) {
+			if e.Type == tAck {
+				*a.acks = append(*a.acks, tappedAck{a.ID(), tid(e.Origin), len(e.Payload)})
+			}
+		}
+		a.mu.Unlock()
+	}
+	return a.Endpoint.SendOwned(to, frame)
+}
+
+// TestVerdictOnlyAck: in a two-member group whose sequencer is a member, the
+// other member is marked and answers a caller that is not the sequencer
+// itself. Its ack then carries the verdict only: the sequencer never reads
+// the payload of a cast the member answered. The caller gets the same
+// response from whichever node it sits on, and a cast from the sequencer,
+// which reads its answer off that ack, keeps the payload.
+func TestVerdictOnlyAck(t *testing.T) {
+	forEachPlacement(t, func(t *testing.T, fn CoordFn) {
+		var mu sync.Mutex
+		var acks []tappedAck
+		h := newHarnessWrapped(t, fn, func(ep transport.Endpoint) transport.Endpoint {
+			return ackTap{ep, &mu, &acks}
+		}, 1, 2, 3)
+		for _, nd := range h.nds {
+			nd := nd
+			waitFor(t, "full live view", func() bool { ids, _ := nd.LiveView(); return len(ids) == 3 })
+		}
+		const group = "wg/c1"
+		seq, member, outsider := roles(fn, group)
+		for _, id := range []transport.NodeID{seq, member} {
+			if err := h.nds[id].Join(group); err != nil {
+				t.Fatal(err)
+			}
+		}
+		memberAcks := func() (out []tappedAck) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, a := range acks {
+				if a.from == member {
+					out = append(out, a)
+				}
+			}
+			return out
+		}
+		answered := func() int64 {
+			o := h.os[member]
+			return o.Counter("vsync.cast.completed.local").Value() + o.Counter("vsync.cast.completed.direct").Value()
+		}
+		casts, direct := 0, map[transport.NodeID]int{}
+		for round := 0; round < 20; round++ {
+			for _, origin := range []transport.NodeID{seq, member, outsider} {
+				before, sent := answered(), len(memberAcks())
+				res, err := h.nds[origin].Gcast(group, []byte("x"))
+				casts++
+				if want := fmt.Sprintf("len=%d", casts); err != nil || res.Fail || string(res.Payload) != want || res.GroupSize != 2 {
+					t.Fatalf("cast %d from %d: %+v %v, want %q from a group of 2", casts, origin, res, err, want)
+				}
+				waitFor(t, "the member's ack", func() bool { return len(memberAcks()) > sent })
+				ack := memberAcks()[sent]
+				wasDirect := answered() > before
+				if ack.origin != origin || (ack.payload == 0) != wasDirect {
+					t.Fatalf("cast %d from %d: member acked %+v, answered directly: %v", casts, origin, ack, wasDirect)
+				}
+				if wasDirect {
+					direct[origin]++
+				}
+			}
+		}
+		if direct[seq] != 0 || direct[member] == 0 || direct[outsider] == 0 {
+			t.Fatalf("direct answers by caller: sequencer %d, member %d, outsider %d; want 0 and some and some",
+				direct[seq], direct[member], direct[outsider])
 		}
 	})
 }

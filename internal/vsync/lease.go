@@ -54,7 +54,8 @@ var (
 
 // LeaseResult is a successfully served leased read.
 type LeaseResult struct {
-	// Payload is the serving member's response.
+	// Payload is the serving member's response, immutable like
+	// Result.Payload: a caller may alias it.
 	Payload []byte
 	// Seq is the server's delivered sequence number for the group at
 	// answer time — the ordered prefix the answer reflects.

@@ -105,6 +105,9 @@ func (n *Node) apply(g *memberState, orderer transport.NodeID, w *wire) {
 		// The completion mark: this apply was the last outstanding, so a non-fail
 		// response is the gathered one and goes straight to the caller (a sequencer
 		// reads it off the ack) — first, so a crash in between leaves the ack unsent.
+		// The sequencer then retires the cast without reading the ack's payload
+		// (coordAck's direct), so the ack carries the verdict only.
+		ackPayload := resp
 		if origin := tid(w.Origin); w.Size != 0 && !fail && orderer != n.self && origin != orderer {
 			if origin == n.self {
 				n.cDoneLocal.Inc()
@@ -112,6 +115,7 @@ func (n *Node) apply(g *memberState, orderer transport.NodeID, w *wire) {
 				n.cDoneDirect.Inc()
 			}
 			n.sendReply(origin, w.ReqID, resp, false, w.Size)
+			ackPayload = nil
 		}
 		ack := getPooledWire()
 		ack.Type = tAck
@@ -119,7 +123,7 @@ func (n *Node) apply(g *memberState, orderer transport.NodeID, w *wire) {
 		ack.Seq = w.Seq
 		ack.ReqID = w.ReqID
 		ack.Origin = w.Origin
-		ack.Payload = resp
+		ack.Payload = ackPayload
 		ack.Fail = fail
 		ack.refs = 1
 		n.send(orderer, ack)

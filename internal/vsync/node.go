@@ -51,6 +51,10 @@ type Handler interface {
 // flag, and the group size at ordering time (piggybacked per §5.1 so
 // clients can learn |F(C)| cheaply).
 type Result struct {
+	// Payload is the response: a transport receive frame or the slice a
+	// member's Handler.Deliver returned. Neither is written again, so a
+	// caller may alias it for as long as it likes ("Delivery buffer
+	// ownership" in DESIGN.md).
 	Payload   []byte
 	Fail      bool
 	GroupSize int
