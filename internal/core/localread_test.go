@@ -201,8 +201,14 @@ func (c oneClass) Classes() []class.ID                  { return c.list }
 // few tuples of its one class in a list store (whose scan allocates nothing),
 // for measuring the member-replica read path on its own.
 func localReadFixture(tb testing.TB) (*Machine, tuple.Template) {
+	return localReadFixtureWith(tb, nil)
+}
+
+// localReadFixtureWith is localReadFixture under the given policy (nil is
+// the default Static).
+func localReadFixtureWith(tb testing.TB, policy func(class.ID) adaptive.Policy) (*Machine, tuple.Template) {
 	tb.Helper()
-	cfg := Config{Classifier: oneClass{list: []class.ID{"c"}}, Lambda: 1, StoreKind: storage.KindList}
+	cfg := Config{Classifier: oneClass{list: []class.ID{"c"}}, Lambda: 1, StoreKind: storage.KindList, NewPolicy: policy}
 	c, err := NewCluster(cfg, 2)
 	if err != nil {
 		tb.Fatal(err)
@@ -232,15 +238,26 @@ func BenchmarkLocalRead(b *testing.B) {
 
 // TestLocalReadZeroAlloc pins the local read's allocation count: the group
 // name is interned and the membership test is a published view, so nothing
-// on the path allocates.
+// on the path allocates — under the default policy and under Basic(K=8),
+// whose Name formats with Sprintf and so is read only when a join triggers.
 func TestLocalReadZeroAlloc(t *testing.T) {
-	m, tp := localReadFixture(t)
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok, err := m.Read(tp); !ok || err != nil {
-			t.Fatalf("read: ok=%v err=%v", ok, err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Machine.Read on a member: %.2f allocs/op, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		policy func(class.ID) adaptive.Policy
+	}{
+		{"static", nil},
+		{"basic", func(class.ID) adaptive.Policy { p, _ := adaptive.NewBasic(8); return p }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, tp := localReadFixtureWith(t, tc.policy)
+			allocs := testing.AllocsPerRun(1000, func() {
+				if _, ok, err := m.Read(tp); !ok || err != nil {
+					t.Fatalf("read: ok=%v err=%v", ok, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Machine.Read on a member: %.2f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -616,7 +616,11 @@ func (m *Machine) policyRead(cls class.ID, member bool, rgSize int) {
 	if !m.basic[cls] {
 		m.auditFor(cls, costAware).read(member, rgSize, joinCost, trigger)
 	}
-	thr, name := policyThreshold(p), p.Name()
+	var thr int
+	var name string
+	if trigger { // Name formats with Sprintf: only the event reads it
+		thr, name = policyThreshold(p), p.Name()
+	}
 	m.polMu.Unlock()
 	if trigger {
 		m.cPolicyJoin.Inc()
@@ -645,7 +649,11 @@ func (m *Machine) onUpdate(cls class.ID) {
 		_, costAware := p.(adaptive.CostAware)
 		m.auditFor(cls, costAware).update(maxInt(m.srv.classLen(cls), 1))
 	}
-	thr, name := policyThreshold(p), p.Name()
+	var thr int
+	var name string
+	if trigger {
+		thr, name = policyThreshold(p), p.Name()
+	}
 	m.polMu.Unlock()
 	if trigger {
 		m.cPolicyLeave.Inc()

@@ -2,6 +2,7 @@ package vsync
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,26 +77,7 @@ func BenchmarkGcastPipelined(b *testing.B) {
 // + run + the member's direct reply). One caller, so ns/op is the latency of
 // the message delays PROTOCOL.md "Completing a gcast" counts.
 func BenchmarkGcastByOrigin(b *testing.B) {
-	fab := tcp.NewLoopback(tcp.Options{HeartbeatInterval: 10 * time.Millisecond, FailTimeout: 2 * time.Second})
-	nodes := make(map[transport.NodeID]*Node)
-	for id := transport.NodeID(1); id <= 3; id++ {
-		ep, err := fab.Join(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes[id] = NewNode(ep, newTestHandler())
-	}
-	b.Cleanup(func() {
-		for id, nd := range nodes {
-			nd.Close()
-			fab.Crash(id)
-		}
-	})
-	for _, id := range []transport.NodeID{1, 2} {
-		if err := nodes[id].Join("bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
+	nodes := loopbackGroup(b)
 	payload := make([]byte, 64)
 	for _, origin := range []struct {
 		name string
@@ -110,6 +92,78 @@ func BenchmarkGcastByOrigin(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// loopbackGroup starts nodes 1 to 3 over loopback TCP, with leased reads
+// served, and joins nodes 1 (the sequencer) and 2 to the group "bench".
+func loopbackGroup(b *testing.B) map[transport.NodeID]*Node {
+	fab := tcp.NewLoopback(tcp.Options{HeartbeatInterval: 10 * time.Millisecond, FailTimeout: 2 * time.Second})
+	nodes := make(map[transport.NodeID]*Node)
+	for id := transport.NodeID(1); id <= 3; id++ {
+		ep, err := fab.Join(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes[id] = NewNode(ep, &leaseHandler{newTestHandler()})
+	}
+	b.Cleanup(func() {
+		for id, nd := range nodes {
+			nd.Close()
+			fab.Crash(id)
+		}
+	})
+	for _, id := range []transport.NodeID{1, 2} {
+		if err := nodes[id].Join("bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return nodes
+}
+
+// BenchmarkGcastParallel is BenchmarkGcastByOrigin's member origin under
+// contention: 32 callers share node 2, so calls queue for its event loop and
+// their requests and replies coalesce into batches — the path one serial
+// caller never takes.
+func BenchmarkGcastParallel(b *testing.B) {
+	nd := loopbackGroup(b)[2]
+	payload := make([]byte, 64)
+	b.SetParallelism((32 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if res, err := nd.Gcast("bench", payload); err != nil || res.Fail {
+				b.Error(err, res)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkLeaseRead measures one leased read's round trip over loopback TCP
+// from the non-member node 3 to the member node 1: the caller's queue hand-off
+// and reused timer, one request and one reply.
+func BenchmarkLeaseRead(b *testing.B) {
+	nodes := loopbackGroup(b)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, e1 := nodes[1].LiveView()
+		if ids, e3 := nodes[3].LiveView(); len(ids) == 3 && e1 == e3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatal("views did not agree")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nodes[3].LeaseRead("bench", 1, payload, time.Second); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -74,18 +74,6 @@ type liveView struct {
 	ids   []transport.NodeID
 }
 
-// pendingLease is a client-side leased read awaiting its reply or a fence.
-type pendingLease struct {
-	ch    chan leaseOutcome
-	epoch uint64
-}
-
-// leaseOutcome resolves one pending leased read.
-type leaseOutcome struct {
-	res LeaseResult
-	err error
-}
-
 // viewEpochOf hashes a sorted live set into a view epoch (FNV-64a over the
 // little-endian ids). Unlike the loop-local liveEpoch counter — which
 // counts membership edges each node happens to observe — the hash is a
@@ -127,7 +115,8 @@ func (n *Node) fenceLeases() {
 	for id, p := range n.leases {
 		delete(n.leases, id)
 		n.cLeaseFenced.Inc()
-		p.ch <- leaseOutcome{err: ErrLeaseFenced}
+		p.err = ErrLeaseFenced
+		p.done <- struct{}{}
 	}
 }
 
@@ -160,46 +149,77 @@ func (n *Node) LiveView() ([]transport.NodeID, uint64) {
 // gcast path. The fallback contract is one-sided: a fenced or timed-out
 // leased read performed no write anywhere, so retrying is always safe.
 func (n *Node) LeaseRead(group string, to transport.NodeID, payload []byte, timeout time.Duration) (LeaseResult, error) {
-	epoch := n.ViewEpoch()
-	ch := make(chan leaseOutcome, 1)
-	var reqID uint64
-	ok := n.do(func() {
-		// Re-check on the loop: a membership edge between the caller's
-		// epoch read and the loop picking the command up must fence before
-		// anything is sent.
-		if v := n.view.Load(); v == nil || v.epoch != epoch {
-			n.cLeaseFenced.Inc()
-			ch <- leaseOutcome{err: ErrLeaseFenced}
-			return
+	p := getReq()
+	p.w = wire{Type: tLeaseRead, Group: group, Origin: nid(n.self), UpTo: n.ViewEpoch(), Payload: payload}
+	p.to = to
+	if !n.enqueue(command{call: p}) || !n.waitLease(p, timeout) {
+		return LeaseResult{}, ErrClosed
+	}
+	res := LeaseResult{Payload: p.res.Payload, Seq: p.seq, Epoch: p.w.UpTo, GroupSize: p.res.GroupSize}
+	err := p.err
+	putReq(p) // the loop sent a pooled copy of p.w, never p.w itself
+	if err != nil {
+		return LeaseResult{}, err
+	}
+	return res, nil
+}
+
+// waitLease waits, as wait does, for the loop to resolve a queued leased
+// read, and expires it after timeout on the record's own timer: the loop
+// drops it with ErrLeaseTimeout unless a reply or fence resolved it first.
+func (n *Node) waitLease(p *pendingReq, timeout time.Duration) bool {
+	due := time.Now().Add(timeout)
+	if p.timer == nil {
+		p.timer = time.NewTimer(timeout)
+	} else {
+		p.timer.Reset(timeout)
+	}
+	defer p.timer.Stop()
+	for {
+		select {
+		case <-p.done:
+			return true
+		case <-n.done:
+			return false
+		case <-p.timer.C:
+			if time.Now().Before(due) {
+				continue // a tick left from the record's previous call
+			}
+			// The queue is FIFO, so the loop has run startLease by now.
+			if !n.query(func() {
+				if n.leases[p.w.ReqID] == p {
+					delete(n.leases, p.w.ReqID)
+					p.err = ErrLeaseTimeout
+					p.done <- struct{}{}
+				}
+			}) {
+				return false
+			}
+			<-p.done
+			return true
 		}
-		n.reqSeq++
-		reqID = n.reqSeq
-		n.leases[reqID] = &pendingLease{ch: ch, epoch: epoch}
-		n.send(to, &wire{
-			Type:    tLeaseRead,
-			Group:   group,
-			ReqID:   reqID,
-			Origin:  nid(n.self),
-			UpTo:    epoch,
-			Payload: payload,
-		})
-	})
-	if !ok {
-		return LeaseResult{}, ErrClosed
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		return out.res, out.err
-	case <-timer.C:
-		// Deregister best-effort; a reply racing the timer resolves into
-		// the buffered channel and is discarded with the pendingLease.
-		n.do(func() { delete(n.leases, reqID) })
-		return LeaseResult{}, ErrLeaseTimeout
-	case <-n.done:
-		return LeaseResult{}, ErrClosed
+}
+
+// startLease registers a queued leased read and sends it, unless a
+// membership edge between the caller's epoch read and now already fenced it.
+func (n *Node) startLease(p *pendingReq) {
+	if v := n.view.Load(); v == nil || v.epoch != p.w.UpTo {
+		n.cLeaseFenced.Inc()
+		p.err = ErrLeaseFenced
+		p.done <- struct{}{}
+		return
 	}
+	n.reqSeq++
+	p.w.ReqID = n.reqSeq
+	n.leases[p.w.ReqID] = p
+	// A pooled copy, recycled once encoded: a fence can resolve the call
+	// (and its caller reuse the record) before this burst's frames leave.
+	w := getPooledWire()
+	w.Type, w.Group, w.ReqID, w.Origin = tLeaseRead, p.w.Group, p.w.ReqID, p.w.Origin
+	w.UpTo, w.Payload = p.w.UpTo, p.w.Payload
+	w.refs = 1
+	n.send(p.to, w)
 }
 
 // serveLeaseRead answers one tLeaseRead on the event loop. The lease
@@ -209,7 +229,8 @@ func (n *Node) LeaseRead(group string, to transport.NodeID, payload []byte, time
 // the client can tell a fence from a miss. A served reply stamps the
 // group's delivered sequence and membership size.
 func (n *Node) serveLeaseRead(from transport.NodeID, w *wire) {
-	reply := &wire{Type: tLeaseReply, Group: w.Group, ReqID: w.ReqID}
+	reply := getPooledWire()
+	reply.Type, reply.Group, reply.ReqID, reply.refs = tLeaseReply, w.Group, w.ReqID, 1
 	epoch := n.ViewEpoch()
 	reply.UpTo = epoch
 	g, member := n.groups[w.Group]
@@ -241,15 +262,12 @@ func (n *Node) leaseReply(w *wire) {
 		return // timed out, fenced, or duplicate
 	}
 	delete(n.leases, w.ReqID)
-	if w.Fail || w.UpTo != p.epoch || n.ViewEpoch() != p.epoch {
+	if epoch := p.w.UpTo; w.Fail || w.UpTo != epoch || n.ViewEpoch() != epoch {
 		n.cLeaseFenced.Inc()
-		p.ch <- leaseOutcome{err: ErrLeaseFenced}
-		return
+		p.err = ErrLeaseFenced
+	} else {
+		p.res = Result{Payload: w.Payload, GroupSize: w.Size}
+		p.seq = w.Seq
 	}
-	p.ch <- leaseOutcome{res: LeaseResult{
-		Payload:   w.Payload,
-		Seq:       w.Seq,
-		Epoch:     w.UpTo,
-		GroupSize: w.Size,
-	}}
+	p.done <- struct{}{}
 }

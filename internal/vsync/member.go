@@ -310,9 +310,9 @@ func (n *Node) memberRestate(from transport.NodeID, w *wire) {
 	delete(n.groups, w.Group)
 	// Rejoin with a fire-and-forget pending request: retransmission on
 	// coordinator change works as for any client request, and resolution
-	// happens locally at activation. Nobody waits on the channel; it is
-	// buffered so resolution never blocks the loop.
-	n.startRequest(tJoinReq, w.Group, nil, make(chan Result, 1), 0, 0)
+	// happens locally at activation. Nobody waits on the record; its done
+	// channel is buffered, so resolution never blocks the loop.
+	n.startRequest(newReq(tJoinReq, w.Group))
 }
 
 // donorResync handles a recovering coordinator's instruction to push state
@@ -331,8 +331,8 @@ func (n *Node) donorResync(w *wire) {
 // the link was cut comes again.
 func (n *Node) memberPeerEdge(peer transport.NodeID) {
 	for _, p := range n.pending {
-		if g := n.groups[p.group]; p.w.Type == tJoinReq && g != nil && !g.active && g.donor == peer {
-			n.send(n.coordOf(p.group), p.w)
+		if g := n.groups[p.w.Group]; p.w.Type == tJoinReq && g != nil && !g.active && g.donor == peer {
+			n.send(n.coordOf(p.w.Group), &p.w)
 		}
 	}
 }

@@ -69,8 +69,10 @@ var ErrClosed = errors.New("vsync: node closed")
 const maxDeliveredCache = 256
 
 // Node is one machine's attachment to the group layer. All state is owned
-// by a single event-loop goroutine; public methods communicate with the
-// loop through a command channel.
+// by a single event-loop goroutine; public methods hand it commands through
+// a buffered queue (cmds): a cast, leased read, join or leave queues its
+// call record and waits on the record's channel or the node's close, the
+// rare Members and Sequenced queries queue a function.
 type Node struct {
 	ep   transport.Endpoint
 	h    Handler
@@ -78,7 +80,10 @@ type Node struct {
 	// dec decodes incoming frames, interning group names. Loop-owned.
 	dec wireDecoder
 
-	cmds chan func()
+	// cmds holds one burst's worth of commands (maxLoopBurst): callers
+	// enqueue without waiting while the loop keeps up, and wait only behind
+	// a backlog it is already draining.
+	cmds chan command
 	stop chan struct{}
 	done chan struct{}
 
@@ -102,7 +107,7 @@ type Node struct {
 	// request ID. Loop-owned; fenced wholesale on every membership edge
 	// (fenceLeases) because their epoch is stale the moment the live set
 	// moves.
-	leases map[uint64]*pendingLease
+	leases map[uint64]*pendingReq
 	// view atomically publishes the failure detector's live set and its
 	// epoch hash (publishView), so the leased-read path can read both
 	// off-loop without a command round-trip.
@@ -210,22 +215,69 @@ func releaseWire(w *wire) {
 	wirePool.Put(w)
 }
 
-// pendingReq is a client-side request awaiting resolution.
+// command is one entry of the loop's queue: a call record for a cast, a
+// leased read, a join or a leave, or a function for the rare queries
+// (Members, Sequenced).
+type command struct {
+	call *pendingReq
+	f    func()
+}
+
+// pendingReq is one caller's remote call: a cast, join or leave awaiting its
+// reply or local event, or a leased read awaiting its reply or a fence. The
+// caller fills w and queues the record; the loop resolves it by setting the
+// outcome and sending once on done, after which it never touches the record
+// again.
 type pendingReq struct {
-	w  *wire
-	ch chan Result
-	// group is set for join/leave requests, resolved by local events
-	// rather than a tReply.
-	group string
-	// Tracing state (zero when the request is untraced): the span minted
-	// for this request, its parent, start time, payload size, and whether
-	// the request was ever retransmitted to a new coordinator.
-	trace         uint64
+	// w is the request envelope. A cast, join or leave is sent (and re-sent)
+	// by address, so the stashes hold &w; a leased read sends a pooled copy.
+	w wire
+	// done carries the one resolving send; its capacity of one means the
+	// send never blocks the loop, even for a caller that has gone.
+	done chan struct{}
+	// The outcome, written by the loop before the send on done. err is
+	// ErrClosed when the node closed under the call, or a lease error.
+	res Result
+	err error
+	// Leased reads only: the target member, the server's delivered sequence
+	// from its reply, and the caller's timeout timer, kept with the pooled
+	// record and reset per call.
+	to    transport.NodeID
+	seq   uint64
+	timer *time.Timer
+	// start is when the caller queued the call (coarse clock), and a traced
+	// call's span start once the loop sends it.
+	start time.Time
+	// Tracing state (zero when w.Trace is): the caller's span, the payload
+	// size, and whether the request was ever retransmitted to a new
+	// coordinator.
 	parent        uint64
-	span          uint64
-	start         time.Time
 	bytes         int
 	retransmitted bool
+}
+
+// reqPool recycles the call records of casts and leased reads, each with its
+// done channel (and a leased read's timer).
+var reqPool = sync.Pool{New: func() any { return &pendingReq{done: make(chan struct{}, 1)} }}
+
+func getReq() *pendingReq { return reqPool.Get().(*pendingReq) }
+
+// putReq recycles a call record whose caller has received its outcome. The
+// caller checks first that the loop resolved it (wait returned true) and no
+// stash can still hold &w: a retransmitted cast's wire may still sit in this
+// node's outbox, or in its own preCoord or cs.queued stash, behind the reply
+// that resolved an earlier copy. A cast sent once is past every stash by
+// then: its one copy left in the burst that sent it, or was staged here and
+// sequenced before any reply existed.
+func putReq(p *pendingReq) {
+	*p = pendingReq{done: p.done, timer: p.timer}
+	reqPool.Put(p)
+}
+
+// newReq returns an unpooled record for a join or leave: they are rare, and
+// a restated member's rejoin has no caller to recycle it.
+func newReq(t msgType, group string) *pendingReq {
+	return &pendingReq{w: wire{Type: t, Group: group}, done: make(chan struct{}, 1)}
 }
 
 // memberState is this node's view of a group it belongs to (or is joining).
@@ -285,12 +337,12 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		ep:      ep,
 		h:       h,
 		self:    ep.ID(),
-		cmds:    make(chan func()),
+		cmds:    make(chan command, maxLoopBurst),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		live:    make(map[transport.NodeID]bool),
 		pending: make(map[uint64]*pendingReq),
-		leases:  make(map[uint64]*pendingLease),
+		leases:  make(map[uint64]*pendingReq),
 		groups:  make(map[string]*memberState),
 		coordFn: place,
 		outbox:  make(map[transport.NodeID][]*wire),
@@ -365,13 +417,70 @@ func (n *Node) Close() {
 	<-n.done
 }
 
-// do runs f on the event loop, returning false if the node is closed.
-func (n *Node) do(f func()) bool {
+// enqueue hands a command to the event loop, returning false if the node is
+// closed. An uncontended enqueue is one buffered send; only a full queue
+// waits.
+func (n *Node) enqueue(c command) bool {
 	select {
-	case n.cmds <- f:
+	case n.cmds <- c:
+		return true
+	default:
+	}
+	select {
+	case n.cmds <- c:
 		return true
 	case <-n.done:
 		return false
+	}
+}
+
+// do runs f on the event loop, returning false if the node is closed.
+func (n *Node) do(f func()) bool { return n.enqueue(command{f: f}) }
+
+// call queues a call record and waits for the loop to resolve it (ErrClosed
+// is a resolution too), reporting false if the node closed first: p is then
+// neither read nor recycled, since the loop may still send to it.
+func (n *Node) call(p *pendingReq) bool {
+	if !n.enqueue(command{call: p}) {
+		return false
+	}
+	return n.wait(p)
+}
+
+// wait blocks until the loop resolves the queued record p, reporting false if
+// the node closed first.
+func (n *Node) wait(p *pendingReq) bool {
+	select {
+	case <-p.done:
+		return true
+	case <-n.done:
+		return false
+	}
+}
+
+// run executes one queued command on the loop.
+func (n *Node) run(c command) {
+	p := c.call
+	if p == nil {
+		c.f()
+		return
+	}
+	switch p.w.Type {
+	case tLeaseRead:
+		n.startLease(p)
+	case tCastReq:
+		// Client-queue stage: from the caller queueing the cast until the
+		// event loop picks it up. Under saturation this is the first queue
+		// to grow.
+		n.hStageClientQ.Observe(obs.CoarseSince(p.start).Seconds())
+		n.startRequest(p)
+	default: // a join or leave, unless it would be a no-op
+		g, exists := n.groups[p.w.Group]
+		if (p.w.Type == tJoinReq && exists && g.active) || (p.w.Type == tLeaveReq && !exists) {
+			p.done <- struct{}{}
+			return
+		}
+		n.startRequest(p)
 	}
 }
 
@@ -406,28 +515,26 @@ func (n *Node) GcastTraced(group string, payload []byte, trace, parent uint64) (
 	// clock's ≤250µs staleness is invisible while the per-op time.Now pair
 	// it replaces was a measurable slice of the saturation profile.
 	start := obs.CoarseNow()
-	ch := make(chan Result, 1)
-	ok := n.do(func() {
-		// Client-queue stage: from the caller handing the request to the
-		// node until the event loop picks it up. Under saturation this is
-		// the first queue to grow.
-		n.hStageClientQ.Observe(obs.CoarseSince(start).Seconds())
-		n.startRequest(tCastReq, group, payload, ch, trace, parent)
-	})
-	if !ok {
+	p := getReq()
+	p.w = wire{Type: tCastReq, Group: group, Payload: payload, Trace: trace}
+	p.parent = parent
+	p.start = start
+	if !n.call(p) {
 		return Result{}, ErrClosed
 	}
-	select {
-	case r := <-ch:
-		n.cGcast.Inc()
-		if r.Fail {
-			n.cGcastFail.Inc()
-		}
-		n.hGcastLat.Observe(obs.CoarseSince(start).Seconds())
-		return r, nil
-	case <-n.done:
-		return Result{}, ErrClosed
+	r, err := p.res, p.err
+	if err == nil && !p.retransmitted {
+		putReq(p)
 	}
+	if err != nil {
+		return Result{}, err
+	}
+	n.cGcast.Inc()
+	if r.Fail {
+		n.cGcastFail.Inc()
+	}
+	n.hGcastLat.Observe(obs.CoarseSince(start).Seconds())
+	return r, nil
 }
 
 // Join makes this node a member of the group, blocking until the state
@@ -448,23 +555,11 @@ func (n *Node) Leave(group string) error { return n.changeMembership(tLeaveReq, 
 // changeMembership issues a join or leave unless it would be a no-op, and
 // waits for the local event that resolves it.
 func (n *Node) changeMembership(t msgType, group string) error {
-	ch := make(chan Result, 1)
-	if !n.do(func() {
-		g, exists := n.groups[group]
-		if (t == tJoinReq && exists && g.active) || (t == tLeaveReq && !exists) {
-			ch <- Result{}
-			return
-		}
-		n.startRequest(t, group, nil, ch, 0, 0)
-	}) {
+	p := newReq(t, group)
+	if !n.call(p) {
 		return ErrClosed
 	}
-	select {
-	case <-ch:
-		return nil
-	case <-n.done:
-		return ErrClosed
-	}
+	return p.err
 }
 
 // query runs f on the event loop and waits for it to finish, reporting
@@ -567,8 +662,8 @@ func (n *Node) loop() {
 		select {
 		case <-n.stop:
 			return
-		case f := <-n.cmds:
-			f()
+		case c := <-n.cmds:
+			n.run(c)
 		case it, ok := <-n.ep.Recv():
 			if !ok {
 				return // transport crashed under us
@@ -584,8 +679,8 @@ func (n *Node) loop() {
 	burst:
 		for i := 0; i < maxLoopBurst; i++ {
 			select {
-			case f := <-n.cmds:
-				f()
+			case c := <-n.cmds:
+				n.run(c)
 			case it, ok := <-n.ep.Recv():
 				if !ok {
 					n.settle()
@@ -651,26 +746,33 @@ func (n *Node) flushOutbox() {
 	n.outboxOrder = n.outboxOrder[:0]
 }
 
+// failAllPending fails every call the loop holds with ErrClosed as it exits;
+// the callers of those still queued see n.done close.
 func (n *Node) failAllPending() {
 	for _, p := range n.pending {
-		if p.trace != 0 {
-			p.retransmitted = false // the note below explains the outcome instead
+		if p.w.Trace != 0 {
 			n.o.Spans().Record(obs.Span{
-				Trace: p.trace, ID: p.span, Parent: p.parent,
-				Machine: nid(n.self), Name: "gcast", Group: p.group,
+				Trace: p.w.Trace, ID: p.w.Span, Parent: p.parent,
+				Machine: nid(n.self), Name: "gcast", Group: p.w.Group,
 				Start: p.start, Bytes: p.bytes, Fail: true, Note: "node closed",
 			})
 		}
-		p.ch <- Result{Fail: true}
+		p.err = ErrClosed
+		p.done <- struct{}{}
 	}
 	n.pending = nil
+	for _, p := range n.leases {
+		p.err = ErrClosed
+		p.done <- struct{}{}
+	}
+	n.leases = nil
 }
 
 // recordReqSpan records a traced request's client-side span at resolution.
 // local: the reply came from this machine, so no reply hop was sent — which
 // the §3.3 audit prices (obs.Assemble).
 func (n *Node) recordReqSpan(p *pendingReq, resp []byte, fail bool, size int, local bool) {
-	if p.trace == 0 {
+	if p.w.Trace == 0 {
 		return
 	}
 	note := ""
@@ -680,8 +782,8 @@ func (n *Node) recordReqSpan(p *pendingReq, resp []byte, fail bool, size int, lo
 		note = "local-reply"
 	}
 	n.o.Spans().Record(obs.Span{
-		Trace: p.trace, ID: p.span, Parent: p.parent,
-		Machine: nid(n.self), Name: "gcast", Group: p.group,
+		Trace: p.w.Trace, ID: p.w.Span, Parent: p.parent,
+		Machine: nid(n.self), Name: "gcast", Group: p.w.Group,
 		Start: p.start, Bytes: p.bytes, RespBytes: len(resp),
 		GroupSize: size, Fail: fail, Note: note,
 	})
@@ -844,36 +946,28 @@ func (n *Node) placeOn(group string, live []transport.NodeID) transport.NodeID {
 	return live[0] // a group the function cannot place: never route to the zero node
 }
 
-// startRequest registers a pending client request and sends it to the
-// coordinator. A non-zero trace mints the request's span and embeds the
-// tracing header in the wire envelope.
-func (n *Node) startRequest(t msgType, group string, payload []byte, ch chan Result, trace, parent uint64) {
+// startRequest registers a cast, join or leave and sends it to the
+// coordinator. A traced cast (w.Trace non-zero) mints its span into the
+// envelope's tracing header.
+func (n *Node) startRequest(p *pendingReq) {
+	w := &p.w
 	n.reqSeq++
-	w := &wire{
-		Type:    t,
-		Group:   group,
-		ReqID:   n.reqSeq,
-		Origin:  nid(n.self),
-		Subject: nid(n.self),
-		Payload: payload,
-	}
-	p := &pendingReq{w: w, ch: ch, group: group}
-	if trace != 0 {
-		p.trace, p.parent = trace, parent
-		p.span = obs.NextID()
+	w.ReqID = n.reqSeq
+	w.Origin, w.Subject = nid(n.self), nid(n.self)
+	if w.Trace != 0 {
+		w.Span = obs.NextID()
 		p.start = time.Now()
-		p.bytes = len(payload)
-		w.Trace, w.Span = trace, p.span
+		p.bytes = len(w.Payload)
 	}
 	n.pending[w.ReqID] = p
-	if t == tJoinReq {
+	if w.Type == tJoinReq {
 		// Pre-create the member record so ordered events can be buffered
 		// before activation.
-		if _, exists := n.groups[group]; !exists {
-			n.groups[group] = newMemberState(group)
+		if _, exists := n.groups[w.Group]; !exists {
+			n.groups[w.Group] = newMemberState(w.Group)
 		}
 	}
-	n.send(n.coordOf(group), w)
+	n.send(n.coordOf(w.Group), w)
 }
 
 // clientReply resolves a pending request from the first reply to arrive: the
@@ -889,13 +983,14 @@ func (n *Node) clientReply(from transport.NodeID, w *wire) {
 		// The coordinator resolved the leave without an ordered event
 		// (membership record lost across a recovery); erase local state
 		// here instead.
-		if _, exists := n.groups[p.group]; exists {
-			n.setActive(p.group, false)
-			n.h.Evict(p.group)
-			delete(n.groups, p.group)
+		if _, exists := n.groups[p.w.Group]; exists {
+			n.setActive(p.w.Group, false)
+			n.h.Evict(p.w.Group)
+			delete(n.groups, p.w.Group)
 		}
 	}
-	p.ch <- Result{Payload: w.Payload, Fail: w.Fail, GroupSize: w.Size}
+	p.res = Result{Payload: w.Payload, Fail: w.Fail, GroupSize: w.Size}
+	p.done <- struct{}{}
 	n.resolved = true
 }
 
@@ -903,9 +998,9 @@ func (n *Node) clientReply(from transport.NodeID, w *wire) {
 // locally observed membership events rather than coordinator replies.
 func (n *Node) resolveLocal(group string, t msgType) {
 	for id, p := range n.pending {
-		if p.group == group && p.w.Type == t {
+		if p.w.Group == group && p.w.Type == t {
 			delete(n.pending, id)
-			p.ch <- Result{}
+			p.done <- struct{}{}
 		}
 	}
 }

@@ -88,12 +88,12 @@ func (n *Node) refreshPlacement(prev map[string]transport.NodeID) {
 	// Re-send unresolved requests: joins and leaves when the owner changed, casts
 	// always — only this node can miss a marked member's direct reply.
 	for _, p := range n.pending {
-		owner := n.coordOf(p.group)
-		if prevOwner, ok := prev[p.group]; ok && prevOwner == owner && p.w.Type != tCastReq {
+		owner := n.coordOf(p.w.Group)
+		if prevOwner, ok := prev[p.w.Group]; ok && prevOwner == owner && p.w.Type != tCastReq {
 			continue
 		}
-		p.retransmitted = true
-		n.send(owner, p.w)
+		p.retransmitted = true // a stash may now hold &p.w past the reply: never recycled
+		n.send(owner, &p.w)
 	}
 }
 

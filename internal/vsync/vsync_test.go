@@ -3,7 +3,9 @@ package vsync
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,34 +472,82 @@ func TestAliveTracksCrashes(t *testing.T) {
 	waitFor(t, "2 alive", func() bool { return alive() == 2 })
 }
 
+// TestCloseUnblocksCalls crowds a node with 32 Gcast and 8 LeaseRead callers,
+// on a member and on a non-member, then closes the node or crashes its
+// transport: every call returns within 10 s — with its result, ErrClosed or a
+// lease error, whether the loop held the call or it still sat in the command
+// queue — and the goroutines wind down.
 func TestCloseUnblocksCalls(t *testing.T) {
-	h := newHarness(t, 1, 2)
-	if err := h.nds[2].Join("g"); err != nil {
-		t.Fatal(err)
-	}
-	// Crash the transport under node 2 mid-call; calls must not hang.
-	errc := make(chan error, 1)
-	go func() {
-		for {
-			if _, err := h.nds[2].Gcast("g", []byte("x")); err != nil {
-				errc <- err
-				return
-			}
+	for _, caller := range []struct {
+		name string
+		id   transport.NodeID
+	}{{"member", 2}, {"non-member", 3}} {
+		for _, end := range []string{"close", "crash"} {
+			t.Run(caller.name+"/"+end, func(t *testing.T) {
+				h := newLeaseHarness(t, 1, 2, 3)
+				for _, id := range []transport.NodeID{1, 2} {
+					if err := h.nds[id].Join("wg/a"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				h.waitEpochAgreement(3)
+				nd := h.nds[caller.id]
+				base := runtime.NumGoroutine()
+
+				var calls atomic.Int64
+				errc := make(chan error, 40)
+				var wg sync.WaitGroup
+				loop := func(call func() error) {
+					defer wg.Done()
+					for {
+						err := call()
+						calls.Add(1)
+						switch {
+						case err == nil, errors.Is(err, ErrLeaseFenced), errors.Is(err, ErrLeaseTimeout):
+						case errors.Is(err, ErrClosed):
+							return
+						default:
+							errc <- err
+							return
+						}
+					}
+				}
+				for i := 0; i < 32; i++ {
+					wg.Add(1)
+					go loop(func() error { _, err := nd.Gcast("wg/a", []byte("x")); return err })
+				}
+				for i := 0; i < 8; i++ {
+					wg.Add(1)
+					go loop(func() error {
+						_, err := nd.LeaseRead("wg/a", 1, []byte("q"), 100*time.Millisecond)
+						return err
+					})
+				}
+				waitFor(t, "calls under way", func() bool { return calls.Load() >= 200 })
+				if end == "close" {
+					nd.Close()
+				} else {
+					h.net.Crash(caller.id)
+				}
+				returned := make(chan struct{})
+				go func() { wg.Wait(); close(returned) }()
+				select {
+				case <-returned:
+				case <-time.After(10 * time.Second):
+					t.Fatal("a call hung after the node went down")
+				}
+				close(errc)
+				for err := range errc {
+					t.Errorf("call failed with %v", err)
+				}
+				h.mu.Lock()
+				nd.Close()
+				delete(h.nds, caller.id)
+				h.mu.Unlock()
+				waitFor(t, "caller goroutines to exit", func() bool { return runtime.NumGoroutine() <= base })
+			})
 		}
-	}()
-	time.Sleep(5 * time.Millisecond)
-	h.net.Crash(2)
-	select {
-	case err := <-errc:
-		if err != ErrClosed {
-			t.Fatalf("err = %v, want ErrClosed", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("call hung after transport crash")
 	}
-	h.nds[2].Close()
-	delete(h.nds, 2)
-	delete(h.hs, 2)
 }
 
 func TestManyGroupsIndependent(t *testing.T) {
