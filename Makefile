@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench loc doccheck chaos chaos-leases flight-smoke wire-fuzz check clean
+.PHONY: build test race vet bench loc doccheck chaos chaos-leases flight-smoke wire-fuzz soak check clean
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,14 @@ flight-smoke:
 	@grep -q '"ownership"' /tmp/paso-flight-smoke/*/manifest.json || { echo "flight-smoke: bundle has empty ownership timeline" >&2; exit 1; }
 	@grep -q '"fingerprint"' /tmp/paso-flight-smoke/*/manifest.json || { echo "flight-smoke: bundle manifest has no fingerprint" >&2; exit 1; }
 	@echo "flight-smoke: OK ($$(ls /tmp/paso-flight-smoke | wc -l) bundle(s))"
+
+# The long soaks: the 12-machine ensemble under crash churn, and 10,000
+# seeded vsync simulator schedules (TestSimSeeds runs seeds 1-200 in the
+# plain test run). A failing seed prints its shrunk schedule, and
+# -run 'TestSimSeeds/seed=N' replays it.
+soak:
+	$(GO) test -count=1 -run TestSoakLargeEnsemble .
+	$(GO) test -count=1 -run TestSimSeeds ./internal/vsync/ -sim.seeds=10000
 
 check: build vet test race doccheck
 

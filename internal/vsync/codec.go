@@ -30,11 +30,8 @@ import (
 //	  trace    uvarint
 //	  span     uvarint
 //	  payload  uvarint len || bytes
-//	  infos    (iff flags bit1) uvarint count, then per entry:
-//	           uvarint len || name, eflags(1), last uvarint,
-//	           then iff eflags bit1: coordLast uvarint
-//	           (eflags: bit0 = member claim, bit1 = coordinator claim;
-//	           bits 2-7 reserved, must be zero)
+//	  infos    (iff flags bit1) uvarint count, then per entry, names
+//	           ascending: uvarint len || name, last uvarint
 //	body (type == tBatch):
 //	  count    uvarint
 //	  count × envelope (no per-message magic; nesting forbidden)
@@ -65,7 +62,7 @@ import (
 // wireVersion is the current format version, packed into the low nibble of
 // the magic byte. Bump it on any layout change; decoders reject frames from
 // a different version with ErrWireVersion instead of misparsing them.
-const wireVersion = 1
+const wireVersion = 2
 
 // wireMagic is the high-nibble tag of the magic byte. 0xC places the byte
 // outside both ranges a gob stream can start with (a gob segment length is
@@ -73,8 +70,8 @@ const wireVersion = 1
 // old gob codec are rejected, never misparsed.
 const wireMagic = 0xC0
 
-// wireMagicV1 is the complete first byte of every version-1 frame.
-const wireMagicV1 = wireMagic | wireVersion
+// frameMagic is the complete first byte of every frame of this version.
+const frameMagic = wireMagic | wireVersion
 
 // Envelope flag bits.
 const (
@@ -85,7 +82,7 @@ const (
 	// runMarkMask: a tOrderedRun has no Fail and no Infos, and spends those
 	// two bits on the completion mark (wire.Size).
 	runMarkMask  = flagFail | flagInfos
-	flagReserved = 0xE0 // bits 5-7 must be zero in v1
+	flagReserved = 0xE0 // bits 5-7 must be zero
 )
 
 // ErrWireVersion reports a frame whose magic/version byte does not match
@@ -106,14 +103,14 @@ var errWireCorrupt = errors.New("vsync: corrupt wire frame")
 // simply falls to the garbage collector. Steady state the encode path does
 // not allocate.
 func encodeWire(w *wire) []byte {
-	return appendEnvelope(append(transport.GetBuf(), wireMagicV1), w, false)
+	return appendEnvelope(append(transport.GetBuf(), frameMagic), w, false)
 }
 
 // encodeWireBatch serializes several staged envelopes as one tBatch frame
 // without first copying them into a contiguous []wire — the send workers'
 // path for a flushed outbox slice. Buffer ownership follows encodeWire.
 func encodeWireBatch(ws []*wire) []byte {
-	buf := append(transport.GetBuf(), wireMagicV1, byte(tBatch), 0)
+	buf := append(transport.GetBuf(), frameMagic, byte(tBatch), 0)
 	buf = binary.AppendUvarint(buf, uint64(len(ws)))
 	for _, w := range ws {
 		buf = appendEnvelope(buf, w, true)
@@ -187,21 +184,9 @@ func appendEnvelope(buf []byte, w *wire, inner bool) []byte {
 		sort.Strings(names) // deterministic encoding
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
 		for _, name := range names {
-			info := w.Infos[name]
 			buf = binary.AppendUvarint(buf, uint64(len(name)))
 			buf = append(buf, name...)
-			eflags := byte(0)
-			if info.Member {
-				eflags |= 1
-			}
-			if info.Coord {
-				eflags |= 2
-			}
-			buf = append(buf, eflags)
-			buf = binary.AppendUvarint(buf, info.Last)
-			if info.Coord {
-				buf = binary.AppendUvarint(buf, info.CoordLast)
-			}
+			buf = binary.AppendUvarint(buf, w.Infos[name])
 		}
 	}
 	return buf
@@ -296,8 +281,8 @@ func (d *wireDecoder) decode(b []byte) (*wire, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("%w: empty frame", errWireCorrupt)
 	}
-	if b[0] != wireMagicV1 {
-		return nil, fmt.Errorf("%w: frame byte 0x%02x, want 0x%02x", ErrWireVersion, b[0], wireMagicV1)
+	if b[0] != frameMagic {
+		return nil, fmt.Errorf("%w: frame byte 0x%02x, want 0x%02x", ErrWireVersion, b[0], frameMagic)
 	}
 	r := &rbuf{b: b, off: 1}
 	w := &wire{}
@@ -390,37 +375,20 @@ func (d *wireDecoder) decodeEnvelope(r *rbuf, w *wire, inner bool) {
 	w.Payload = r.bytes()
 	if flags&flagInfos != 0 {
 		n := r.uvarint()
-		// Each info entry is at least 3 bytes (empty name, member, last).
-		if r.err != nil || n > uint64(r.remaining()/3) {
+		// Each info entry is at least 2 bytes (empty name, last).
+		if r.err != nil || n > uint64(r.remaining()/2) {
 			r.fail()
 			return
 		}
-		w.Infos = make(map[string]syncInfo, n)
+		w.Infos = make(map[string]uint64, n)
 		for i := uint64(0); i < n; i++ {
 			name := string(r.bytes())
-			eflags := r.u8()
-			if eflags&^byte(3) != 0 {
-				r.fail() // reserved entry-flag bits must be zero in v1
-				return
-			}
-			info := syncInfo{Member: eflags&1 != 0, Coord: eflags&2 != 0}
-			info.Last = r.uvarint()
-			if info.Coord {
-				info.CoordLast = r.uvarint()
-			}
+			w.Infos[name] = r.uvarint()
 			if r.err != nil {
 				return
 			}
-			w.Infos[name] = info
 		}
 	}
-}
-
-// decodeWire parses a frame with a throwaway decoder (no interning); the
-// node's receive path uses its own wireDecoder instead.
-func decodeWire(b []byte) (*wire, error) {
-	var d wireDecoder
-	return d.decode(b)
 }
 
 // encodeSnapshot serializes a state-transfer envelope:

@@ -1,6 +1,8 @@
 package vsync
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,7 +32,7 @@ type coordState struct {
 	recovering bool
 	// reports holds the running recovery's counted reports, each peer's
 	// merged by per-group maximum (fold).
-	reports map[transport.NodeID]map[string]syncInfo
+	reports map[transport.NodeID]map[string]uint64
 	// resynced remembers, per rebuilt group and lagging claimant, the donor
 	// already asked to resync it, so a recovery pass re-sends a snapshot
 	// only when the donor changed; every membership edge clears it.
@@ -163,10 +165,8 @@ func (r *pendingRing) get(seq uint64) *pendingCast {
 	return r.buf[seq&uint64(len(r.buf)-1)]
 }
 
+// del empties the slot of a stored sequence number.
 func (r *pendingRing) del(seq uint64) {
-	if seq < r.base || seq >= r.next {
-		return
-	}
 	r.buf[seq&uint64(len(r.buf)-1)] = nil
 	for r.base < r.next && r.buf[r.base&uint64(len(r.buf)-1)] == nil {
 		r.base++
@@ -184,10 +184,10 @@ type queuedReq struct {
 	w    *wire
 }
 
-// preCoordMax bounds the not-yet-coordinator request stash (Node.preCoord).
-// The stash only grows during the short window between a peer observing the
-// old coordinator's death and this node observing it; past the cap, excess
-// requests are dropped and resolved by the sender's next coordinator change.
+// preCoordMax bounds the casts in the not-yet-coordinator request stash
+// (Node.preCoord). The stash only grows during the short window between a
+// peer observing the old coordinator's death and this node observing it;
+// past the cap, a cast is failed back to its caller (stashPreCoord).
 const preCoordMax = 4096
 
 // addIDCopy returns ids plus id, building a new slice when a change is
@@ -196,24 +196,14 @@ func addIDCopy(ids []transport.NodeID, id transport.NodeID) []transport.NodeID {
 	if containsID(ids, id) {
 		return ids
 	}
-	out := make([]transport.NodeID, len(ids)+1)
-	copy(out, ids)
-	out[len(ids)] = id
-	return out
+	return append(slices.Clip(ids), id)
 }
 
-// removeIDCopy returns ids minus id, building a new slice when a change is
-// needed.
+// removeIDCopy returns a new slice holding ids minus id, which ids must
+// contain.
 func removeIDCopy(ids []transport.NodeID, id transport.NodeID) []transport.NodeID {
-	for i, x := range ids {
-		if x != id {
-			continue
-		}
-		out := make([]transport.NodeID, 0, len(ids)-1)
-		out = append(out, ids[:i]...)
-		return append(out, ids[i+1:]...)
-	}
-	return ids
+	i := slices.Index(ids, id)
+	return slices.Concat(ids[:i], ids[i+1:])
 }
 
 // coordSyncInfo takes one report, a tSync answer or an unsolicited nudge.
@@ -248,22 +238,19 @@ func (n *Node) coordSyncInfo(from transport.NodeID, w *wire) {
 // fold merges one counted report into the running recovery. A second
 // report from the same peer merges into the first by per-group maximum, so
 // no claim is lost.
-func (cs *coordState) fold(from transport.NodeID, infos map[string]syncInfo) {
+func (cs *coordState) fold(from transport.NodeID, infos map[string]uint64) {
 	r := cs.reports[from]
 	if r == nil {
-		r = make(map[string]syncInfo, len(infos))
+		r = make(map[string]uint64, len(infos))
 		cs.reports[from] = r
 	}
-	for name, info := range infos {
-		si := r[name]
-		si.Member = si.Member || info.Member
-		si.Last = max(si.Last, info.Last)
-		r[name] = si
+	for name, last := range infos {
+		r[name] = max(r[name], last)
 	}
 }
 
 // mergeReport reconciles a counted report with the groups this node
-// sequences (groups a running recovery will rebuild are left to it):
+// sequences (groups without a record are a recovery's to rebuild):
 //
 //   - a claim for a group with no current members is adopted (the claimant
 //     is the last holder of that state — discarding it would lose data);
@@ -272,33 +259,26 @@ func (cs *coordState) fold(from transport.NodeID, infos map[string]syncInfo) {
 //     series (bootstrap split or post-eviction flap): the claimant is told
 //     to wipe and rejoin, receiving fresh state from a current member, and
 //     is waited on until a report of it no longer claims the old series.
-func (n *Node) mergeReport(from transport.NodeID, infos map[string]syncInfo) {
+func (n *Node) mergeReport(from transport.NodeID, infos map[string]uint64) {
 	cs := n.cs
-	for name, info := range infos {
-		if !info.Member {
-			continue
-		}
+	for _, name := range slices.Sorted(maps.Keys(infos)) {
+		last := infos[name]
 		if n.coordOf(name) != n.self {
 			continue // another owner's group; its coordinator reconciles it
 		}
 		cg := cs.groups[name]
-		if cg == nil && cs.recovering {
-			continue // the running recovery rebuilds it from the full quorum
-		}
-		if cg == nil || len(cg.members) == 0 {
-			if cg == nil {
-				cg = n.newCoordGroup(name)
-				cs.groups[name] = cg
-				n.syncCoordGroups()
-				// Adopting the last holder's state is a handoff, not a
-				// crash takeover: no recovery quorum ran for it.
-				n.recordOwnership(name, obs.OwnHandoff, n.self, 0)
-			}
-			cg.members = []transport.NodeID{from}
-			cg.nextSeq = info.Last + 1
+		if cg == nil {
+			// A running recovery rebuilds it from the full quorum; once this
+			// epoch's recovery ran, the group is fresh and its first request
+			// creates it.
 			continue
 		}
-		if containsID(cg.members, from) && info.Last < cg.nextSeq {
+		if len(cg.members) == 0 {
+			cg.members = []transport.NodeID{from}
+			cg.nextSeq = last + 1
+			continue
+		}
+		if containsID(cg.members, from) && last < cg.nextSeq {
 			continue // consistent member, possibly catching up
 		}
 		if containsID(cg.members, from) {
@@ -346,16 +326,17 @@ func (n *Node) finishRecovery() {
 		last uint64
 	}
 	byGroup := make(map[string][]claim)
-	for node, infos := range cs.reports {
-		for name, info := range infos {
-			if info.Member && n.unsequenced(name) {
-				byGroup[name] = append(byGroup[name], claim{node, info.Last})
+	for _, node := range slices.Sorted(maps.Keys(cs.reports)) {
+		for name, last := range cs.reports[node] {
+			if n.unsequenced(name) {
+				byGroup[name] = append(byGroup[name], claim{node, last})
 			}
 		}
 	}
 	rebuilt := make([]*coordGroup, 0, len(byGroup))
 	behind := false
-	for name, claims := range byGroup {
+	for _, name := range slices.Sorted(maps.Keys(byGroup)) {
+		claims := byGroup[name]
 		g := n.newCoordGroup(name)
 		var donor transport.NodeID
 		var target uint64
@@ -435,9 +416,7 @@ func (n *Node) coordGroupFor(name string) *coordGroup {
 // already sequence never waits for a recovery.
 func (n *Node) coordRequest(from transport.NodeID, w *wire) {
 	if n.coordOf(w.Group) != n.self {
-		if len(n.preCoord) < preCoordMax {
-			n.preCoord = append(n.preCoord, queuedReq{from: from, w: w})
-		}
+		n.stashPreCoord(from, w)
 		return
 	}
 	if n.unsequenced(w.Group) {
@@ -456,6 +435,24 @@ func (n *Node) coordRequest(from transport.NodeID, w *wire) {
 		n.coordJoin(w)
 	case tLeaveReq:
 		n.coordLeave(w)
+	}
+}
+
+// stashPreCoord keeps a request for a group that maps elsewhere until the
+// next membership edge (Node.preCoord). A cast that finds the stash full is
+// failed back to its caller, as coordCast fails a cast to an empty group:
+// dropped, it would wait for a membership edge at its caller, and a caller
+// whose view is already current may never see one. A join or leave is always
+// kept; a caller has at most one outstanding per group.
+func (n *Node) stashPreCoord(from transport.NodeID, w *wire) {
+	if w.Type == tCastReq && len(n.preCoord) >= preCoordMax {
+		n.cPreCoordRefused.Inc()
+		n.sendReply(tid(w.Origin), w.ReqID, nil, true, 0)
+		return
+	}
+	n.preCoord = append(n.preCoord, queuedReq{from: from, w: w})
+	if d := int64(len(n.preCoord)); d > n.gPreCoordHWM.Value() {
+		n.gPreCoordHWM.Set(d)
 	}
 }
 
@@ -620,13 +617,21 @@ func (n *Node) sendReply(to transport.NodeID, reqID uint64, payload []byte, fail
 	n.send(to, w)
 }
 
+// dropMembershipRequests forgets the joins and leaves a peer that went down
+// left stashed or queued here. Replayed later, a join would admit a corpse —
+// or a restarted incarnation that never asked — and every gather would wait
+// on it; a leave would evict that incarnation. The peer's casts stay: their
+// duplicates are suppressed and their replies ignored.
+func (n *Node) dropMembershipRequests(id transport.NodeID) {
+	stale := func(q queuedReq) bool { return q.from == id && q.w.Type != tCastReq }
+	n.preCoord = slices.DeleteFunc(n.preCoord, stale)
+	if n.cs != nil {
+		n.cs.queued = slices.DeleteFunc(n.cs.queued, stale)
+	}
+}
+
 func (n *Node) coordJoin(w *wire) {
 	subject := tid(w.Subject)
-	if !n.live[subject] {
-		// A stale retransmission (stashed or queued) from a joiner that has
-		// since died: admitting it would make every gather wait on a corpse.
-		return
-	}
 	g := n.coordGroupFor(w.Group)
 	var donor transport.NodeID
 	for _, m := range g.members {
@@ -722,7 +727,8 @@ func (n *Node) coordNodeDown(dead transport.NodeID) {
 	cs := n.cs
 	delete(cs.wait, dead)
 	delete(cs.reports, dead) // a later incarnation reports afresh
-	for _, g := range cs.groups {
+	for _, name := range slices.Sorted(maps.Keys(cs.groups)) {
+		g := cs.groups[name]
 		if containsID(g.members, dead) {
 			n.evictMember(g, dead)
 		} else {

@@ -123,22 +123,15 @@ func (n *Node) fenceLeases() {
 // ViewEpoch returns the node's current view epoch: a hash of the failure
 // detector's live set, equal on every node observing the same view. It is
 // readable from any goroutine without crossing the event loop.
-func (n *Node) ViewEpoch() uint64 {
-	if v := n.view.Load(); v != nil {
-		return v.epoch
-	}
-	return 0
-}
+func (n *Node) ViewEpoch() uint64 { return n.view.Load().epoch }
 
 // LiveView returns the current live set (sorted, shared — callers must not
 // mutate it) together with the view epoch it hashes to. Unlike Alive it
 // does not cross the event loop, so it is cheap enough for per-operation
 // use (the leased-read target selection).
 func (n *Node) LiveView() ([]transport.NodeID, uint64) {
-	if v := n.view.Load(); v != nil {
-		return v.ids, v.epoch
-	}
-	return nil, 0
+	v := n.view.Load()
+	return v.ids, v.epoch
 }
 
 // LeaseRead sends one epoch-fenced direct read for a group to a peer
@@ -167,44 +160,40 @@ func (n *Node) LeaseRead(group string, to transport.NodeID, payload []byte, time
 // waitLease waits, as wait does, for the loop to resolve a queued leased
 // read, and expires it after timeout on the record's own timer: the loop
 // drops it with ErrLeaseTimeout unless a reply or fence resolved it first.
+// A reset timer delivers no tick left from the record's previous call (Go
+// 1.23 timer semantics).
 func (n *Node) waitLease(p *pendingReq, timeout time.Duration) bool {
-	due := time.Now().Add(timeout)
 	if p.timer == nil {
 		p.timer = time.NewTimer(timeout)
 	} else {
 		p.timer.Reset(timeout)
 	}
 	defer p.timer.Stop()
-	for {
-		select {
-		case <-p.done:
-			return true
-		case <-n.done:
-			return false
-		case <-p.timer.C:
-			if time.Now().Before(due) {
-				continue // a tick left from the record's previous call
-			}
-			// The queue is FIFO, so the loop has run startLease by now.
-			if !n.query(func() {
-				if n.leases[p.w.ReqID] == p {
-					delete(n.leases, p.w.ReqID)
-					p.err = ErrLeaseTimeout
-					p.done <- struct{}{}
-				}
-			}) {
-				return false
-			}
-			<-p.done
-			return true
-		}
+	select {
+	case <-p.done:
+		return true
+	case <-n.done:
+		return false
+	case <-p.timer.C:
 	}
+	// The queue is FIFO, so the loop has run startLease by now.
+	if !n.query(func() {
+		if n.leases[p.w.ReqID] == p {
+			delete(n.leases, p.w.ReqID)
+			p.err = ErrLeaseTimeout
+			p.done <- struct{}{}
+		}
+	}) {
+		return false
+	}
+	<-p.done
+	return true
 }
 
 // startLease registers a queued leased read and sends it, unless a
 // membership edge between the caller's epoch read and now already fenced it.
 func (n *Node) startLease(p *pendingReq) {
-	if v := n.view.Load(); v == nil || v.epoch != p.w.UpTo {
+	if n.ViewEpoch() != p.w.UpTo {
 		n.cLeaseFenced.Inc()
 		p.err = ErrLeaseFenced
 		p.done <- struct{}{}

@@ -3,6 +3,7 @@ package vsync
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 
 	"paso/internal/obs"
@@ -26,13 +27,18 @@ func (n *Node) memberOrdered(from transport.NodeID, w *wire) {
 	if !g.active {
 		// Joiner: buffer everything until the donor's snapshot installs;
 		// our own join into an empty group has no donor and activates now.
-		if w.Event == evJoin && tid(w.Subject) == n.self {
+		switch subject := tid(w.Subject); {
+		case w.Event == evJoin && subject == n.self:
 			g.members = idsFromWire(w)
 			if w.Donor == 0 {
 				n.activate(g, w.Seq)
 				return
 			}
 			g.donor = tid(w.Donor)
+		case w.Event == evDown && subject == g.donor:
+			// The sequencer evicted our donor, which may have died before our
+			// own detector would tell us (or after it already had): ask again.
+			n.memberPeerEdge(subject)
 		}
 		g.buffer[w.Seq] = n.held(from, w)
 		return
@@ -255,12 +261,7 @@ func (n *Node) memberState_(from transport.NodeID, w *wire) {
 		}
 		g.delivered[origin] = r
 	}
-	// Everything at or before UpTo is reflected in the snapshot.
-	for seq := range g.buffer {
-		if seq <= w.UpTo {
-			delete(g.buffer, seq)
-		}
-	}
+	n.prune(g, w.UpTo) // everything at or before UpTo is reflected in the snapshot
 	if !g.active {
 		n.activate(g, w.UpTo)
 		return
@@ -276,11 +277,7 @@ func (n *Node) memberState_(from transport.NodeID, w *wire) {
 func (n *Node) activate(g *memberState, upTo uint64) {
 	g.active = true
 	g.last = upTo
-	for seq := range g.buffer {
-		if seq <= upTo {
-			delete(g.buffer, seq)
-		}
-	}
+	n.prune(g, upTo)
 	n.h.ViewChange(g.name, append([]transport.NodeID(nil), g.members...))
 	n.drain(g, n.coordOf(g.name))
 	if n.groups[g.name] == g { // the drained tail may hold our own leave
@@ -289,6 +286,22 @@ func (n *Node) activate(g *memberState, upTo uint64) {
 	// Resolve the join last, so a caller returning from Join finds Member
 	// already true.
 	n.resolveLocal(g.name, tJoinReq)
+}
+
+// prune drops the buffered events at or before upTo, which a snapshot or a
+// donorless join covers. A data event among them is acked to the sequencer,
+// failed: the installed state holds it, or no member does, and either way no
+// gather may wait for an apply this member will never make.
+func (n *Node) prune(g *memberState, upTo uint64) {
+	for _, seq := range slices.Sorted(maps.Keys(g.buffer)) {
+		if seq > upTo {
+			break
+		}
+		if w := g.buffer[seq]; w.Event == evData {
+			n.send(n.coordOf(g.name), &wire{Type: tAck, Group: g.name, Seq: seq, ReqID: w.ReqID, Origin: w.Origin, Fail: true})
+		}
+		delete(g.buffer, seq)
+	}
 }
 
 // memberRestate handles a coordinator verdict that our membership of a
@@ -330,7 +343,8 @@ func (n *Node) donorResync(w *wire) {
 // another donor; after its Up — a link healed — the snapshot it sent while
 // the link was cut comes again.
 func (n *Node) memberPeerEdge(peer transport.NodeID) {
-	for _, p := range n.pending {
+	for _, id := range slices.Sorted(maps.Keys(n.pending)) {
+		p := n.pending[id]
 		if g := n.groups[p.w.Group]; p.w.Type == tJoinReq && g != nil && !g.active && g.donor == peer {
 			n.send(n.coordOf(p.w.Group), &p.w)
 		}

@@ -123,7 +123,8 @@ type Node struct {
 	// only on a membership *edge* of its own and its view is already correct.
 	// Replayed by refreshPlacement on the next membership edge, discarded
 	// when the group resolves to another node (that client's own coordinator
-	// change covers the retransmission then).
+	// change covers the retransmission then). Casts are capped at
+	// preCoordMax (stashPreCoord).
 	preCoord []queuedReq
 
 	// Outgoing frames are staged here and flushed once per loop burst:
@@ -182,6 +183,9 @@ type Node struct {
 	// Placement churn accounting: classes whose owner moved across a
 	// live-set change.
 	cMovedClasses *obs.Counter
+	// The preCoord stash's high-water mark, and the casts it refused full.
+	gPreCoordHWM     *obs.Gauge
+	cPreCoordRefused *obs.Counter
 	// retry re-sends tSync to the coordinator's wait set every syncRetry;
 	// it runs only while the set is non-empty (retryTick).
 	retry *time.Ticker
@@ -293,8 +297,9 @@ type memberState struct {
 
 // CoordFn derives the coordinator of a group from the observer's live
 // machine set, sorted ascending and never empty (PROTOCOL.md, "Coordinator
-// placement and takeover"). It must be a pure function of its arguments —
-// every node with the same live view has to compute the same owner — and
+// placement and takeover"), and returns a member of that set. It must be a
+// pure function of its arguments — every node with the same live view has
+// to compute the same owner — and
 // must be safe for concurrent use (every node's event loop calls the shared
 // function). internal/placement provides the sharding implementation;
 // LowestLive is the default.
@@ -325,6 +330,22 @@ func NewNode(ep transport.Endpoint, h Handler) *Node {
 // latencies, view-change and ownership events, state-transfer bytes) and a
 // placement function.
 func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
+	// Request IDs must not collide across incarnations of the same node ID
+	// (a restarted machine's early requests would otherwise be swallowed
+	// by surviving members' duplicate-suppression caches). Starting the
+	// counter at a random point makes collisions vanishingly unlikely even
+	// when snapshots carry caches across the restart.
+	var seed [8]byte
+	_, _ = cryptorand.Read(seed[:])
+	n := newNode(ep, h, opts, binary.LittleEndian.Uint64(seed[:]))
+	go n.loop()
+	return n
+}
+
+// newNode builds a node whose request IDs start after reqSeed, with its
+// initial view applied and its first frames staged, but no event loop:
+// NewNodeOpts starts the loop, a test may step the node itself.
+func newNode(ep transport.Endpoint, h Handler, opts NodeOptions, reqSeed uint64) *Node {
 	o := opts.Obs
 	if o == nil {
 		o = obs.Nop()
@@ -346,6 +367,7 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 		groups:  make(map[string]*memberState),
 		coordFn: place,
 		outbox:  make(map[transport.NodeID][]*wire),
+		reqSeq:  reqSeed,
 
 		o:           o,
 		cGcast:      o.Counter("vsync.gcast.total"),
@@ -373,6 +395,9 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 
 		cMovedClasses: o.Counter("placement.moved.classes"),
 
+		gPreCoordHWM:     o.Gauge("vsync.precoord.hwm"),
+		cPreCoordRefused: o.Counter("vsync.precoord.refused"),
+
 		cLeaseServed:  o.Counter("vsync.lease.served"),
 		cLeaseRefused: o.Counter("vsync.lease.refused"),
 		cLeaseFenced:  o.Counter("vsync.lease.fenced"),
@@ -383,22 +408,12 @@ func NewNodeOpts(ep transport.Endpoint, h Handler, opts NodeOptions) *Node {
 			n.hFrame[t] = o.Histogram(o.Series("vsync.frame.bytes.{type}", t.String()))
 		}
 	}
-	// Request IDs must not collide across incarnations of the same node ID
-	// (a restarted machine's early requests would otherwise be swallowed
-	// by surviving members' duplicate-suppression caches). Starting the
-	// counter at a random point makes collisions vanishingly unlikely even
-	// when snapshots carry caches across the restart.
-	var seed [8]byte
-	if _, err := cryptorand.Read(seed[:]); err == nil {
-		n.reqSeq = binary.LittleEndian.Uint64(seed[:])
-	}
 	for _, id := range ep.Alive() {
 		n.live[id] = true
 	}
 	n.live[n.self] = true
 	n.active.Store(&map[string]bool{})
 	n.liveChanged()
-	go n.loop()
 	return n
 }
 
@@ -549,7 +564,9 @@ func (n *Node) Join(group string) error { return n.changeMembership(tJoinReq, gr
 // Leave removes this node from the group, blocking until the ordered leave
 // event is delivered. The handler's Evict is invoked to erase group state.
 // Leaving a group this node is not in is a no-op. A crash-eviction racing
-// the leave resolves it the same way: the member is gone either path.
+// the leave resolves it the same way: the member is gone either path. A
+// node must not have a Join and a Leave of one group outstanding at once:
+// callers serialize them, as core does with one move per class at a time.
 func (n *Node) Leave(group string) error { return n.changeMembership(tLeaveReq, group) }
 
 // changeMembership issues a join or leave unless it would be a no-op, and
@@ -670,9 +687,7 @@ func (n *Node) loop() {
 			}
 			n.handleItem(it)
 		case <-n.retryTick():
-			for id := range n.cs.wait {
-				n.send(id, &wire{Type: tSync})
-			}
+			n.retrySync()
 		}
 		// Opportunistic burst: absorb whatever is already pending so the
 		// resulting frames coalesce per destination into one tBatch.
@@ -806,6 +821,7 @@ func (n *Node) handleItem(it transport.Item) {
 		}
 	case transport.KindDown:
 		delete(n.live, it.From)
+		n.dropMembershipRequests(it.From)
 		if n.cs != nil {
 			n.coordNodeDown(it.From)
 		}
@@ -932,18 +948,9 @@ func (n *Node) coordOf(group string) transport.NodeID {
 	if c, ok := n.coordCache[group]; ok {
 		return c
 	}
-	c := n.placeOn(group, n.liveSorted)
+	c := n.coordFn(group, n.liveSorted)
 	n.coordCache[group] = c
 	return c
-}
-
-// placeOn is the placement function's answer for a group over any sorted,
-// non-empty live set — ours (coordOf) or a reporter's (viewAgrees).
-func (n *Node) placeOn(group string, live []transport.NodeID) transport.NodeID {
-	if c := n.coordFn(group, live); c != 0 {
-		return c
-	}
-	return live[0] // a group the function cannot place: never route to the zero node
 }
 
 // startRequest registers a cast, join or leave and sends it to the

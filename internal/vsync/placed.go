@@ -1,6 +1,7 @@
 package vsync
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -42,9 +43,9 @@ func (n *Node) refreshPlacement(prev map[string]transport.NodeID) {
 	// would race the new owner's recovery.
 	nudge := make(map[transport.NodeID]bool)
 	if n.cs != nil {
-		for name, g := range n.cs.groups {
+		for _, name := range slices.Sorted(maps.Keys(n.cs.groups)) {
 			if owner := n.coordOf(name); owner != n.self {
-				n.abdicateGroup(name, g, owner)
+				n.abdicateGroup(name, n.cs.groups[name], owner)
 				nudge[owner] = true
 			}
 		}
@@ -72,7 +73,7 @@ func (n *Node) refreshPlacement(prev map[string]transport.NodeID) {
 			nudge[owner] = true
 		}
 	}
-	for owner := range nudge {
+	for _, owner := range slices.Sorted(maps.Keys(nudge)) {
 		n.report(owner)
 	}
 	// Replay stashed requests that raced ahead of our old view; entries for
@@ -87,7 +88,8 @@ func (n *Node) refreshPlacement(prev map[string]transport.NodeID) {
 	}
 	// Re-send unresolved requests: joins and leaves when the owner changed, casts
 	// always — only this node can miss a marked member's direct reply.
-	for _, p := range n.pending {
+	for _, id := range slices.Sorted(maps.Keys(n.pending)) {
+		p := n.pending[id]
 		owner := n.coordOf(p.w.Group)
 		if prevOwner, ok := prev[p.w.Group]; ok && prevOwner == owner && p.w.Type != tCastReq {
 			continue
@@ -152,7 +154,7 @@ func (n *Node) ensureRecovery() {
 	}
 	cs.recovering = true
 	cs.recoveryStart = time.Now()
-	cs.reports = make(map[transport.NodeID]map[string]syncInfo, len(n.live))
+	cs.reports = make(map[transport.NodeID]map[string]uint64, len(n.live))
 	n.o.Emit("takeover-recovery", obs.KV("epoch", n.liveEpoch), obs.KV("quorum", len(n.live)-1))
 	n.requery()
 }
@@ -162,7 +164,7 @@ func (n *Node) ensureRecovery() {
 // are asked for again), and runs its next pass at once if nobody is left.
 func (n *Node) requery() {
 	clear(n.cs.resynced)
-	for id := range n.live {
+	for _, id := range slices.Sorted(maps.Keys(n.live)) {
 		n.await(id)
 	}
 	if len(n.cs.wait) == 0 {
@@ -179,6 +181,14 @@ func (n *Node) await(id transport.NodeID) {
 	}
 	n.cs.wait[id] = true
 	n.send(id, &wire{Type: tSync})
+}
+
+// retrySync re-sends tSync to every peer in the wait set, once per syncRetry
+// tick.
+func (n *Node) retrySync() {
+	for _, id := range slices.Sorted(maps.Keys(n.cs.wait)) {
+		n.send(id, &wire{Type: tSync})
+	}
 }
 
 // retryTick is the channel of the wait set's retry ticker, which runs only
@@ -238,7 +248,7 @@ func (n *Node) viewAgrees(w *wire) bool {
 		}
 	}
 	for name := range w.Infos {
-		if n.coordOf(name) == n.self && n.placeOn(name, theirs) != n.self {
+		if n.coordOf(name) == n.self && n.coordFn(name, theirs) != n.self {
 			return false
 		}
 	}
@@ -247,11 +257,11 @@ func (n *Node) viewAgrees(w *wire) bool {
 
 // ownSyncInfos assembles this node's claim set: every group it is an active
 // member of, with the last sequence it delivered there.
-func (n *Node) ownSyncInfos() map[string]syncInfo {
-	infos := make(map[string]syncInfo, len(n.groups))
+func (n *Node) ownSyncInfos() map[string]uint64 {
+	infos := make(map[string]uint64, len(n.groups))
 	for name, g := range n.groups {
 		if g.active {
-			infos[name] = syncInfo{Member: true, Last: g.last}
+			infos[name] = g.last
 		}
 	}
 	return infos
@@ -260,9 +270,5 @@ func (n *Node) ownSyncInfos() map[string]syncInfo {
 // syncCoordGroups publishes how many groups this node currently sequences —
 // the per-machine spread the placement cap bounds.
 func (n *Node) syncCoordGroups() {
-	if n.cs == nil {
-		n.gCoordGroups.Set(0)
-		return
-	}
 	n.gCoordGroups.Set(int64(len(n.cs.groups)))
 }

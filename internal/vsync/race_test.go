@@ -1,0 +1,6 @@
+//go:build race
+
+package vsync
+
+// raceEnabled reports a -race build; the simulator runs fewer seeds then.
+const raceEnabled = true

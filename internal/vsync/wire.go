@@ -68,44 +68,21 @@ const (
 // histograms, validity checks) are sized by it. Keep it on the last constant.
 const tMaxType = tLeaseReply
 
-// String names the message type, for metric names and diagnostics.
+// typeNames names the assigned message types, for metric names and
+// diagnostics.
+var typeNames = [...]string{
+	tCastReq: "castreq", tJoinReq: "joinreq", tLeaveReq: "leavereq", tOrdered: "ordered",
+	tAck: "ack", tReply: "reply", tState: "state", tSync: "sync", tSyncInfo: "syncinfo",
+	tResync: "resync", tApp: "app", tRestate: "restate", tBatch: "batch",
+	tOrderedRun: "orderedrun", tLeaseRead: "leaseread", tLeaseReply: "leasereply",
+}
+
+// String names the message type, or "invalid".
 func (t msgType) String() string {
-	switch t {
-	case tCastReq:
-		return "castreq"
-	case tJoinReq:
-		return "joinreq"
-	case tLeaveReq:
-		return "leavereq"
-	case tOrdered:
-		return "ordered"
-	case tAck:
-		return "ack"
-	case tReply:
-		return "reply"
-	case tState:
-		return "state"
-	case tSync:
-		return "sync"
-	case tSyncInfo:
-		return "syncinfo"
-	case tResync:
-		return "resync"
-	case tApp:
-		return "app"
-	case tRestate:
-		return "restate"
-	case tBatch:
-		return "batch"
-	case tOrderedRun:
-		return "orderedrun"
-	case tLeaseRead:
-		return "leaseread"
-	case tLeaseReply:
-		return "leasereply"
-	default:
-		return "invalid"
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
+	return "invalid"
 }
 
 // assigned reports whether t is a message type of this wire version.
@@ -152,9 +129,11 @@ type wire struct {
 	// primitive was not traced.
 	Trace uint64
 	Span  uint64
-	// Infos is a tSyncInfo report's body; the report's Payload carries the
-	// sender's sorted live set, encoded like an evJoin member list.
-	Infos map[string]syncInfo
+	// Infos is a tSyncInfo report's body: every group the sender is an
+	// active member of, with the last sequence number it delivered there. The
+	// report's Payload carries the sender's sorted live set, encoded like an
+	// evJoin member list.
+	Infos map[string]uint64
 	// Batch carries the coalesced messages of a tBatch frame, in send
 	// order. The receiver dispatches them in sequence, so per-destination
 	// FIFO — and with it the total order of tOrdered events — is exactly
@@ -175,18 +154,6 @@ type wire struct {
 	// recycles the wire at zero (releaseWire, node.go). Zero means the wire
 	// is not pooled and is left to the garbage collector.
 	refs int32
-}
-
-// syncInfo is one node's report about one group: its membership and the
-// last sequence number it delivered there. The v1 layout also has room for
-// a coordinator claim (Coord, CoordLast); nodes decode it but never send
-// one — a report is taken after the sender's own deliveries, so a
-// sequencer's range shows in its Last (PROTOCOL.md, "Coordinator moves").
-type syncInfo struct {
-	Member    bool
-	Last      uint64 // highest delivered sequence number
-	Coord     bool   // coordinator claim present (unused by current nodes)
-	CoordLast uint64 // the claim's last assigned sequence
 }
 
 // snapshotEnvelope is what a donor actually ships: the application state

@@ -15,7 +15,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(encodeWire(w))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{wireMagicV1})
+	f.Add([]byte{frameMagic})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var dec wireDecoder
 		w, err := dec.decode(b)

@@ -29,9 +29,9 @@ func sampleWires() map[string]*wire {
 		"reply":        {Type: tReply, ReqID: 300, Size: 2, Payload: []byte{0x01}},
 		"state":        {Type: tState, Group: "g", UpTo: 9, Payload: []byte{0x7F}},
 		"sync":         {Type: tSync},
-		"syncinfo":     {Type: tSyncInfo, Infos: map[string]syncInfo{"b": {}, "a": {Member: true, Last: 5}, "c": {Member: true, Last: 9, Coord: true, CoordLast: 12}}},
+		"syncinfo":     {Type: tSyncInfo, Infos: map[string]uint64{"b": 0, "a": 5, "c": 9}},
 		// A report as nodes send it: the claim set plus the sender's live set.
-		"syncinfo-live": {Type: tSyncInfo, Payload: idsToWire([]transport.NodeID{1, 2, 3}), Infos: map[string]syncInfo{"g": {Member: true, Last: 5, Coord: true, CoordLast: 7}}},
+		"syncinfo-live": {Type: tSyncInfo, Payload: idsToWire([]transport.NodeID{1, 2, 3}), Infos: map[string]uint64{"g": 5}},
 		"resync":        {Type: tResync, Group: "g", Subject: 4},
 		"app":           {Type: tApp, Payload: []byte("hello")},
 		"restate":       {Type: tRestate, Group: "g"},
@@ -52,6 +52,13 @@ func sampleWires() map[string]*wire {
 			{Type: tOrdered, Group: "g", Seq: 10, Event: evData, Size: 2, ReqID: 301, Origin: 4},
 		}},
 	}
+}
+
+// decodeWire parses a frame with a throwaway decoder (no interning); the
+// node's receive path uses its own wireDecoder instead.
+func decodeWire(b []byte) (*wire, error) {
+	var d wireDecoder
+	return d.decode(b)
 }
 
 // normalizeWire maps the encodings' representational freedom onto one
@@ -93,23 +100,23 @@ func TestWireRoundTripAllTypes(t *testing.T) {
 }
 
 // TestWireGolden pins the exact on-wire bytes of representative envelopes.
-// A failure here means the v1 layout drifted: either revert the encoding
+// A failure here means the layout drifted: either revert the encoding
 // change or bump wireVersion and regenerate these strings deliberately.
 func TestWireGolden(t *testing.T) {
 	samples := sampleWires()
 	golden := map[string]string{
-		"castreq":       "c101000877672e6a6f622f33ac02030003000000000002dead",
-		"ordered":       "c104040167ac0203070000000080010102dead",
-		"ack-fail":      "c105010167ac02030700000000000000",
-		"reply":         "c1060000ac0200000000020000000101",
-		"join-ordered":  "c104080167000001020100000000020102",
-		"syncinfo":      "c109020000000000000000000000030161010501620000016303090c",
-		"syncinfo-live": "c109020000000000000000000003010203010167030507",
-		"state":         "c107000167000000000000090000017f",
-		"batch":         "c10d000204040167ad020308000000000000010a05000167ad02030800000000000000",
-		"orderedrun":    "c10e0401670902ac020380010102deadad0204000000",
+		"castreq":       "c201000877672e6a6f622f33ac02030003000000000002dead",
+		"ordered":       "c204040167ac0203070000000080010102dead",
+		"ack-fail":      "c205010167ac02030700000000000000",
+		"reply":         "c2060000ac0200000000020000000101",
+		"join-ordered":  "c204080167000001020100000000020102",
+		"syncinfo":      "c20902000000000000000000000003016105016200016309",
+		"syncinfo-live": "c20902000000000000000000000301020301016705",
+		"state":         "c207000167000000000000090000017f",
+		"batch":         "c20d000204040167ad020308000000000000010a05000167ad02030800000000000000",
+		"orderedrun":    "c20e0401670902ac020380010102deadad0204000000",
 
-		"orderedrun-marked": "c10e0601670902ac020380010102deadad0204000000",
+		"orderedrun-marked": "c20e0601670902ac020380010102deadad0204000000",
 	}
 	for name, want := range golden {
 		got := hex.EncodeToString(encodeWire(samples[name]))
@@ -163,7 +170,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 // TestWireRejectsGobFrames feeds frames produced by the retired gob codec
 // to the new decoder: they must fail fast with ErrWireVersion — a gob
-// stream can never start with the v1 magic byte — and never panic.
+// stream can never start with the magic byte — and never panic.
 func TestWireRejectsGobFrames(t *testing.T) {
 	for name, w := range sampleWires() {
 		var buf bytes.Buffer
@@ -179,7 +186,7 @@ func TestWireRejectsGobFrames(t *testing.T) {
 
 func TestWireRejectsWrongVersion(t *testing.T) {
 	enc := encodeWire(sampleWires()["castreq"])
-	enc[0] = wireMagic | 2 // a future version
+	enc[0] = wireMagic | (wireVersion + 1) // a future version
 	if _, err := decodeWire(enc); !errors.Is(err, ErrWireVersion) {
 		t.Errorf("future version decoded with err=%v, want ErrWireVersion", err)
 	}
@@ -192,7 +199,7 @@ func TestWireRejectsWrongVersion(t *testing.T) {
 // sends the retired claim envelope has its frame rejected, as is any type
 // byte past the last assigned one.
 func TestWireRejectsUnassignedTypes(t *testing.T) {
-	retired, _ := hex.DecodeString("c10f020000000000000000000000010167020007")
+	retired, _ := hex.DecodeString("c20f020000000000000000000000010167020007")
 	if _, err := decodeWire(retired); err == nil {
 		t.Error("type 15 frame decoded cleanly")
 	}
@@ -226,12 +233,12 @@ func TestWireRejectsCorrupt(t *testing.T) {
 		t.Error("reserved flag bit accepted")
 	}
 	// A batch containing a batch is not part of the format.
-	nested := append(transport.GetBuf(), wireMagicV1, byte(tBatch), 0, 1, byte(tBatch), 0, 0)
+	nested := append(transport.GetBuf(), frameMagic, byte(tBatch), 0, 1, byte(tBatch), 0, 0)
 	if _, err := decodeWire(nested); err == nil {
 		t.Error("nested batch accepted")
 	}
 	// A batch count far beyond the frame must fail without allocating.
-	huge := append(transport.GetBuf(), wireMagicV1, byte(tBatch), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x07)
+	huge := append(transport.GetBuf(), frameMagic, byte(tBatch), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x07)
 	if _, err := decodeWire(huge); err == nil {
 		t.Error("absurd batch count accepted")
 	}
