@@ -8,8 +8,6 @@
 package class
 
 import (
-	"fmt"
-	"hash/fnv"
 	"strconv"
 
 	"paso/internal/tuple"
@@ -109,43 +107,6 @@ func (c *NameArity) Classes() []ID {
 			out = append(out, classFor(n, a))
 		}
 		out = append(out, classFor("", a))
-	}
-	return out
-}
-
-// Hashed classifies tuples into a fixed number of buckets by hashing all
-// field contents. Every search list is the full bucket set (associative
-// search cannot be narrowed), making it the worst case for sc-list length;
-// it exists as a baseline and for uniform load spreading.
-type Hashed struct {
-	buckets int
-}
-
-var _ Classifier = (*Hashed)(nil)
-
-// NewHashed builds a classifier with n buckets. n must be >= 1.
-func NewHashed(n int) (*Hashed, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("class: bucket count %d < 1", n)
-	}
-	return &Hashed{buckets: n}, nil
-}
-
-// ClassOf implements Classifier.
-func (c *Hashed) ClassOf(t tuple.Tuple) ID {
-	h := fnv.New32a()
-	_, _ = h.Write(tuple.EncodeTuple(t.WithID(tuple.ID{})))
-	return ID("h/" + strconv.Itoa(int(h.Sum32())%c.buckets))
-}
-
-// SearchList implements Classifier: all buckets, always.
-func (c *Hashed) SearchList(tuple.Template) []ID { return c.Classes() }
-
-// Classes implements Classifier.
-func (c *Hashed) Classes() []ID {
-	out := make([]ID, c.buckets)
-	for i := range out {
-		out[i] = ID("h/" + strconv.Itoa(i))
 	}
 	return out
 }

@@ -85,7 +85,6 @@ func TestNameArityClassesEnumeration(t *testing.T) {
 func TestSearchListExhaustive(t *testing.T) {
 	cls := []Classifier{
 		NewNameArity([]string{"task", "result", "lock"}, 5),
-		mustHashed(t, 7),
 		Single{},
 	}
 	r := rand.New(rand.NewSource(42))
@@ -110,15 +109,6 @@ func TestSearchListExhaustive(t *testing.T) {
 			}
 		}
 	}
-}
-
-func mustHashed(t *testing.T, n int) *Hashed {
-	t.Helper()
-	h, err := NewHashed(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
 }
 
 func randomNamedTuple(r *rand.Rand) tuple.Tuple {
@@ -149,41 +139,6 @@ func randomTemplateFor(r *rand.Rand, tu tuple.Tuple) tuple.Template {
 		}
 	}
 	return tuple.NewTemplate(ms...)
-}
-
-func TestHashedValidation(t *testing.T) {
-	if _, err := NewHashed(0); err == nil {
-		t.Error("NewHashed(0) should fail")
-	}
-	if _, err := NewHashed(-3); err == nil {
-		t.Error("NewHashed(-3) should fail")
-	}
-}
-
-func TestHashedStable(t *testing.T) {
-	h := mustHashed(t, 5)
-	tu := tuple.Make(tuple.String("x"), tuple.Int(3))
-	a := h.ClassOf(tu)
-	b := h.ClassOf(tuple.Make(tuple.String("x"), tuple.Int(3)))
-	if a != b {
-		t.Errorf("hash classifier unstable: %q vs %q", a, b)
-	}
-	// Identity must not affect classification.
-	c := h.ClassOf(tu.WithID(tuple.ID{Origin: 5, Seq: 9}))
-	if a != c {
-		t.Errorf("identity affected hash class: %q vs %q", a, c)
-	}
-}
-
-func TestHashedSpread(t *testing.T) {
-	h := mustHashed(t, 8)
-	seen := make(map[ID]int)
-	for i := 0; i < 400; i++ {
-		seen[h.ClassOf(tuple.Make(tuple.Int(int64(i))))]++
-	}
-	if len(seen) < 4 {
-		t.Errorf("hash classifier used only %d of 8 buckets", len(seen))
-	}
 }
 
 func TestSingleClassifier(t *testing.T) {

@@ -6,44 +6,22 @@ import (
 	"paso/internal/tuple"
 )
 
-// BlockStrategy selects how blocking reads wait for a match (§4.3).
-type BlockStrategy int
+// blockPoll is the blocking wait's slow poll. Markers wake a waiter as soon
+// as a matching insert is applied; the poll re-reads and re-parks markers
+// in case every marker holder lost them (markers are soft state) or the
+// insert landed between the read and the marker.
+const blockPoll = 50 * time.Millisecond
 
-// Blocking strategies.
-const (
-	// BlockBusyWait re-issues the non-blocking read on a poll interval,
-	// "busy-wait while cycling among the classes".
-	BlockBusyWait BlockStrategy = iota + 1
-	// BlockMarker leaves read-message markers at the class's servers and
-	// sleeps until a matching insert fires one. Markers are soft state:
-	// if every marker-holding replica crashes the wakeup is lost, so pure
-	// markers trade messages for a liveness assumption.
-	BlockMarker
-	// BlockHybrid places markers but also polls at a slow fallback rate
-	// ("read-markers are left and then expired"), getting marker latency
-	// with busy-wait robustness.
-	BlockHybrid
-)
-
-// String names the strategy.
-func (s BlockStrategy) String() string {
-	switch s {
-	case BlockBusyWait:
-		return "busy-wait"
-	case BlockMarker:
-		return "marker"
-	case BlockHybrid:
-		return "hybrid"
-	default:
-		return "invalid"
-	}
-}
+// markerTTL is how long a parked marker lives unless its waiter refreshes
+// it: two polls, so one late refresh does not drop it ("read-markers are
+// left and then expired", §4.3).
+const markerTTL = 2 * blockPoll
 
 // ReadWait is the blocking read: it returns a matching live object,
 // waiting up to timeout for one to be inserted. A timeout ≤ 0 means a
 // single non-blocking attempt.
-func (m *Machine) ReadWait(tp tuple.Template, timeout time.Duration, strat BlockStrategy) (tuple.Tuple, error) {
-	return m.blockOn(tp, timeout, strat, func() (tuple.Tuple, bool, error) {
+func (m *Machine) ReadWait(tp tuple.Template, timeout time.Duration) (tuple.Tuple, error) {
+	return m.blockOn(tp, timeout, func() (tuple.Tuple, bool, error) {
 		return m.Read(tp)
 	})
 }
@@ -53,15 +31,17 @@ func (m *Machine) ReadWait(tp tuple.Template, timeout time.Duration, strat Block
 // blocked removers racing for one tuple leave one of them waiting again
 // (the paper notes markers for read&del are subtler — this retry loop is
 // the resolution).
-func (m *Machine) ReadDelWait(tp tuple.Template, timeout time.Duration, strat BlockStrategy) (tuple.Tuple, error) {
-	return m.blockOn(tp, timeout, strat, func() (tuple.Tuple, bool, error) {
+func (m *Machine) ReadDelWait(tp tuple.Template, timeout time.Duration) (tuple.Tuple, error) {
+	return m.blockOn(tp, timeout, func() (tuple.Tuple, bool, error) {
 		return m.ReadDel(tp)
 	})
 }
 
-// blockOn implements the three waiting strategies around one non-blocking
-// attempt function.
-func (m *Machine) blockOn(tp tuple.Template, timeout time.Duration, strat BlockStrategy,
+// blockOn is the one blocking wait (§4.3) around a non-blocking attempt:
+// after each miss it parks (or refreshes) read markers at the servers of
+// every class the template searches, then sleeps until a marker fires, the
+// slow poll elapses, the machine stops or the deadline passes.
+func (m *Machine) blockOn(tp tuple.Template, timeout time.Duration,
 	attempt func() (tuple.Tuple, bool, error)) (tuple.Tuple, error) {
 
 	deadline := time.Now().Add(timeout)
@@ -76,39 +56,24 @@ func (m *Machine) blockOn(tp tuple.Template, timeout time.Duration, strat BlockS
 		if timeout <= 0 || !time.Now().Before(deadline) {
 			return tuple.Tuple{}, ErrTimeout
 		}
-		switch strat {
-		case BlockMarker, BlockHybrid:
-			// Register interest, grab the wake barrier, and re-check once
-			// before sleeping (an insert between attempt() and the marker
-			// placement would otherwise be missed... the marker itself
-			// closes that window: it is ordered after the insert, so the
-			// retry below sees the tuple).
-			wake := m.wakeChan()
-			if err := m.placeMarkers(tp); err != nil {
-				return tuple.Tuple{}, err
-			}
-			fallback := m.cfg.MarkerFallback
-			if strat == BlockMarker || fallback <= 0 {
-				fallback = timeout // pure markers: only the deadline polls
-			}
-			select {
-			case <-wake:
-			case <-time.After(minDur(fallback, time.Until(deadline))):
-			case <-m.stopped:
-				return tuple.Tuple{}, ErrMachineDown
-			}
-		default: // BlockBusyWait
-			select {
-			case <-time.After(minDur(m.cfg.PollInterval, time.Until(deadline))):
-			case <-m.stopped:
-				return tuple.Tuple{}, ErrMachineDown
-			}
+		// Take the wake barrier before parking, so a marker that fires
+		// while the gcast is in flight still releases this wait.
+		wake := m.wakeChan()
+		if err := m.placeMarkers(tp); err != nil {
+			return tuple.Tuple{}, err
+		}
+		select {
+		case <-wake:
+		case <-time.After(min(blockPoll, time.Until(deadline))):
+		case <-m.stopped:
+			return tuple.Tuple{}, ErrMachineDown
 		}
 	}
 }
 
 // placeMarkers gcasts a marker registration to the write group of every
-// class in the template's search list.
+// class in the template's search list. A server keys markers by origin and
+// template, so the gcast of each poll refreshes the one already parked.
 func (m *Machine) placeMarkers(tp tuple.Template) error {
 	for _, cls := range m.cfg.Classifier.SearchList(tp) {
 		payload := encodeCommand(&command{kind: cmdMark, class: cls, tpl: tp})
@@ -117,11 +82,4 @@ func (m *Machine) placeMarkers(tp tuple.Template) error {
 		}
 	}
 	return nil
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if b > 0 && b < a {
-		return b
-	}
-	return a
 }

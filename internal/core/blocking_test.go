@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,38 +15,49 @@ import (
 
 func blockingConfig() Config {
 	return Config{
-		Classifier:     class.NewNameArity([]string{"task", "result", "item"}, 4),
-		Lambda:         1,
-		StoreKind:      storage.KindHash,
-		PollInterval:   500 * time.Microsecond,
-		MarkerFallback: 20 * time.Millisecond,
+		Classifier: class.NewNameArity([]string{"task", "result", "item"}, 4),
+		Lambda:     1,
+		StoreKind:  storage.KindHash,
 	}
 }
 
-func TestBlockStrategyString(t *testing.T) {
-	if BlockBusyWait.String() != "busy-wait" || BlockMarker.String() != "marker" ||
-		BlockHybrid.String() != "hybrid" || BlockStrategy(0).String() != "invalid" {
-		t.Error("strategy names wrong")
-	}
-}
-
+// TestReadWaitAllStrategies runs the one blocking wait the ways a match can
+// reach it: a consumer outside wg(C) woken by its marker; the same after
+// three polls, so both halves of the wait act (the poll re-reads and
+// refreshes the marker before the marker fires); and a member, whose
+// attempts are local reads.
 func TestReadWaitAllStrategies(t *testing.T) {
-	for _, strat := range []BlockStrategy{BlockBusyWait, BlockMarker, BlockHybrid} {
-		t.Run(strat.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		member bool
+		delay  time.Duration
+	}{
+		{"marker", false, 10 * time.Millisecond},
+		{"hybrid", false, 3 * blockPoll},
+		{"member", true, 10 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			c := newTestCluster(t, blockingConfig(), 4)
-			consumer := c.Machine(3)
-			producer := c.Machine(4)
+			var consumer, producer *Machine
+			for _, m := range c.Machines() {
+				switch {
+				case consumer == nil && m.IsBasic("task/2") == tc.member:
+					consumer = m
+				case producer == nil:
+					producer = m
+				}
+			}
 			got := make(chan tuple.Tuple, 1)
 			errc := make(chan error, 1)
 			go func() {
-				tu, err := consumer.ReadWait(taskTpl(), 10*time.Second, strat)
+				tu, err := consumer.ReadWait(taskTpl(), 10*time.Second)
 				if err != nil {
 					errc <- err
 					return
 				}
 				got <- tu
 			}()
-			time.Sleep(10 * time.Millisecond)
+			time.Sleep(tc.delay)
 			if _, err := producer.Insert(taskTuple(5)); err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +69,7 @@ func TestReadWaitAllStrategies(t *testing.T) {
 			case err := <-errc:
 				t.Fatalf("ReadWait: %v", err)
 			case <-time.After(10 * time.Second):
-				t.Fatalf("%s never woke", strat)
+				t.Fatal("never woke")
 			}
 		})
 	}
@@ -69,9 +81,9 @@ func TestReadWaitImmediateMatch(t *testing.T) {
 	if _, err := m.Insert(taskTuple(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Already present: returns without waiting, any strategy.
+	// Already present: returns without waiting.
 	start := time.Now()
-	if _, err := m.ReadWait(taskTpl(), 10*time.Second, BlockMarker); err != nil {
+	if _, err := m.ReadWait(taskTpl(), 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > time.Second {
@@ -82,14 +94,14 @@ func TestReadWaitImmediateMatch(t *testing.T) {
 func TestReadWaitTimeoutError(t *testing.T) {
 	c := newTestCluster(t, blockingConfig(), 3)
 	m := c.Machine(1)
-	for _, strat := range []BlockStrategy{BlockBusyWait, BlockMarker, BlockHybrid} {
-		_, err := m.ReadWait(taskTpl(), 20*time.Millisecond, strat)
-		if !errors.Is(err, ErrTimeout) {
-			t.Fatalf("%s: err = %v, want ErrTimeout", strat, err)
+	// Inside one poll, and across several.
+	for _, d := range []time.Duration{20 * time.Millisecond, 3 * blockPoll} {
+		if _, err := m.ReadWait(taskTpl(), d); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("%v wait: err = %v, want ErrTimeout", d, err)
 		}
 	}
 	// Non-positive timeout = single attempt.
-	if _, err := m.ReadWait(taskTpl(), 0, BlockBusyWait); !errors.Is(err, ErrTimeout) {
+	if _, err := m.ReadWait(taskTpl(), 0); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("zero timeout err = %v", err)
 	}
 }
@@ -108,7 +120,7 @@ func TestReadDelWaitContention(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			m := c.Machine(transport.NodeID(i%4 + 1))
-			tu, err := m.ReadDelWait(taskTpl(), 400*time.Millisecond, BlockHybrid)
+			tu, err := m.ReadDelWait(taskTpl(), 400*time.Millisecond)
 			if err != nil {
 				return // loser
 			}
@@ -133,17 +145,15 @@ func TestReadDelWaitContention(t *testing.T) {
 	}
 }
 
-// HybridSurvivesMarkerHolderCrash: the pure-marker liveness hazard the
+// TestHybridSurvivesMarkerHolderCrash: the pure-marker liveness hazard the
 // paper notes — if every marker-holding replica crashes, the wakeup is
-// lost. The hybrid's slow poll must still complete the read.
+// lost. Both holders crash and restart in turn before the insert, which
+// drops every marker (they are per-replica soft state, not part of state
+// transfer); the wait's slow poll must still complete the read, long
+// before its deadline. The config sets nothing beyond the classifier, as
+// pasod's does.
 func TestHybridSurvivesMarkerHolderCrash(t *testing.T) {
-	cfg := blockingConfig()
-	cfg.MarkerFallback = 30 * time.Millisecond
-	c, err := NewCluster(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Shutdown)
+	c := newTestCluster(t, blockingConfig(), 5)
 	sup := c.Support("task/2") // λ+1 = 2 marker-holding machines
 	var consumer *Machine
 	for _, m := range c.Machines() {
@@ -154,28 +164,75 @@ func TestHybridSurvivesMarkerHolderCrash(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() {
-		_, err := consumer.ReadWait(taskTpl(), 10*time.Second, BlockHybrid)
+		_, err := consumer.ReadWait(taskTpl(), 10*time.Second)
 		got <- err
 	}()
 	time.Sleep(15 * time.Millisecond) // markers are placed
-	// Crash one marker holder, restart it (its markers are gone — marker
-	// state is per-replica soft state, not part of state transfer).
-	c.Crash(sup[0])
-	if err := c.Restart(sup[0]); err != nil {
-		t.Fatal(err)
+	for _, id := range sup {
+		c.Crash(id)
+		if err := c.Restart(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Insert via the restarted holder: the OTHER holder still has the
-	// marker, but to force the fallback path crash it too... instead we
-	// simply verify the read completes one way or the other.
 	if _, err := c.Machine(sup[0]).Insert(taskTuple(9)); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-got:
 		if err != nil {
-			t.Fatalf("hybrid read failed: %v", err)
+			t.Fatalf("read failed: %v", err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("hybrid read hung after marker-holder crash")
+	case <-time.After(5 * time.Second):
+		t.Fatal("read still waiting 5s after the insert: the marker holders' crash lost the wakeup")
 	}
+}
+
+// TestMarkersBounded: a waiter keeps one marker per replica however long it
+// waits and however often it waits again, and its markers expire two polls
+// after it stops refreshing them. The core.markers gauge reads the same.
+func TestMarkersBounded(t *testing.T) {
+	c := newTestCluster(t, blockingConfig(), 4)
+	sup := c.Support("task/2")
+	var waiter *Machine
+	for _, m := range c.Machines() {
+		if !m.IsBasic("task/2") {
+			waiter = m
+			break
+		}
+	}
+	// parked reports, per holder, the markers its server keeps and whether
+	// the core.markers gauge reads the same.
+	parked := func() (counts []int, gaugeAgrees bool) {
+		gaugeAgrees = true
+		for _, id := range sup {
+			m := c.Machine(id)
+			n := 0
+			m.srv.mu.Lock()
+			for _, ms := range m.srv.markers {
+				n += len(ms)
+			}
+			m.srv.mu.Unlock()
+			counts = append(counts, n)
+			gaugeAgrees = gaugeAgrees && m.o.Gauge("core.markers").Value() == int64(n)
+		}
+		return counts, gaugeAgrees
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := waiter.ReadWait(taskTplExact(7), 300*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("wait %d: err = %v, want ErrTimeout", i, err)
+		}
+		if counts, ok := parked(); !slices.Equal(counts, []int{1, 1}) || !ok {
+			t.Fatalf("after wait %d the holders park %v markers (gauge agrees: %v), want one each", i, counts, ok)
+		}
+	}
+	// Expiry is checked when a marker fires or is placed; an insert the
+	// marker does not match makes the check.
+	time.Sleep(markerTTL)
+	if _, err := c.Machine(sup[0]).Insert(taskTuple(1)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "markers expire", func() bool {
+		counts, ok := parked()
+		return slices.Equal(counts, []int{0, 0}) && ok
+	})
 }

@@ -2,8 +2,8 @@
 // virtual-synchrony layer: write groups and read groups per object class
 // (paper §4.1), the memory-server command handlers (§4.2), and the macro
 // expansions of the insert, read, and read&del primitives (§4.3 and
-// Appendix A), including the blocking variants (busy-wait, read markers,
-// and the hybrid of both).
+// Appendix A), including the blocking variants (read markers refreshed by
+// a slow poll).
 package core
 
 import (

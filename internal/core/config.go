@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"paso/internal/adaptive"
 	"paso/internal/class"
@@ -77,14 +76,6 @@ type Config struct {
 	// are derived by SupportMap (placement assignment or round-robin).
 	Support map[class.ID][]transport.NodeID
 
-	// PollInterval is the busy-wait retry period for blocking operations.
-	PollInterval time.Duration
-
-	// MarkerFallback is the slow-poll period backing marker-based
-	// blocking reads (the "hybrid" strategy of §4.3). Zero disables the
-	// fallback (pure markers).
-	MarkerFallback time.Duration
-
 	// Obs receives the machine's metrics (per-OpKind latency histograms,
 	// fault-tolerance-condition violations, policy decisions) and
 	// structured events. It is per-machine state: in multi-machine
@@ -130,9 +121,6 @@ func (c Config) withDefaults(n int) (Config, error) {
 	}
 	if c.StoreKind == 0 {
 		c.StoreKind = storage.KindHash
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = time.Millisecond
 	}
 	return c, nil
 }

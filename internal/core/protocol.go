@@ -194,9 +194,9 @@ func ExecuteCommand(m *Machine, line string) string {
 		}
 		var t tuple.Tuple
 		if fields[0] == "readwait" {
-			t, err = m.ReadWait(tp, d, BlockHybrid)
+			t, err = m.ReadWait(tp, d)
 		} else {
-			t, err = m.ReadDelWait(tp, d, BlockHybrid)
+			t, err = m.ReadDelWait(tp, d)
 		}
 		if err == ErrTimeout {
 			return "FAIL"

@@ -35,6 +35,8 @@ type server struct {
 	// hStageApply times the storage mutation inside Deliver (the
 	// store-apply stage of the per-stage latency attribution).
 	hStageApply *obs.Histogram
+	// gMarkers counts the markers parked over all classes.
+	gMarkers *obs.Gauge
 }
 
 // classState is the replica state for one object class.
@@ -43,10 +45,14 @@ type classState struct {
 	arrival uint64 // total-order arrival index for FIFO-oldest removal
 }
 
-// marker is a parked blocked-read registration (§4.3).
+// marker is a parked blocked-read registration (§4.3), a lease its waiter
+// refreshes on every poll. One waiter's marker is keyed by its origin and
+// its command encoding, which within a class is the template's encoding.
 type marker struct {
-	tpl    tuple.Template
-	origin transport.NodeID
+	origin  transport.NodeID
+	key     string
+	tpl     tuple.Template
+	expires time.Time
 }
 
 var _ vsync.Handler = (*server)(nil)
@@ -59,6 +65,7 @@ func newServer(cfg Config, o *obs.Obs, onUpdate func(class.ID), notify func(tran
 		onUpdate:    onUpdate,
 		notify:      notify,
 		hStageApply: o.Histogram(obs.StageStoreApply),
+		gMarkers:    o.Gauge("core.markers"),
 	}
 }
 
@@ -114,7 +121,7 @@ func (s *server) Deliver(group string, origin transport.NodeID, payload []byte) 
 		s.onUpdate(cls)
 		return encodeResponse(r), !r.ok
 	case cmdMark:
-		s.placeMarker(cls, cmd.tpl, origin)
+		s.placeMarker(cls, cmd.tpl, origin, payload)
 		return encodeResponse(&response{ok: true}), false
 	case cmdSwap:
 		if kind != "wg" {
@@ -224,34 +231,66 @@ func (s *server) localRead(cls class.ID, tp tuple.Template) (t tuple.Tuple, ok b
 	return t, ok, probes, held
 }
 
-// placeMarker parks a blocked read. Markers are per-replica soft state:
-// they are not part of g-join state transfer, so a blocked reader backed
-// only by markers must tolerate losing all marker-holding replicas (the
-// hybrid strategy's slow poll covers that).
-func (s *server) placeMarker(cls class.ID, tp tuple.Template, origin transport.NodeID) {
+// placeMarker parks a blocked read, or refreshes the lease of the one its
+// waiter parked before. Markers are per-replica soft state: they are not
+// part of g-join state transfer, and a marker its waiter stopped refreshing
+// expires, so a waiter that timed out or crashed leaves nothing behind.
+// Expiry is checked here and when markers fire; a placement sweeps every
+// class.
+func (s *server) placeMarker(cls class.ID, tp tuple.Template, origin transport.NodeID, cmd []byte) {
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.markers[cls] = append(s.markers[cls], marker{tpl: tp, origin: origin})
+	for c := range s.markers {
+		s.keepMarkers(c, now, nil)
+	}
+	expires := now.Add(markerTTL)
+	ms := s.markers[cls]
+	for i := range ms {
+		if ms[i].origin == origin && ms[i].key == string(cmd) {
+			ms[i].expires = expires
+			return
+		}
+	}
+	s.markers[cls] = append(ms, marker{origin: origin, key: string(cmd), tpl: tp, expires: expires})
+	s.gMarkers.Add(1)
 }
 
-// fireMarkers returns the origins whose markers match the new tuple and
-// removes them. Callers hold s.mu.
+// fireMarkers returns the origins whose live markers match the new tuple
+// and removes them with the expired ones. An insert into a class with no
+// marker does no work. Callers hold s.mu.
 func (s *server) fireMarkers(cls class.ID, t tuple.Tuple) []transport.NodeID {
-	ms := s.markers[cls]
-	if len(ms) == 0 {
+	if len(s.markers[cls]) == 0 {
 		return nil
 	}
 	var fired []transport.NodeID
-	kept := ms[:0]
-	for _, m := range ms {
+	s.keepMarkers(cls, time.Now(), func(m marker) bool {
 		if m.tpl.Matches(t) {
 			fired = append(fired, m.origin)
-		} else {
+			return true
+		}
+		return false
+	})
+	return fired
+}
+
+// keepMarkers removes a class's expired markers and those fire, when not
+// nil, reports fired. Callers hold s.mu.
+func (s *server) keepMarkers(cls class.ID, now time.Time, fire func(marker) bool) {
+	ms := s.markers[cls]
+	kept := ms[:0]
+	for _, m := range ms {
+		if now.Before(m.expires) && (fire == nil || !fire(m)) {
 			kept = append(kept, m)
 		}
 	}
-	s.markers[cls] = kept
-	return fired
+	clear(ms[len(kept):])
+	if len(kept) == 0 {
+		delete(s.markers, cls)
+	} else {
+		s.markers[cls] = kept
+	}
+	s.gMarkers.Add(int64(len(kept) - len(ms)))
 }
 
 // Snapshot implements vsync.Handler: serialize a class replica for g-join
@@ -332,6 +371,7 @@ func (s *server) Evict(group string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.classes, cls)
+	s.gMarkers.Add(-int64(len(s.markers[cls])))
 	delete(s.markers, cls)
 }
 

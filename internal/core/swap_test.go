@@ -161,7 +161,7 @@ func TestSwapFiresMarkers(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Machine(2).ReadWait(taskTplExact(2), 10e9, BlockHybrid)
+		_, err := c.Machine(2).ReadWait(taskTplExact(2), 10e9)
 		done <- err
 	}()
 	// Let the marker land, then swap 1 → 2.

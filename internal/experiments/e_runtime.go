@@ -15,24 +15,52 @@ import (
 	"paso/internal/tuple"
 )
 
-// E8BlockingRead compares the §4.3 blocking-read strategies. A consumer
+// e8BusyPoll is the busy-wait baseline's retry period.
+const e8BusyPoll = 500 * time.Microsecond
+
+// e8BusyWait is §4.3's busy-wait design, the baseline the blocking wait is
+// measured against: re-issue the non-blocking read every e8BusyPoll until
+// it matches or the timeout passes.
+func e8BusyWait(m *core.Machine, tp tuple.Template, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		_, ok, err := m.Read(tp)
+		if err != nil || ok {
+			return err
+		}
+		if !time.Now().Before(deadline) {
+			return core.ErrTimeout
+		}
+		time.Sleep(e8BusyPoll)
+	}
+}
+
+// E8BlockingRead compares the §4.3 blocking-read designs. A consumer
 // blocks on a template while a producer inserts the match after a delay;
 // we measure wakeup latency and the bus frames spent waiting. Busy-wait
-// burns messages proportional to delay/poll; markers spend a constant
-// registration cost and then sleep.
+// burns messages proportional to delay/poll; the marker wait (ReadWait)
+// spends a constant registration cost and then sleeps.
 func E8BlockingRead() *stats.Table {
-	t := stats.NewTable("E8", "blocking read: busy-wait vs markers vs hybrid",
+	t := stats.NewTable("E8", "blocking read: busy-wait vs markers",
 		"strategy", "delay", "trials", "frames/trial", "mean-latency")
-	for _, strat := range []core.BlockStrategy{core.BlockBusyWait, core.BlockMarker, core.BlockHybrid} {
+	waits := []struct {
+		name string
+		wait func(m *core.Machine, tp tuple.Template, timeout time.Duration) error
+	}{
+		{"busy-wait", e8BusyWait},
+		{"markers", func(m *core.Machine, tp tuple.Template, timeout time.Duration) error {
+			_, err := m.ReadWait(tp, timeout)
+			return err
+		}},
+	}
+	for _, w := range waits {
 		for _, delay := range []time.Duration{5 * time.Millisecond, 25 * time.Millisecond} {
 			const trials = 6
 			cfg := core.Config{
-				Classifier:     class.NewNameArity([]string{"evt"}, 3),
-				Lambda:         1,
-				Model:          cost.DefaultModel(),
-				StoreKind:      storage.KindHash,
-				PollInterval:   500 * time.Microsecond,
-				MarkerFallback: 250 * time.Millisecond,
+				Classifier: class.NewNameArity([]string{"evt"}, 3),
+				Lambda:     1,
+				Model:      cost.DefaultModel(),
+				StoreKind:  storage.KindHash,
 			}
 			c, err := core.NewCluster(cfg, 4)
 			if err != nil {
@@ -69,7 +97,7 @@ func E8BlockingRead() *stats.Table {
 				begin := time.Now()
 				go func(i int) {
 					defer wg.Done()
-					if _, err := consumer.ReadWait(tpl, 5*time.Second, strat); err != nil {
+					if err := w.wait(consumer, tpl, 5*time.Second); err != nil {
 						errs <- err
 					}
 				}(i)
@@ -87,7 +115,7 @@ func E8BlockingRead() *stats.Table {
 			}
 			frames := float64(c.BusTotals().Messages-baseline) / trials
 			sum := stats.Summarize(latencies)
-			t.AddRow(strat.String(), fmt.Sprint(delay), stats.D(trials),
+			t.AddRow(w.name, fmt.Sprint(delay), stats.D(trials),
 				stats.F(frames), fmt.Sprintf("%sms", stats.F(sum.Mean)))
 			c.Shutdown()
 		}

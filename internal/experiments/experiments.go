@@ -10,7 +10,7 @@
 //	E6     Theorem 3: doubling/halving under drifting class size.
 //	E7     Theorem 4: support selection vs paging — the reduction, the
 //	       adversarial separation, and LRF against baselines.
-//	E8     §4.3 blocking-read strategies: busy-wait vs markers vs hybrid.
+//	E8     §4.3 blocking reads: busy-wait vs markers.
 //	E9     §3.1/§4.2 crash recovery: init-phase cost vs class size.
 //	E10    §5 end-to-end: adaptive vs static vs full replication on
 //	       locality-shifting workloads.
@@ -41,7 +41,7 @@ func All() []Experiment {
 		{ID: "E5", Title: "q-cost extension competitiveness", Run: E5QCostCompetitive},
 		{ID: "E6", Title: "Theorem 3: doubling/halving competitiveness", Run: E6DoublingHalving},
 		{ID: "E7", Title: "Theorem 4: support selection vs paging", Run: E7SupportSelection},
-		{ID: "E8", Title: "Blocking-read strategies", Run: E8BlockingRead},
+		{ID: "E8", Title: "Blocking reads: busy-wait vs markers", Run: E8BlockingRead},
 		{ID: "E9", Title: "Crash recovery and state transfer", Run: E9Recovery},
 		{ID: "E10", Title: "Adaptive vs static replication, total work", Run: E10AdaptiveVsStatic},
 		{ID: "E11", Title: "Ablation: live support maintenance under churn", Run: E11SupportMaintenance},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -79,6 +80,30 @@ func TestE4RatiosWithinBound(t *testing.T) {
 		if ratio > bound+1e-6 {
 			t.Errorf("row %d (%s): ratio %v > bound %v", r, tb.Cell(r, 2), ratio, bound)
 		}
+	}
+}
+
+// TestE8Shape checks §4.3's comparison: busy-wait frames grow with the
+// wait, marker frames do not. Marker frames per trial vary by a fraction of
+// a frame from run to run (how acks share frames), so flat means within one
+// frame per trial; busy-wait grows by dozens.
+func TestE8Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	tb := E8BlockingRead()
+	if len(tb.Notes) != 1 { // the caption alone; a failed trial adds a note
+		t.Fatalf("E8 notes %q", tb.Notes)
+	}
+	frames := make(map[string]float64) // by "strategy delay"
+	for r := 0; r < tb.Rows(); r++ {
+		frames[tb.Cell(r, 0)+" "+tb.Cell(r, 1)] = cellF(t, tb, r, 3)
+	}
+	if busy5, busy25 := frames["busy-wait 5ms"], frames["busy-wait 25ms"]; busy25 <= busy5 {
+		t.Errorf("busy-wait frames %v at 25ms, not above %v at 5ms", busy25, busy5)
+	}
+	if m5, m25 := frames["markers 5ms"], frames["markers 25ms"]; m5 == 0 || math.Abs(m25-m5) >= 1 {
+		t.Errorf("marker frames %v at 5ms and %v at 25ms, want equal within one", m5, m25)
 	}
 }
 

@@ -32,45 +32,56 @@ var labelPart = regexp.MustCompile(`\{[a-z]+\}`)
 // readFamilies parses the table under README's "### Metric families".
 func readFamilies(t *testing.T) []*family {
 	t.Helper()
+	var out []*family
+	for _, line := range readmeRows(t, "### Metric families") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 5 {
+			t.Fatalf("README metric row has %d cells, want 3: %s", len(cells)-2, line)
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		kind, flag, _ := strings.Cut(strings.TrimSpace(cells[2]), ", ")
+		parts := labelPart.Split(name, -1)
+		for i := range parts {
+			parts[i] = regexp.QuoteMeta(parts[i])
+		}
+		out = append(out, &family{
+			name: name, kind: kind, faultOnly: flag == "fault-only",
+			re: regexp.MustCompile("^" + strings.Join(parts, "(.+)") + "$"),
+		})
+	}
+	return out
+}
+
+// readmeRows returns the rows naming a backquoted item ("| `…") of the
+// table under a README heading, failing when there are none.
+func readmeRows(t *testing.T, heading string) []string {
+	t.Helper()
 	f, err := os.Open("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var out []*family
+	var rows []string
 	in := false
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
-		case line == "### Metric families":
+		case line == heading:
 			in = true
 		case in && strings.HasPrefix(line, "#"):
 			in = false
 		case in && strings.HasPrefix(line, "| `"):
-			cells := strings.Split(line, "|")
-			if len(cells) != 5 {
-				t.Fatalf("README metric row has %d cells, want 3: %s", len(cells)-2, line)
-			}
-			name := strings.Trim(strings.TrimSpace(cells[1]), "`")
-			kind, flag, _ := strings.Cut(strings.TrimSpace(cells[2]), ", ")
-			parts := labelPart.Split(name, -1)
-			for i := range parts {
-				parts[i] = regexp.QuoteMeta(parts[i])
-			}
-			out = append(out, &family{
-				name: name, kind: kind, faultOnly: flag == "fault-only",
-				re: regexp.MustCompile("^" + strings.Join(parts, "(.+)") + "$"),
-			})
+			rows = append(rows, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) == 0 {
-		t.Fatal(`README has no "### Metric families" table`)
+	if len(rows) == 0 {
+		t.Fatalf("README has no %q table", heading)
 	}
-	return out
+	return rows
 }
 
 // TestMetricInventory checks README's metric table against a running

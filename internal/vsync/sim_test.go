@@ -1045,3 +1045,39 @@ func TestSimKnownGaps(t *testing.T) {
 		})
 	}
 }
+
+// TestSimKnownGapDedupWindow pins a known gap built step by step rather
+// than from a choice list: a membership edge re-sends every pending cast
+// (refreshPlacement), while a member's dedup window keeps only the last
+// maxDeliveredCache deliveries per origin. Node 3 has one cast more than
+// that pending on group b when it sees node 2 flap; node 2 has applied them
+// all, forgot the first, and applies it again from the re-send. Healing it
+// needs a per-origin delivered floor on the wire (ROADMAP items 4 and 8);
+// once fixed, move it to the regressions.
+func TestSimKnownGapDedupWindow(t *testing.T) {
+	s := newSim(simConfig{nodes: 3, coord: LowestLive, placement: "lowest"}, &choiceStream{})
+	n1, n3 := s.nodes[1], s.nodes[3]
+	for i := 0; i < maxDeliveredCache+1; i++ {
+		s.issue(n3, tCastReq, "b") // b = {2, 3}, sequenced by 1
+	}
+	n3.n.settle()
+	for len(s.links[3][1]) > 0 {
+		s.hand(simLink{3, 1})
+	}
+	n1.n.settle()
+	// The runs reach both members; their acks stay in flight, so 3's casts
+	// are still pending at the edge.
+	for _, to := range []transport.NodeID{2, 3} {
+		for len(s.links[1][to]) > 0 {
+			s.hand(simLink{1, to})
+		}
+		s.nodes[to].n.settle()
+	}
+	s.push(simLink{2, 3}, simItem{kind: transport.KindDown})
+	s.push(simLink{2, 3}, simItem{kind: transport.KindUp})
+	s.settleQuiet("flap")
+	if s.errKind != "double-apply" {
+		t.Fatalf("no longer fails with double-apply (got %q): if fixed, move it to the regressions\n%s", s.err, s.report())
+	}
+	t.Logf("%s", s.err)
+}

@@ -184,8 +184,6 @@ type Options struct {
 	ReadGroups *bool
 	// Alpha and Beta override the communication cost model constants.
 	Alpha, Beta float64
-	// PollInterval tunes blocking-operation busy-wait. Default 1ms.
-	PollInterval time.Duration
 	// SupportMaintenance enables §5.2 dynamic support selection: when a
 	// basic-support machine crashes it is immediately replaced by the
 	// least-recently-failed live machine (LRF), so sequential crashes
@@ -283,15 +281,13 @@ func New(opts Options) (*Space, error) {
 		treeKey = 1
 	}
 	cfg := core.Config{
-		Classifier:     cls,
-		Lambda:         opts.Lambda,
-		Model:          model,
-		StoreKind:      kind,
-		TreeKeyField:   treeKey,
-		UseReadGroups:  useRG,
-		NewPolicy:      policyFactory(opts),
-		PollInterval:   opts.PollInterval,
-		MarkerFallback: 50 * time.Millisecond,
+		Classifier:    cls,
+		Lambda:        opts.Lambda,
+		Model:         model,
+		StoreKind:     kind,
+		TreeKeyField:  treeKey,
+		UseReadGroups: useRG,
+		NewPolicy:     policyFactory(opts),
 	}
 	if opts.SupportMaintenance {
 		cfg.SupportSelector = &support.LRF{}
@@ -417,7 +413,7 @@ func (h *Handle) Swap(tp Template, fields ...Value) (Tuple, bool, error) {
 // ReadWait blocks until a matching object exists (or the timeout passes),
 // using marker-based waiting with a poll fallback.
 func (h *Handle) ReadWait(tp Template, timeout time.Duration) (Tuple, error) {
-	t, err := h.m.ReadWait(tp, timeout, core.BlockHybrid)
+	t, err := h.m.ReadWait(tp, timeout)
 	if errors.Is(err, core.ErrTimeout) {
 		return Tuple{}, ErrNotFound
 	}
@@ -427,7 +423,7 @@ func (h *Handle) ReadWait(tp Template, timeout time.Duration) (Tuple, error) {
 // TakeWait blocks until it removes a matching object (or the timeout
 // passes).
 func (h *Handle) TakeWait(tp Template, timeout time.Duration) (Tuple, error) {
-	t, err := h.m.ReadDelWait(tp, timeout, core.BlockHybrid)
+	t, err := h.m.ReadDelWait(tp, timeout)
 	if errors.Is(err, core.ErrTimeout) {
 		return Tuple{}, ErrNotFound
 	}
