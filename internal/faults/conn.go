@@ -91,9 +91,16 @@ func (d *Director) mode(peer transport.NodeID) (ConnMode, <-chan struct{}) {
 }
 
 // Wrap is the tcp.Options.WrapConn hook: it interposes a Conn between the
-// writer goroutine and the freshly dialed socket.
+// endpoint and the freshly dialed socket.
 func (d *Director) Wrap(peer transport.NodeID, c net.Conn) net.Conn {
-	return &Conn{Conn: c, d: d, peer: peer, closed: make(chan struct{})}
+	tw, _ := c.(tryWriter)
+	return &Conn{Conn: c, d: d, peer: peer, tw: tw, closed: make(chan struct{})}
+}
+
+// tryWriter is the TCP transport's inline-write hook: a sender writes a
+// frame itself, without blocking, when nothing to the peer is queued.
+type tryWriter interface {
+	TryWrite(hdr, payload []byte) (int, error)
 }
 
 // Conn is a net.Conn whose writes obey a Director (FAULTS.md §2.9–2.11).
@@ -104,6 +111,7 @@ type Conn struct {
 	net.Conn
 	d    *Director
 	peer transport.NodeID
+	tw   tryWriter // the wrapped connection's inline writer, if it has one
 
 	once   sync.Once
 	closed chan struct{}
@@ -134,6 +142,30 @@ func (c *Conn) Write(b []byte) (int, error) {
 			return c.Conn.Write(b)
 		}
 	}
+}
+
+// TryWrite applies the director's current mode to a frame the transport
+// would write inline (hdr, then payload), so conn faults cover that path
+// too. ModePass hands it to the wrapped connection's own inline writer, or
+// reports that it would block when there is none; ModeDrop reports it
+// written; ModeStall reports that it would block, so the frame queues to
+// the writer goroutine, which then stalls in Write; ModeSever closes the
+// socket and fails.
+func (c *Conn) TryWrite(hdr, payload []byte) (int, error) {
+	m, _ := c.d.mode(c.peer)
+	switch m {
+	case ModeDrop:
+		return len(hdr) + len(payload), nil
+	case ModeStall:
+		return 0, nil
+	case ModeSever:
+		c.Conn.Close()
+		return 0, ErrSevered
+	}
+	if c.tw == nil {
+		return 0, nil
+	}
+	return c.tw.TryWrite(hdr, payload)
 }
 
 // Close unblocks any stalled write, then closes the wrapped connection.

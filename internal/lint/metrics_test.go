@@ -224,6 +224,12 @@ func runInventoryCluster(t *testing.T) *obs.Obs {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// A tuple larger than a link's socket buffers: its frames leave inline
+	// in part, and the writer sends the rest from the peer's backlog.
+	big := tuple.Make(tuple.String("task"), tuple.Bytes(make([]byte, 12<<20)))
+	if _, err := c.Machine(sup[1]).Insert(big); err != nil {
+		t.Fatal(err)
+	}
 	// A read&del miss is a fail response.
 	if _, ok, err := outsider.ReadDel(exact(-1)); err != nil || ok {
 		t.Fatalf("read&del of an absent tuple: ok=%v err=%v", ok, err)

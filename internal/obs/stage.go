@@ -11,9 +11,12 @@ const (
 	// StageEncode is wire encoding of an outgoing message.
 	StageEncode = "stage.encode.seconds"
 	// StageSendQueue is the wait a frame spends in a peer's bounded send
-	// queue before the writer goroutine picks it up.
+	// queue before the writer goroutine picks it up. It covers backlog
+	// frames only: a frame its sender writes inline on an idle link never
+	// enters the queue and records nothing here.
 	StageSendQueue = "stage.sendq.wait.seconds"
-	// StageSocketWrite is the batched socket write plus flush.
+	// StageSocketWrite is one socket write: the writer's batched write
+	// plus flush, or an inline frame's writev.
 	StageSocketWrite = "stage.socket.write.seconds"
 	// StageOrder is sequencing at the coordinator: from accepting a cast
 	// to gathering the full ack quorum.

@@ -52,3 +52,29 @@ func benchSendRecv(b *testing.B, size int) {
 func BenchmarkTCPSend128(b *testing.B) { benchSendRecv(b, 128) }
 func BenchmarkTCPSend4K(b *testing.B)  { benchSendRecv(b, 4096) }
 func BenchmarkTCPSend64K(b *testing.B) { benchSendRecv(b, 65536) }
+
+// BenchmarkTCPPingPong sends one frame at a time and waits for the echo:
+// two legs per op over an idle link, the path a frame takes when nothing
+// is queued ahead of it (written inline by its sender).
+func BenchmarkTCPPingPong(b *testing.B) {
+	a, c := benchPair(b)
+	payload := make([]byte, 128)
+	go func() {
+		for it := range c.Recv() {
+			if it.Kind == transport.KindMsg {
+				_ = c.Send(1, it.Payload)
+			}
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := a.Send(2, payload); err != nil {
+			b.Fatal(err)
+		}
+		for it := range a.Recv() {
+			if it.Kind == transport.KindMsg {
+				break
+			}
+		}
+	}
+}

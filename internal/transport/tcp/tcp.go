@@ -12,12 +12,18 @@
 // Frame format: 4-byte little-endian length, 8-byte sender id, payload.
 // A frame with empty payload is a heartbeat/hello.
 //
-// The send path is asynchronous and batched: each peer has a bounded send
-// queue drained by a dedicated writer goroutine. The writer dials on its
-// own schedule (a dead peer's dial timeout never runs on a sender's
-// goroutine), writes queued frames through a bufio.Writer, and flushes
-// once per drained batch — k frames queued behind one another cost one
-// syscall instead of k, amortizing the per-message α of the paper's
+// A frame leaves on its sender's goroutine whenever nothing to that peer
+// is queued or being written: send makes one non-blocking writev of the
+// header and the payload (tryWriter) under the peer's mutex. A socket that
+// would block, an error, or a connection whose hello has not gone out yet
+// sends the frame to the peer's bounded queue instead, and a partial write
+// queues the rest of the frame; once anything is queued, later frames
+// queue behind it until the writer has drained them, so per-peer FIFO
+// holds across the switch. The writer goroutine dials on its own schedule
+// (a dead peer's dial timeout never runs on a sender's goroutine), writes
+// the hello, and drains the backlog through a bufio.Writer, flushing once
+// per drained batch — k frames queued behind one another cost one syscall
+// instead of k, amortizing the per-message α of the paper's
 // msg-cost(m) = α + β·|m| model (§3.3). A batch that did not fill yields the
 // processor once first, so frames about to be queued share the flush.
 package tcp
@@ -69,7 +75,11 @@ type Options struct {
 	// Director.Wrap returns a connection whose writes can be dropped,
 	// stalled, or severed per peer. The returned conn's Close must also
 	// close (and unblock) the wrapped one — Endpoint.Close relies on that
-	// to interrupt a writer wedged in a stalled write.
+	// to interrupt a writer wedged in a stalled write. A sender writes a
+	// frame inline only through a returned conn with a
+	// TryWrite(hdr, payload []byte) (int, error) method that passes it on
+	// (faults.Conn has one); any other wrapper gets every frame from the
+	// writer.
 	WrapConn func(peer transport.NodeID, c net.Conn) net.Conn
 }
 
@@ -115,7 +125,8 @@ type Endpoint struct {
 	cSendDrops   *obs.Counter
 	cSendStalls  *obs.Counter
 	// Per-stage latency attribution: queue wait before the writer picks a
-	// frame up, and the batched write+flush itself.
+	// backlog frame up, and the socket write itself (a batch's write+flush,
+	// or an inline frame's writev).
 	hStageSendQ     *obs.Histogram
 	hStageSockWrite *obs.Histogram
 }
@@ -125,15 +136,28 @@ type Endpoint struct {
 // payload drawn from the transport buffer pool (SendOwned): the writer
 // recycles it once the frame is written or dropped. at is the enqueue
 // time of data frames off the coarse clock (a queue crossing: its
-// resolution is enough), feeding the send-queue-wait stage histogram.
+// resolution is enough), feeding the send-queue-wait stage histogram. off
+// counts the frame's bytes, header included, that a partial inline write
+// already put on the wire; the writer writes the rest.
 type outFrame struct {
 	payload []byte
 	hb      bool
 	owned   bool
 	at      time.Time
+	off     int
 }
 
-// peer is the outgoing side of a link: a bounded queue drained by one
+// tryWriter is the inline-write hook of a connection: TryWrite writes
+// what the socket takes now of hdr followed by payload, without waiting,
+// and reports how many bytes that was. A short count with a nil error
+// means the rest would block. sockConn implements it over the socket;
+// a WrapConn wrapper implements it to steer inline frames (faults.Conn).
+type tryWriter interface {
+	TryWrite(hdr, payload []byte) (int, error)
+}
+
+// peer is the outgoing side of a link: frames written inline by their
+// senders while the link is idle, and a bounded queue drained by one
 // writer goroutine that owns the connection.
 type peer struct {
 	id   transport.NodeID
@@ -149,10 +173,20 @@ type peer struct {
 	hwm     atomic.Int64
 	stalled atomic.Bool
 
-	// conn mirrors the writer's current connection so Close can interrupt
-	// a blocked write. The writer alone dials and replaces it.
-	mu   sync.Mutex
-	conn net.Conn
+	// mu guards the send path. conn mirrors the writer's current
+	// connection so Close can interrupt a blocked write; the writer alone
+	// dials and replaces it. backlog counts the frames handed to the writer
+	// (heartbeats included) and not yet written or dropped. tw is the
+	// current connection's inline writer, set by the writer once the hello
+	// is flushed and cleared before the connection is given up. A sender
+	// writes inline only while backlog is 0 and tw is set, so it never
+	// races the writer on the socket and never overtakes a queued frame.
+	// hdr is the inline frame header's scratch.
+	mu      sync.Mutex
+	conn    net.Conn
+	backlog int
+	tw      tryWriter
+	hdr     [frameHdrSize]byte
 }
 
 // noteDepth records the queue depth after an enqueue, ratcheting the
@@ -180,10 +214,20 @@ func (p *peer) setConn(c net.Conn) {
 
 func (p *peer) closeConn() {
 	p.mu.Lock()
+	p.tw = nil
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
 	}
+	p.mu.Unlock()
+}
+
+// retire takes n written or dropped frames off the backlog and publishes
+// tw as the inline writer (nil: no inline writes on this connection).
+func (p *peer) retire(n int, tw tryWriter) {
+	p.mu.Lock()
+	p.backlog -= n
+	p.tw = tw
 	p.mu.Unlock()
 }
 
@@ -276,9 +320,10 @@ func (e *Endpoint) Alive() []transport.NodeID {
 	return out
 }
 
-// Send implements transport.Endpoint. The frame is queued for the peer's
-// writer goroutine; the payload is retained until written and must not be
-// mutated after Send returns. Sending to an unknown or down peer silently
+// Send implements transport.Endpoint. The frame is written inline when
+// the link is idle, or else queued for the peer's writer goroutine; a
+// queued payload is retained until written, so it must not be mutated
+// after Send returns. Sending to an unknown or down peer silently
 // drops, as on a LAN. A full queue to a live peer blocks (backpressure)
 // until the writer drains it or the endpoint closes.
 func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
@@ -314,13 +359,21 @@ func (e *Endpoint) send(to transport.NodeID, payload []byte, owned bool) error {
 		}
 		return nil
 	}
+	p.mu.Lock()
+	if e.writeInline(p, payload, owned) {
+		p.mu.Unlock()
+		return nil
+	}
+	p.backlog++
 	f := outFrame{payload: payload, owned: owned, at: obs.CoarseNow()}
 	select {
 	case p.q <- f:
+		p.mu.Unlock()
 		p.noteDepth()
 		return nil
 	default:
 	}
+	p.mu.Unlock()
 	e.cSendStalls.Inc()
 	// One event per stall episode, not per blocked Send: under saturation
 	// every Send stalls, and per-call events would evict everything else
@@ -340,15 +393,51 @@ func (e *Endpoint) send(to transport.NodeID, payload []byte, owned bool) error {
 	}
 }
 
-// writerLoop owns one peer's connection: it dials lazily, coalesces
-// queued frames through a buffered writer, and flushes once per batch.
-// Frames bound for an unreachable peer are dropped in bulk so the queue
-// never backs up behind a dead peer.
+// writeInline offers one frame to the socket when the link is idle (no
+// backlog, the hello flushed) and reports whether the frame is taken care
+// of; p.mu is held. A frame written whole counts as a flush of one frame.
+// A partial write queues the rest of the frame, header included; the queue
+// is empty, so the rest is written next and the queueing cannot block.
+// When nothing was written the caller queues the frame as a whole.
+func (e *Endpoint) writeInline(p *peer, payload []byte, owned bool) bool {
+	if p.backlog != 0 || p.tw == nil {
+		return false
+	}
+	putHeader(&p.hdr, e.id, len(payload))
+	start := time.Now()
+	n, err := p.tw.TryWrite(p.hdr[:], payload)
+	if err == nil && n == frameHdrSize+len(payload) {
+		e.hStageSockWrite.Observe(time.Since(start).Seconds())
+		e.cMsgsSent.Inc()
+		e.cBytesSent.Add(int64(len(payload)))
+		e.hFrameBytes.Observe(float64(n))
+		e.cFlushes.Inc()
+		e.cFlushFrames.Inc()
+		e.hFlushBatch.Observe(1)
+		if owned {
+			transport.PutBuf(payload)
+		}
+		return true
+	}
+	if n <= 0 {
+		return false
+	}
+	p.backlog++
+	p.q <- outFrame{payload: payload, owned: owned, at: obs.CoarseNow(), off: n}
+	p.gDepth.Set(int64(len(p.q)))
+	return true
+}
+
+// writerLoop owns one peer's connection: it dials lazily, writes the
+// hello, coalesces the backlog through a buffered writer, and flushes once
+// per batch. Frames bound for an unreachable peer are dropped in bulk so
+// the queue never backs up behind a dead peer.
 func (e *Endpoint) writerLoop(p *peer) {
 	defer e.wg.Done()
 	defer p.closeConn()
 	var bw *bufio.Writer
-	var hdr [12]byte
+	var tw tryWriter // the connection's inline writer, published after the hello
+	var hdr [frameHdrSize]byte
 	var lastDialFail time.Time
 	batch := make([]outFrame, 0, maxBatchFrames)
 	for {
@@ -363,20 +452,22 @@ func (e *Endpoint) writerLoop(p *peer) {
 			// presumed unreachable: drop the backlog instead of stalling
 			// senders behind a doomed dial.
 			if time.Since(lastDialFail) < e.opts.HeartbeatInterval {
-				e.dropFrame(f)
+				e.dropFrame(p, f)
 				e.drainAndDrop(p)
 				continue
 			}
 			conn, err := net.DialTimeout("tcp", p.addr, time.Second)
 			if err != nil {
 				lastDialFail = time.Now()
-				e.dropFrame(f)
+				e.dropFrame(p, f)
 				e.drainAndDrop(p)
 				continue
 			}
+			conn = inlineConn(conn)
 			if e.opts.WrapConn != nil {
 				conn = e.opts.WrapConn(p.id, conn)
 			}
+			tw, _ = conn.(tryWriter)
 			p.setConn(conn)
 			// Re-check stop now that the conn is published: if Close swept
 			// the peers before setConn, nothing else will ever close this
@@ -386,17 +477,19 @@ func (e *Endpoint) writerLoop(p *peer) {
 			select {
 			case <-e.stop:
 				p.closeConn()
-				e.dropFrame(f)
+				e.dropFrame(p, f)
 				return
 			default:
 			}
 			bw = bufio.NewWriterSize(conn, writeBufSize)
 			// Hello frame: announces our identity before any data. It
-			// rides in the same flush as the batch that triggered the dial.
-			if err := writeFrameTo(bw, &hdr, e.id, nil); err != nil {
+			// rides in the same flush as the batch that triggered the dial;
+			// tw is published only after that flush, so no inline frame
+			// can precede it.
+			if err := writeFrameTo(bw, &hdr, e.id, nil, 0); err != nil {
 				p.closeConn()
 				bw = nil
-				e.dropFrame(f)
+				e.dropFrame(p, f)
 				continue
 			}
 		}
@@ -420,7 +513,7 @@ func (e *Endpoint) writerLoop(p *peer) {
 		now := time.Now()
 		var werr error
 		for _, fr := range batch {
-			if werr = writeFrameTo(bw, &hdr, e.id, fr.payload); werr != nil {
+			if werr = writeFrameTo(bw, &hdr, e.id, fr.payload, fr.off); werr != nil {
 				break
 			}
 		}
@@ -434,12 +527,13 @@ func (e *Endpoint) writerLoop(p *peer) {
 		}
 		if werr != nil {
 			for _, fr := range batch {
-				e.dropFrame(fr)
+				e.dropFrame(p, fr)
 			}
 			p.closeConn()
 			bw = nil
 			continue
 		}
+		p.retire(len(batch), tw)
 		var msgs, bytes int64
 		for _, fr := range batch {
 			if !fr.hb {
@@ -476,10 +570,12 @@ func coalesce(batch []outFrame, q <-chan outFrame) []outFrame {
 	return batch
 }
 
-// dropFrame accounts for one undeliverable frame: heartbeat misses feed
-// the detector's counter, data drops their own. Pooled payloads go back to
-// the buffer pool — a dropped frame is fully forgotten.
-func (e *Endpoint) dropFrame(f outFrame) {
+// dropFrame accounts for one undeliverable frame of p's backlog: heartbeat
+// misses feed the detector's counter, data drops their own. Pooled
+// payloads go back to the buffer pool — a dropped frame is fully
+// forgotten.
+func (e *Endpoint) dropFrame(p *peer, f outFrame) {
+	p.retire(1, nil)
 	if f.hb {
 		e.cHBMiss.Inc()
 	} else {
@@ -496,7 +592,7 @@ func (e *Endpoint) drainAndDrop(p *peer) {
 	for {
 		select {
 		case f := <-p.q:
-			e.dropFrame(f)
+			e.dropFrame(p, f)
 		default:
 			p.gDepth.Set(int64(len(p.q)))
 			if p.stalled.CompareAndSwap(true, false) {
@@ -599,8 +695,9 @@ func (e *Endpoint) markSeen(id transport.NodeID) {
 }
 
 // heartbeatLoop keeps one outgoing link warm by queueing a heartbeat
-// frame each tick. A congested queue is skipped — the data frames already
-// in it prove liveness to the receiver just as well.
+// frame each tick; a queued heartbeat also dials a link that has no
+// connection. A congested queue is skipped — the data frames already in
+// it prove liveness to the receiver just as well.
 func (e *Endpoint) heartbeatLoop(p *peer) {
 	defer e.wg.Done()
 	ticker := time.NewTicker(e.opts.HeartbeatInterval)
@@ -610,10 +707,13 @@ func (e *Endpoint) heartbeatLoop(p *peer) {
 		case <-e.stop:
 			return
 		case <-ticker.C:
+			p.mu.Lock()
 			select {
 			case p.q <- outFrame{hb: true}:
+				p.backlog++
 			default:
 			}
+			p.mu.Unlock()
 		}
 	}
 }
@@ -656,16 +756,25 @@ const maxFrame = 64 << 20 // 64 MiB: state transfers can be large
 // bytes a data frame occupies on the wire.
 const frameHdrSize = 12
 
-// writeFrameTo writes one frame using the caller's header scratch buffer
-// (hot path: no per-frame allocation).
-func writeFrameTo(w io.Writer, hdr *[12]byte, from transport.NodeID, payload []byte) error {
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+// putHeader fills a frame header.
+func putHeader(hdr *[frameHdrSize]byte, from transport.NodeID, n int) {
+	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(from))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+}
+
+// writeFrameTo writes one frame, less its first off bytes (a partial
+// inline write's), using the caller's header scratch buffer (hot path: no
+// per-frame allocation).
+func writeFrameTo(w io.Writer, hdr *[frameHdrSize]byte, from transport.NodeID, payload []byte, off int) error {
+	if off < frameHdrSize {
+		putHeader(hdr, from, len(payload))
+		if _, err := w.Write(hdr[off:]); err != nil {
+			return err
+		}
+		off = frameHdrSize
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
+	if rest := payload[off-frameHdrSize:]; len(rest) > 0 {
+		if _, err := w.Write(rest); err != nil {
 			return err
 		}
 	}
