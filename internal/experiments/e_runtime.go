@@ -177,7 +177,9 @@ func E9Recovery() *stats.Table {
 // E10AdaptiveVsStatic runs the end-to-end workload the adaptive machinery
 // exists for: read locality that shifts between machines. Under Static the
 // hot reader pays remote reads forever; Basic migrates a replica to it;
-// FullReplication wins reads but pays every update everywhere.
+// FullReplication wins reads but pays every update everywhere. After each
+// operation it waits for the joins and leaves that operation triggered, so
+// every run charges the same operations to the same membership.
 func E10AdaptiveVsStatic() *stats.Table {
 	t := stats.NewTable("E10", "total work: adaptive vs static vs full replication",
 		"workload", "policy", "msg-cost", "work", "remote-reads", "local-reads", "joins")
@@ -228,10 +230,31 @@ func E10AdaptiveVsStatic() *stats.Table {
 				t.AddNote("%v", err)
 				continue
 			}
+			// inFlight is the joins and leaves the policies triggered
+			// (core.policy.joins, .leaves) less those the g-join and g-leave
+			// rows show done; settle waits, at most 1s, for it to fall back.
+			inFlight := func() (n int64) {
+				for _, m := range c.Machines() {
+					st := m.Stats()
+					n += m.Obs().Counter("core.policy.joins").Value() + m.Obs().Counter("core.policy.leaves").Value() -
+						int64(st[core.OpJoin].Count+st[core.OpLeave].Count)
+				}
+				return n
+			}
+			idle := inFlight()
+			settle := func() {
+				for deadline := time.Now().Add(time.Second); inFlight() > idle; time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.AddNote("%s/%s: a policy move did not finish within 1s", wl.name, pc.name)
+						idle = inFlight()
+					}
+				}
+			}
 			writer := c.Machine(1)
 			if _, err := writer.Insert(payloadTuple(0, 64)); err != nil {
 				t.AddNote("%v", err)
 			}
+			settle()
 			for _, ph := range wl.phases {
 				reader := c.Machine(ph.reader)
 				for i := 0; i < ph.reads; i++ {
@@ -239,16 +262,19 @@ func E10AdaptiveVsStatic() *stats.Table {
 						t.AddNote("read: %v", err)
 						break
 					}
+					settle()
 				}
 				for i := 0; i < ph.updates; i++ {
 					if _, err := writer.Insert(payloadTuple(int64(i+1), 64)); err != nil {
 						t.AddNote("insert: %v", err)
 						break
 					}
+					settle()
 					if _, ok, err := writer.ReadDel(objTemplate(int64(i + 1))); !ok || err != nil {
 						t.AddNote("readdel: %v", err)
 						break
 					}
+					settle()
 				}
 			}
 			var msg, work float64

@@ -105,7 +105,7 @@ func waitPeer(t *testing.T, e *Endpoint, id transport.NodeID, what string, cond 
 }
 
 // idle: the next frame to the peer is written inline.
-func idle(p *peer) bool { return p.backlog == 0 && p.tw != nil }
+func idle(p *peer) bool { return len(p.pending) == 0 && p.tw != nil }
 
 // expectFrame reads the next frame and checks its payload.
 func expectFrame(t *testing.T, br *bufio.Reader, want string) {
@@ -185,7 +185,7 @@ func TestInlineSendNeverBlocks(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send blocked on a peer that is not reading")
 	}
-	waitPeer(t, e, 2, "a backlog", func(p *peer) bool { return p.backlog > 0 })
+	waitPeer(t, e, 2, "a backlog", func(p *peer) bool { return len(p.pending) > 0 })
 }
 
 // TestInlineSendFIFO: concurrent senders send frames of mixed sizes, some
@@ -319,7 +319,7 @@ func TestWrapConnInlineFrame(t *testing.T) {
 		if sh := tp.short.Load(); sh != 1 {
 			t.Fatalf("%d short inline writes, want 1 (the stalled frame)", sh)
 		}
-		waitPeer(t, e, 2, "the writer holding the backlog", func(p *peer) bool { return p.backlog == 2 })
+		waitPeer(t, e, 2, "the writer holding the backlog", func(p *peer) bool { return len(p.pending) == 2 })
 		d.Clear(2)
 		expectFrame(t, br, "")
 		expectFrame(t, br, "dial")
@@ -349,7 +349,7 @@ func TestInlineHelloFirstAfterRedial(t *testing.T) {
 	if sh := tp.short.Load(); sh != 1 {
 		t.Fatalf("%d short inline writes, want 1 (the severed frame)", sh)
 	}
-	waitPeer(t, e, 2, "the writer to give the connection up", func(p *peer) bool { return p.backlog == 0 && p.tw == nil })
+	waitPeer(t, e, 2, "the writer to give the connection up", func(p *peer) bool { return len(p.pending) == 0 && p.tw == nil })
 	d.Clear(2)
 	if err := e.Send(2, []byte("redial")); err != nil {
 		t.Fatal(err)
@@ -366,4 +366,58 @@ func TestInlineHelloFirstAfterRedial(t *testing.T) {
 	expectFrame(t, br, "")
 	expectFrame(t, br, "redial")
 	expectFrame(t, br, "inline")
+}
+
+// TestBacklogDrain: frames sent while the peer's reader pauses fill the
+// socket and wait in the send queue; when the reader resumes, every frame
+// arrives intact and in order, and the writer's vectored writes carried
+// several frames each (more frames than socket writes). It runs on the
+// bare socket and through a faults.Conn in pass mode, which gets each
+// drain as plain Writes, one per header and per payload.
+func TestBacklogDrain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(transport.NodeID, net.Conn) net.Conn
+	}{
+		{"socket", nil},
+		{"faults.Conn", faults.NewDirector().Wrap},
+	} {
+		t.Run(tc.name, func(t *testing.T) { backlogDrain(t, tc.wrap) })
+	}
+}
+
+func backlogDrain(t *testing.T, wrap func(transport.NodeID, net.Conn) net.Conn) {
+	e, ln := inlineSender(t, wrap)
+	if err := e.Send(2, []byte("dial")); err != nil {
+		t.Fatal(err)
+	}
+	c := accept(t, ln)
+	br := bufio.NewReader(c)
+	expectFrame(t, br, "")
+	expectFrame(t, br, "dial")
+	waitPeer(t, e, 2, "an idle link", idle)
+	flushes, frames := e.cFlushes.Value(), e.cFlushFrames.Value()
+	const n = 128 // 8 MiB: more than the link buffers
+	for seq := 0; seq < n; seq++ {
+		b := bytes.Repeat([]byte{byte(seq)}, 64<<10)
+		binary.LittleEndian.PutUint32(b, uint32(seq))
+		if err := e.Send(2, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitPeer(t, e, 2, "a backlog", func(p *peer) bool { return len(p.pending) > 0 })
+	for seq := 0; seq < n; seq++ {
+		_, b, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+		if got := int(binary.LittleEndian.Uint32(b)); got != seq || len(b) != 64<<10 || b[len(b)-1] != byte(seq) {
+			t.Fatalf("frame %d: got seq %d, %d bytes", seq, got, len(b))
+		}
+	}
+	waitPeer(t, e, 2, "an idle link", idle)
+	flushes, frames = e.cFlushes.Value()-flushes, e.cFlushFrames.Value()-frames
+	if frames != n || flushes >= frames {
+		t.Fatalf("%d frames in %d socket writes; want %d frames in fewer writes", frames, flushes, n)
+	}
 }

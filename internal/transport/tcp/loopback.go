@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,7 +31,7 @@ func NewLoopback(opts Options) *Loopback {
 func (l *Loopback) Join(id transport.NodeID) (transport.Endpoint, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.await(func(p *Endpoint) bool { return !p.sees(id) }); err != nil {
+	if err := l.await(func(p *Endpoint) bool { return !slices.Contains(p.Alive(), id) }); err != nil {
 		return nil, fmt.Errorf("tcp: peers never saw %d go down: %w", id, err)
 	}
 	addr := l.addrs[id]
@@ -77,11 +78,4 @@ func (l *Loopback) await(ok func(*Endpoint) bool) error {
 		}
 	}
 	return nil
-}
-
-// sees reports whether the endpoint's failure detector counts id as up.
-func (e *Endpoint) sees(id transport.NodeID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.up[id]
 }

@@ -16,16 +16,18 @@
 // is queued or being written: send makes one non-blocking writev of the
 // header and the payload (tryWriter) under the peer's mutex. A socket that
 // would block, an error, or a connection whose hello has not gone out yet
-// sends the frame to the peer's bounded queue instead, and a partial write
-// queues the rest of the frame; once anything is queued, later frames
-// queue behind it until the writer has drained them, so per-peer FIFO
-// holds across the switch. The writer goroutine dials on its own schedule
-// (a dead peer's dial timeout never runs on a sender's goroutine), writes
-// the hello, and drains the backlog through a bufio.Writer, flushing once
-// per drained batch — k frames queued behind one another cost one syscall
-// instead of k, amortizing the per-message α of the paper's
-// msg-cost(m) = α + β·|m| model (§3.3). A batch that did not fill yields the
-// processor once first, so frames about to be queued share the flush.
+// appends the frame to the peer's bounded send queue instead, and a partial
+// write queues the rest of the frame; once anything is queued, later frames
+// queue behind it until the writer has written them, so per-peer FIFO
+// holds across the switch. Each peer has one goroutine, its writer: it
+// dials on its own schedule (a dead peer's dial timeout never runs on a
+// sender's goroutine), writes the hello, and drains the queue with one
+// vectored write of every queued header and payload — up to 511 frames
+// queued behind one another cost one writev instead of a syscall each (Go
+// passes at most 1,024 iovecs, two per frame, to one writev), amortizing the
+// per-message α of the paper's msg-cost(m) = α + β·|m| model (§3.3). The
+// failure detector's tick sends each peer's heartbeat the way a sender
+// sends a frame: inline on an idle link, queued otherwise.
 package tcp
 
 import (
@@ -35,7 +37,7 @@ import (
 	"io"
 	"maps"
 	"net"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,15 +48,13 @@ import (
 
 // Send-path tuning.
 const (
-	// sendQueueCap bounds each peer's send queue. A full queue exerts
-	// backpressure on senders (Send blocks) until the writer drains it;
-	// frames to an unreachable peer are dropped in bulk instead, so the
-	// queue never stays full behind a dead peer.
+	// sendQueueCap bounds each peer's send queue, the frames being written
+	// included. A full queue exerts backpressure on senders (Send blocks)
+	// until the writer drains it; frames to an unreachable peer are dropped
+	// in bulk instead, so the queue never stays full behind a dead peer.
 	sendQueueCap = 1024
-	// maxBatchFrames caps how many queued frames one flush coalesces.
-	maxBatchFrames = 256
-	// writeBufSize is the bufio.Writer size on each outgoing connection.
-	writeBufSize = 64 << 10
+	// readBufSize is the bufio.Reader size on each incoming connection.
+	readBufSize = 64 << 10
 )
 
 // Options tunes the failure detector.
@@ -78,8 +78,8 @@ type Options struct {
 	// to interrupt a writer wedged in a stalled write. A sender writes a
 	// frame inline only through a returned conn with a
 	// TryWrite(hdr, payload []byte) (int, error) method that passes it on
-	// (faults.Conn has one); any other wrapper gets every frame from the
-	// writer.
+	// (faults.Conn has one). The writer's drain reaches any wrapper as
+	// plain Writes, one per header and per payload.
 	WrapConn func(peer transport.NodeID, c net.Conn) net.Conn
 }
 
@@ -105,9 +105,8 @@ type Endpoint struct {
 	peers  atomic.Pointer[map[transport.NodeID]*peer]
 	closed atomic.Bool
 
-	mu       sync.Mutex
-	lastSeen map[transport.NodeID]time.Time
-	up       map[transport.NodeID]bool
+	mu   sync.Mutex
+	seen map[transport.NodeID]time.Time // the peers up, and when each was last heard
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -125,20 +124,20 @@ type Endpoint struct {
 	cSendDrops   *obs.Counter
 	cSendStalls  *obs.Counter
 	// Per-stage latency attribution: queue wait before the writer picks a
-	// backlog frame up, and the socket write itself (a batch's write+flush,
-	// or an inline frame's writev).
+	// queued frame up, and the socket write itself (the writer's vectored
+	// write, or an inline frame's writev).
 	hStageSendQ     *obs.Histogram
 	hStageSockWrite *obs.Histogram
 }
 
-// outFrame is one queued outgoing frame. hb marks heartbeats (and the
-// hello), which the data-frame counters skip. owned marks a
-// payload drawn from the transport buffer pool (SendOwned): the writer
-// recycles it once the frame is written or dropped. at is the enqueue
-// time of data frames off the coarse clock (a queue crossing: its
-// resolution is enough), feeding the send-queue-wait stage histogram. off
-// counts the frame's bytes, header included, that a partial inline write
-// already put on the wire; the writer writes the rest.
+// outFrame is one outgoing frame. hb marks heartbeats, which the data-frame
+// counters and the send-queue-wait stage skip. owned marks a payload drawn
+// from the transport buffer pool (SendOwned): it is recycled once the frame
+// is written or dropped. at is a queued frame's enqueue time off the coarse
+// clock (a queue crossing: its resolution is enough), feeding the
+// send-queue-wait stage histogram. off counts the frame's bytes, header
+// included, that a partial inline write already put on the wire; the writer
+// writes the rest.
 type outFrame struct {
 	payload []byte
 	hb      bool
@@ -157,61 +156,58 @@ type tryWriter interface {
 }
 
 // peer is the outgoing side of a link: frames written inline by their
-// senders while the link is idle, and a bounded queue drained by one
+// senders while the link is idle, and a bounded send queue drained by one
 // writer goroutine that owns the connection.
 type peer struct {
-	id   transport.NodeID
-	addr string
-	q    chan outFrame
+	id     transport.NodeID
+	addr   string
+	gDepth *obs.Gauge // the live queue depth
+	gHwm   *obs.Gauge // its high-watermark, monotone per endpoint lifetime
 
-	// Backpressure watermarks: a live depth gauge, a high-watermark gauge
-	// (monotone per endpoint lifetime), and a stall flag that bounds the
-	// event ring to one "send-stall" event per stall episode rather than
-	// one per blocked Send.
-	gDepth  *obs.Gauge
-	gHwm    *obs.Gauge
-	hwm     atomic.Int64
-	stalled atomic.Bool
-
-	// mu guards the send path. conn mirrors the writer's current
-	// connection so Close can interrupt a blocked write; the writer alone
-	// dials and replaces it. backlog counts the frames handed to the writer
-	// (heartbeats included) and not yet written or dropped. tw is the
-	// current connection's inline writer, set by the writer once the hello
-	// is flushed and cleared before the connection is given up. A sender
-	// writes inline only while backlog is 0 and tw is set, so it never
-	// races the writer on the socket and never overtakes a queued frame.
-	// hdr is the inline frame header's scratch.
+	// mu guards the rest. pending is the send queue: the frames handed to
+	// the writer (heartbeats included), those it is writing among them,
+	// until written or dropped. cond wakes the writer when pending gains a
+	// frame, and senders waiting for room when it loses some. conn mirrors
+	// the writer's connection so Close can interrupt a blocked write. tw is
+	// conn's inline writer, published once the write carrying the hello is
+	// done: a sender writes inline only while pending is empty and tw is
+	// set, so it never races the writer on the socket or overtakes a queued
+	// frame. hdr is the inline header's scratch, hwm backs gHwm, and stalled
+	// keeps the event ring to one "send-stall" event per stall episode.
 	mu      sync.Mutex
+	pending []outFrame
+	cond    sync.Cond
 	conn    net.Conn
-	backlog int
 	tw      tryWriter
 	hdr     [frameHdrSize]byte
+	hwm     int
+	stalled bool
+
+	// The writer's scratch, reused so a drain allocates nothing: the
+	// headers it writes, and the vectored write over them and the payloads
+	// (wv is the copy that the write consumes).
+	hdrs    []byte
+	vec, wv net.Buffers
 }
 
-// noteDepth records the queue depth after an enqueue, ratcheting the
-// high-watermark gauge when a new maximum is observed.
-func (p *peer) noteDepth() {
-	d := int64(len(p.q))
-	p.gDepth.Set(d)
-	for {
-		old := p.hwm.Load()
-		if d <= old {
-			return
-		}
-		if p.hwm.CompareAndSwap(old, d) {
-			p.gHwm.Set(d)
-			return
-		}
+// enqueue appends f to the send queue, waking the writer if the queue was
+// empty (no sender waits for room then), and records the depth and its
+// high-watermark; p.mu is held.
+func (p *peer) enqueue(f outFrame) {
+	if len(p.pending) == 0 {
+		p.cond.Signal()
+	}
+	p.pending = append(p.pending, f)
+	d := len(p.pending)
+	p.gDepth.Set(int64(d))
+	if d > p.hwm {
+		p.hwm = d
+		p.gHwm.Set(int64(d))
 	}
 }
 
-func (p *peer) setConn(c net.Conn) {
-	p.mu.Lock()
-	p.conn = c
-	p.mu.Unlock()
-}
-
+// closeConn gives the current connection up. It also wakes the writer
+// and the senders waiting for room, so that Close releases them.
 func (p *peer) closeConn() {
 	p.mu.Lock()
 	p.tw = nil
@@ -219,15 +215,7 @@ func (p *peer) closeConn() {
 		p.conn.Close()
 		p.conn = nil
 	}
-	p.mu.Unlock()
-}
-
-// retire takes n written or dropped frames off the backlog and publishes
-// tw as the inline writer (nil: no inline writes on this connection).
-func (p *peer) retire(n int, tw tryWriter) {
-	p.mu.Lock()
-	p.backlog -= n
-	p.tw = tw
+	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
@@ -242,13 +230,12 @@ func Listen(id transport.NodeID, addr string, opts Options) (*Endpoint, error) {
 		return nil, fmt.Errorf("tcp: listen %s: %w", addr, err)
 	}
 	e := &Endpoint{
-		id:       id,
-		opts:     opts.withDefaults(),
-		ln:       ln,
-		mbox:     transport.NewMailbox(),
-		lastSeen: make(map[transport.NodeID]time.Time),
-		up:       make(map[transport.NodeID]bool),
-		stop:     make(chan struct{}),
+		id:   id,
+		opts: opts.withDefaults(),
+		ln:   ln,
+		mbox: transport.NewMailbox(),
+		seen: make(map[transport.NodeID]time.Time),
+		stop: make(chan struct{}),
 	}
 	e.peers.Store(&map[transport.NodeID]*peer{})
 	e.o = opts.Obs
@@ -277,8 +264,7 @@ func Listen(id transport.NodeID, addr string, opts Options) (*Endpoint, error) {
 // Addr returns the listener's address.
 func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 
-// AddPeer registers a peer's dial address, starting its writer and
-// heartbeater.
+// AddPeer registers a peer's dial address, starting its writer.
 func (e *Endpoint) AddPeer(id transport.NodeID, addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -288,16 +274,16 @@ func (e *Endpoint) AddPeer(id transport.NodeID, addr string) {
 	}
 	label := fmt.Sprint(id)
 	p := &peer{
-		id: id, addr: addr, q: make(chan outFrame, sendQueueCap),
+		id: id, addr: addr,
 		gDepth: e.o.Gauge(e.o.Series("transport.sendq.depth.p{peer}", label)),
 		gHwm:   e.o.Gauge(e.o.Series("transport.sendq.hwm.p{peer}", label)),
 	}
+	p.cond.L = &p.mu
 	next := maps.Clone(peers)
 	next[id] = p
 	e.peers.Store(&next)
-	e.wg.Add(2)
+	e.wg.Add(1)
 	go e.writerLoop(p)
-	go e.heartbeatLoop(p)
 }
 
 // ID implements transport.Endpoint.
@@ -311,12 +297,10 @@ func (e *Endpoint) Alive() []transport.NodeID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := []transport.NodeID{e.id}
-	for id, isUp := range e.up {
-		if isUp {
-			out = append(out, id)
-		}
+	for id := range e.seen {
+		out = append(out, id)
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -359,247 +343,214 @@ func (e *Endpoint) send(to transport.NodeID, payload []byte, owned bool) error {
 		}
 		return nil
 	}
+	f := outFrame{payload: payload, owned: owned}
 	p.mu.Lock()
-	if e.writeInline(p, payload, owned) {
+	if e.writeInline(p, f) {
 		p.mu.Unlock()
 		return nil
 	}
-	p.backlog++
-	f := outFrame{payload: payload, owned: owned, at: obs.CoarseNow()}
-	select {
-	case p.q <- f:
-		p.mu.Unlock()
-		p.noteDepth()
-		return nil
-	default:
-	}
-	p.mu.Unlock()
-	e.cSendStalls.Inc()
-	// One event per stall episode, not per blocked Send: under saturation
-	// every Send stalls, and per-call events would evict everything else
-	// from the ring. The writer clears the flag once it drains the queue.
-	if p.stalled.CompareAndSwap(false, true) {
-		e.o.Emit("send-stall", obs.KV("peer", p.id), obs.KV("depth", len(p.q)))
-	}
-	select {
-	case p.q <- f:
-		p.noteDepth()
-		return nil
-	case <-e.stop:
-		if owned {
-			transport.PutBuf(payload)
+	f.at = obs.CoarseNow()
+	if len(p.pending) >= sendQueueCap {
+		e.cSendStalls.Inc()
+		// One event per stall episode, not per blocked Send: under
+		// saturation every Send stalls, and per-call events would evict
+		// everything else from the ring. The writer clears the flag once it
+		// drains the queue.
+		if !p.stalled {
+			p.stalled = true
+			e.o.Emit("send-stall", obs.KV("peer", p.id), obs.KV("depth", sendQueueCap))
 		}
-		return transport.ErrClosed
+		for len(p.pending) >= sendQueueCap && !e.closed.Load() {
+			p.cond.Wait()
+		}
+		if e.closed.Load() {
+			p.mu.Unlock()
+			if owned {
+				transport.PutBuf(payload)
+			}
+			return transport.ErrClosed
+		}
 	}
+	p.enqueue(f)
+	p.mu.Unlock()
+	return nil
 }
 
-// writeInline offers one frame to the socket when the link is idle (no
-// backlog, the hello flushed) and reports whether the frame is taken care
-// of; p.mu is held. A frame written whole counts as a flush of one frame.
-// A partial write queues the rest of the frame, header included; the queue
-// is empty, so the rest is written next and the queueing cannot block.
-// When nothing was written the caller queues the frame as a whole.
-func (e *Endpoint) writeInline(p *peer, payload []byte, owned bool) bool {
-	if p.backlog != 0 || p.tw == nil {
+// writeInline offers one frame to the socket when the link is idle (an
+// empty queue, the hello written) and reports whether the frame is taken
+// care of; p.mu is held. A frame written whole counts as a flush of one
+// frame, and a data frame as a message sent. A partial write queues the
+// rest of the frame, header included; the queue was empty, so the rest is
+// written next and the queueing cannot block. When nothing was written the
+// caller queues the frame as a whole.
+func (e *Endpoint) writeInline(p *peer, f outFrame) bool {
+	if len(p.pending) != 0 || p.tw == nil {
 		return false
 	}
-	putHeader(&p.hdr, e.id, len(payload))
+	putHeader(p.hdr[:], e.id, len(f.payload))
 	start := time.Now()
-	n, err := p.tw.TryWrite(p.hdr[:], payload)
-	if err == nil && n == frameHdrSize+len(payload) {
+	n, err := p.tw.TryWrite(p.hdr[:], f.payload)
+	if err == nil && n == frameHdrSize+len(f.payload) {
 		e.hStageSockWrite.Observe(time.Since(start).Seconds())
-		e.cMsgsSent.Inc()
-		e.cBytesSent.Add(int64(len(payload)))
-		e.hFrameBytes.Observe(float64(n))
+		e.finish(f, true)
 		e.cFlushes.Inc()
 		e.cFlushFrames.Inc()
 		e.hFlushBatch.Observe(1)
-		if owned {
-			transport.PutBuf(payload)
-		}
 		return true
 	}
 	if n <= 0 {
 		return false
 	}
-	p.backlog++
-	p.q <- outFrame{payload: payload, owned: owned, at: obs.CoarseNow(), off: n}
-	p.gDepth.Set(int64(len(p.q)))
+	f.off, f.at = n, obs.CoarseNow()
+	p.enqueue(f)
 	return true
 }
 
 // writerLoop owns one peer's connection: it dials lazily, writes the
-// hello, coalesces the backlog through a buffered writer, and flushes once
-// per batch. Frames bound for an unreachable peer are dropped in bulk so
-// the queue never backs up behind a dead peer.
+// hello, and drains the queue, every frame in it at once, with one
+// vectored write. Frames bound for an unreachable peer are dropped in bulk
+// so the queue never backs up behind a dead peer.
 func (e *Endpoint) writerLoop(p *peer) {
 	defer e.wg.Done()
 	defer p.closeConn()
-	var bw *bufio.Writer
-	var tw tryWriter // the connection's inline writer, published after the hello
-	var hdr [frameHdrSize]byte
+	var conn net.Conn
 	var lastDialFail time.Time
-	batch := make([]outFrame, 0, maxBatchFrames)
 	for {
-		var f outFrame
-		select {
-		case <-e.stop:
-			return
-		case f = <-p.q:
+		p.mu.Lock()
+		for len(p.pending) == 0 && !e.closed.Load() {
+			p.cond.Wait()
 		}
-		if bw == nil {
+		n := len(p.pending)
+		p.mu.Unlock()
+		if e.closed.Load() {
+			return
+		}
+		hello := conn == nil
+		if hello {
 			// No connection. Inside the redial backoff window the peer is
 			// presumed unreachable: drop the backlog instead of stalling
 			// senders behind a doomed dial.
 			if time.Since(lastDialFail) < e.opts.HeartbeatInterval {
-				e.dropFrame(p, f)
-				e.drainAndDrop(p)
+				e.retire(p, n, nil)
 				continue
 			}
-			conn, err := net.DialTimeout("tcp", p.addr, time.Second)
+			c, err := net.DialTimeout("tcp", p.addr, time.Second)
 			if err != nil {
 				lastDialFail = time.Now()
-				e.dropFrame(p, f)
-				e.drainAndDrop(p)
+				e.retire(p, n, nil)
 				continue
 			}
-			conn = inlineConn(conn)
+			conn = inlineConn(c)
 			if e.opts.WrapConn != nil {
 				conn = e.opts.WrapConn(p.id, conn)
 			}
-			tw, _ = conn.(tryWriter)
-			p.setConn(conn)
-			// Re-check stop now that the conn is published: if Close swept
-			// the peers before setConn, nothing else will ever close this
-			// conn, and a blocking write on it would wedge wg.Wait. The
-			// peer mutex orders setConn against Close's sweep, so one side
-			// is guaranteed to observe the other.
-			select {
-			case <-e.stop:
-				p.closeConn()
-				e.dropFrame(p, f)
+			p.mu.Lock()
+			p.conn = conn
+			p.mu.Unlock()
+			// Re-check now that the conn is published: if Close swept the
+			// peers before, nothing else will ever close this conn, and a
+			// blocking write on it would wedge wg.Wait. Close marks the
+			// endpoint closed before its sweep takes the peer mutex, so one
+			// side is guaranteed to observe the other.
+			if e.closed.Load() {
 				return
-			default:
-			}
-			bw = bufio.NewWriterSize(conn, writeBufSize)
-			// Hello frame: announces our identity before any data. It
-			// rides in the same flush as the batch that triggered the dial;
-			// tw is published only after that flush, so no inline frame
-			// can precede it.
-			if err := writeFrameTo(bw, &hdr, e.id, nil, 0); err != nil {
-				p.closeConn()
-				bw = nil
-				e.dropFrame(p, f)
-				continue
 			}
 		}
-		// Coalesce whatever else is already queued, then write the batch
-		// through the buffer and flush once: k frames, one syscall. A batch
-		// that did not fill yields the processor once first (the loopy-writer
-		// idiom): senders runnable right now queue their frames behind this
-		// one and share its flush. On an idle machine the yield returns at
-		// once, so a lone frame is not delayed and nothing needs tuning.
-		batch = coalesce(append(batch[:0], f), p.q)
-		if len(batch) < maxBatchFrames {
-			runtime.Gosched()
-			batch = coalesce(batch, p.q)
-		}
-		// Send-queue-wait stage: enqueue to writer pickup, per data frame.
-		for _, fr := range batch {
-			if !fr.at.IsZero() {
-				e.hStageSendQ.Observe(obs.CoarseSince(fr.at).Seconds())
-			}
-		}
-		now := time.Now()
-		var werr error
-		for _, fr := range batch {
-			if werr = writeFrameTo(bw, &hdr, e.id, fr.payload, fr.off); werr != nil {
-				break
-			}
-		}
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		e.hStageSockWrite.Observe(time.Since(now).Seconds())
-		p.gDepth.Set(int64(len(p.q)))
-		if len(p.q) == 0 && p.stalled.CompareAndSwap(true, false) {
-			e.o.Emit("send-stall-clear", obs.KV("peer", p.id))
-		}
-		if werr != nil {
-			for _, fr := range batch {
-				e.dropFrame(p, fr)
-			}
+		// One write carries the hello (on a new connection) and everything
+		// queued; retire publishes the inline writer only after it, so no
+		// inline frame can precede the hello.
+		n = e.fill(p, hello)
+		start := time.Now()
+		p.wv = p.vec
+		_, err := p.wv.WriteTo(conn)
+		e.hStageSockWrite.Observe(time.Since(start).Seconds())
+		if err != nil {
 			p.closeConn()
-			bw = nil
-			continue
+			conn = nil
 		}
-		p.retire(len(batch), tw)
-		var msgs, bytes int64
-		for _, fr := range batch {
-			if !fr.hb {
-				msgs++
-				bytes += int64(len(fr.payload))
-				e.hFrameBytes.Observe(float64(frameHdrSize + len(fr.payload)))
-			}
-			if fr.owned {
-				// The bufio writer consumed the bytes during writeFrameTo;
-				// the pooled buffer is free to carry the next frame.
-				transport.PutBuf(fr.payload)
-			}
+		e.retire(p, n, conn)
+	}
+}
+
+// fill builds p.vec, one vectored write of the hello (when hello is set)
+// and every queued frame, and returns how many queued frames it covers;
+// they stay queued until retire. A frame a partial inline write began
+// contributes only its rest. Header slot 0 is the hello's.
+func (e *Endpoint) fill(p *peer, hello bool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.pending)
+	size := (1 + n) * frameHdrSize
+	p.hdrs = slices.Grow(p.hdrs[:0], size)[:size]
+	vec := p.vec[:0]
+	if hello {
+		putHeader(p.hdrs, e.id, 0)
+		vec = append(vec, p.hdrs[:frameHdrSize])
+	}
+	for i, f := range p.pending {
+		// Send-queue-wait stage: enqueue to writer pickup, per data frame.
+		if !f.hb {
+			e.hStageSendQ.Observe(obs.CoarseSince(f.at).Seconds())
 		}
-		if msgs > 0 {
-			e.cMsgsSent.Add(msgs)
-			e.cBytesSent.Add(bytes)
+		off := f.off
+		if off < frameHdrSize {
+			hdr := p.hdrs[(1+i)*frameHdrSize:][:frameHdrSize]
+			putHeader(hdr, e.id, len(f.payload))
+			vec = append(vec, hdr[off:])
+			off = frameHdrSize
 		}
+		if rest := f.payload[off-frameHdrSize:]; len(rest) > 0 {
+			vec = append(vec, rest)
+		}
+	}
+	p.vec = vec
+	return n
+}
+
+// retire takes the first n frames off p's queue, written on conn or, when
+// conn is nil, dropped, and publishes conn's inline writer (none for a nil
+// conn or one without TryWrite). A dropped heartbeat counts as a heartbeat
+// miss, a dropped data frame as a send drop. Pooled payloads go back to
+// the buffer pool, and senders waiting for room wake.
+func (e *Endpoint) retire(p *peer, n int, conn net.Conn) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, f := range p.pending[:n] {
+		e.finish(f, conn != nil)
+	}
+	left := copy(p.pending, p.pending[n:])
+	clear(p.pending[left:])
+	p.pending = p.pending[:left]
+	p.tw, _ = conn.(tryWriter)
+	p.gDepth.Set(int64(left))
+	if left == 0 && p.stalled {
+		p.stalled = false
+		e.o.Emit("send-stall-clear", obs.KV("peer", p.id))
+	}
+	if conn != nil {
 		e.cFlushes.Inc()
-		e.cFlushFrames.Add(int64(len(batch)))
-		e.hFlushBatch.Observe(float64(len(batch)))
+		e.cFlushFrames.Add(int64(n))
+		e.hFlushBatch.Observe(float64(n))
 	}
+	p.cond.Broadcast()
 }
 
-// coalesce appends the frames waiting in q, up to maxBatchFrames in all.
-func coalesce(batch []outFrame, q <-chan outFrame) []outFrame {
-	for len(batch) < maxBatchFrames {
-		select {
-		case f := <-q:
-			batch = append(batch, f)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// dropFrame accounts for one undeliverable frame of p's backlog: heartbeat
-// misses feed the detector's counter, data drops their own. Pooled
-// payloads go back to the buffer pool — a dropped frame is fully
-// forgotten.
-func (e *Endpoint) dropFrame(p *peer, f outFrame) {
-	p.retire(1, nil)
-	if f.hb {
+// finish counts a frame written (a data frame as a message sent) or
+// dropped (a heartbeat as a miss, a data frame as a send drop), and
+// recycles its pooled payload.
+func (e *Endpoint) finish(f outFrame, written bool) {
+	switch {
+	case !written && f.hb:
 		e.cHBMiss.Inc()
-	} else {
+	case !written:
 		e.cSendDrops.Inc()
+	case !f.hb:
+		e.cMsgsSent.Inc()
+		e.cBytesSent.Add(int64(len(f.payload)))
+		e.hFrameBytes.Observe(float64(frameHdrSize + len(f.payload)))
 	}
 	if f.owned {
 		transport.PutBuf(f.payload)
-	}
-}
-
-// drainAndDrop empties a peer's queue, dropping every frame (the peer is
-// unreachable; on a LAN those frames are simply lost).
-func (e *Endpoint) drainAndDrop(p *peer) {
-	for {
-		select {
-		case f := <-p.q:
-			e.dropFrame(p, f)
-		default:
-			p.gDepth.Set(int64(len(p.q)))
-			if p.stalled.CompareAndSwap(true, false) {
-				e.o.Emit("send-stall-clear", obs.KV("peer", p.id))
-			}
-			return
-		}
 	}
 }
 
@@ -614,8 +565,8 @@ func (e *Endpoint) Close() error {
 	peers := *e.peers.Load() // final: AddPeer refuses a closed endpoint
 	e.mu.Unlock()
 	e.ln.Close()
-	// Interrupt writers blocked in a socket write; they observe the error
-	// (or the closed stop channel) and exit.
+	// Release senders waiting for room, and interrupt writers blocked in a
+	// socket write; they observe the error (or the closed endpoint) and exit.
 	for _, p := range peers {
 		p.closeConn()
 	}
@@ -652,13 +603,8 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 	var from transport.NodeID
 	var seenAt time.Time // coarse-clock time of the last refresh; zero before the hello
 	_ = conn.SetReadDeadline(time.Now().Add(e.opts.FailTimeout * 2))
-	br := bufio.NewReaderSize(conn, writeBufSize)
-	for {
-		select {
-		case <-e.stop:
-			return
-		default:
-		}
+	br := bufio.NewReaderSize(conn, readBufSize)
+	for !e.closed.Load() {
 		sender, payload, err := readFrame(br)
 		if err != nil {
 			return
@@ -680,45 +626,28 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// markSeen refreshes the failure detector and emits Up on transitions.
+// markSeen refreshes the failure detector and emits Up on transitions,
+// queued with the transition: once Alive lists a peer, its Up is in the
+// stream, whatever the log line after it waits for.
 func (e *Endpoint) markSeen(id transport.NodeID) {
 	e.mu.Lock()
-	wasUp := e.up[id]
-	e.up[id] = true
-	e.lastSeen[id] = time.Now()
+	_, wasUp := e.seen[id]
+	e.seen[id] = time.Now()
+	if !wasUp {
+		e.mbox.Put(transport.Item{Kind: transport.KindUp, From: id})
+	}
 	e.mu.Unlock()
 	if !wasUp {
 		e.gPeersUp.Add(1)
 		e.o.Emit("peer-up", obs.KV("peer", id))
-		e.mbox.Put(transport.Item{Kind: transport.KindUp, From: id})
 	}
 }
 
-// heartbeatLoop keeps one outgoing link warm by queueing a heartbeat
-// frame each tick; a queued heartbeat also dials a link that has no
-// connection. A congested queue is skipped — the data frames already in
-// it prove liveness to the receiver just as well.
-func (e *Endpoint) heartbeatLoop(p *peer) {
-	defer e.wg.Done()
-	ticker := time.NewTicker(e.opts.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-ticker.C:
-			p.mu.Lock()
-			select {
-			case p.q <- outFrame{hb: true}:
-				p.backlog++
-			default:
-			}
-			p.mu.Unlock()
-		}
-	}
-}
-
-// detectorLoop expires silent peers.
+// detectorLoop expires silent peers and keeps every outgoing link warm:
+// each tick sends a heartbeat frame to each peer, inline on an idle link
+// and queued otherwise, and a queued heartbeat also dials a link that has
+// no connection. A full queue is skipped — the data frames already in it
+// prove liveness to the receiver just as well.
 func (e *Endpoint) detectorLoop() {
 	defer e.wg.Done()
 	ticker := time.NewTicker(e.opts.HeartbeatInterval)
@@ -728,12 +657,20 @@ func (e *Endpoint) detectorLoop() {
 		case <-e.stop:
 			return
 		case <-ticker.C:
+			for _, p := range *e.peers.Load() {
+				p.mu.Lock()
+				if !e.writeInline(p, outFrame{hb: true}) && len(p.pending) < sendQueueCap {
+					p.enqueue(outFrame{hb: true})
+				}
+				p.mu.Unlock()
+			}
 			now := time.Now()
 			var downs []transport.NodeID
 			e.mu.Lock()
-			for id, isUp := range e.up {
-				if isUp && now.Sub(e.lastSeen[id]) > e.opts.FailTimeout {
-					e.up[id] = false
+			for id, at := range e.seen {
+				if now.Sub(at) > e.opts.FailTimeout {
+					delete(e.seen, id)
+					e.mbox.Put(transport.Item{Kind: transport.KindDown, From: id}) // as markSeen's Up
 					downs = append(downs, id)
 				}
 			}
@@ -741,7 +678,6 @@ func (e *Endpoint) detectorLoop() {
 			for _, id := range downs {
 				e.gPeersUp.Add(-1)
 				e.o.Emit("peer-down", obs.KV("peer", id))
-				e.mbox.Put(transport.Item{Kind: transport.KindDown, From: id})
 			}
 		}
 	}
@@ -756,29 +692,10 @@ const maxFrame = 64 << 20 // 64 MiB: state transfers can be large
 // bytes a data frame occupies on the wire.
 const frameHdrSize = 12
 
-// putHeader fills a frame header.
-func putHeader(hdr *[frameHdrSize]byte, from transport.NodeID, n int) {
-	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
+// putHeader fills a frame header into hdr's first frameHdrSize bytes.
+func putHeader(hdr []byte, from transport.NodeID, n int) {
+	binary.LittleEndian.PutUint32(hdr, uint32(n))
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(from))
-}
-
-// writeFrameTo writes one frame, less its first off bytes (a partial
-// inline write's), using the caller's header scratch buffer (hot path: no
-// per-frame allocation).
-func writeFrameTo(w io.Writer, hdr *[frameHdrSize]byte, from transport.NodeID, payload []byte, off int) error {
-	if off < frameHdrSize {
-		putHeader(hdr, from, len(payload))
-		if _, err := w.Write(hdr[off:]); err != nil {
-			return err
-		}
-		off = frameHdrSize
-	}
-	if rest := payload[off-frameHdrSize:]; len(rest) > 0 {
-		if _, err := w.Write(rest); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func readFrame(r io.Reader) (transport.NodeID, []byte, error) {
@@ -802,12 +719,4 @@ func readFrame(r io.Reader) (transport.NodeID, []byte, error) {
 		return 0, nil, err
 	}
 	return from, payload, nil
-}
-
-func sortIDs(ids []transport.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -1,9 +1,11 @@
 package tcp
 
 import (
+	"log/slog"
 	"testing"
 	"time"
 
+	"paso/internal/obs"
 	"paso/internal/transport"
 )
 
@@ -139,6 +141,53 @@ func TestUpPrecedesFirstMessage(t *testing.T) {
 	}
 }
 
+// stalledWriter blocks every write until it is closed.
+type stalledWriter chan struct{}
+
+func (w stalledWriter) Write(p []byte) (int, error) {
+	<-w
+	return len(p), nil
+}
+
+// TestUpQueuedBeforeAlive: once Alive lists a peer, its Up is already in
+// the stream, even while the endpoint's peer-up log line is held up by a
+// log writer that blocks. A caller that waits on Alive and then acts (a
+// test waiting for the ensemble, a placement refresh) must find the group
+// layer able to learn of the peer first.
+func TestUpQueuedBeforeAlive(t *testing.T) {
+	log := make(stalledWriter)
+	opts := fastOpts()
+	opts.Obs = obs.New(obs.Options{Logger: slog.New(slog.NewTextHandler(log, nil))})
+	a, err := Listen(1, "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Listen(2, "127.0.0.1:0", fastOpts())
+	if err != nil {
+		a.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(log)
+		a.Close()
+		b.Close()
+	})
+	b.AddPeer(1, a.Addr())
+	for deadline := time.Now().Add(10 * time.Second); len(a.Alive()) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("peer 2 never came up")
+		}
+	}
+	select {
+	case it := <-a.Recv():
+		if it.Kind != transport.KindUp || it.From != 2 {
+			t.Fatalf("first item %+v, want Up from 2", it)
+		}
+	default:
+		t.Fatal("Alive lists peer 2 before its Up is queued")
+	}
+}
+
 func TestDownDetection(t *testing.T) {
 	eps := mesh(t, 3)
 	waitItem(t, eps[1], func(it transport.Item) bool {
@@ -246,4 +295,30 @@ func TestSendWhilePeersAdded(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// TestIdleLinkStaysUp: with no data to send, the failure detector's tick
+// still sends heartbeats, so a link idle for five fail timeouts never
+// reports its peer down on either side.
+func TestIdleLinkStaysUp(t *testing.T) {
+	eps := mesh(t, 2)
+	for id, ep := range eps {
+		waitItem(t, ep, func(it transport.Item) bool {
+			return it.Kind == transport.KindUp && it.From == 3-id
+		}, "up")
+	}
+	time.Sleep(5 * fastOpts().FailTimeout)
+	for id, ep := range eps {
+		for len(ep.Recv()) > 0 {
+			if it := <-ep.Recv(); it.Kind == transport.KindDown {
+				t.Fatalf("endpoint %d saw %d go down on an idle link", id, it.From)
+			}
+		}
+		if alive := ep.Alive(); len(alive) != 2 {
+			t.Fatalf("endpoint %d: alive %v, want both", id, alive)
+		}
+		if misses := ep.cHBMiss.Value(); misses != 0 {
+			t.Fatalf("endpoint %d: %d heartbeat misses", id, misses)
+		}
+	}
 }

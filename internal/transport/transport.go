@@ -68,14 +68,8 @@ type Item struct {
 	Payload []byte
 }
 
-// Common transport errors.
-var (
-	// ErrClosed is returned by operations on a closed endpoint.
-	ErrClosed = errors.New("transport: endpoint closed")
-	// ErrUnknownPeer is returned when sending to a node that was never
-	// part of the network.
-	ErrUnknownPeer = errors.New("transport: unknown peer")
-)
+// ErrClosed is returned by operations on a closed endpoint.
+var ErrClosed = errors.New("transport: endpoint closed")
 
 // OwnedSender is the pooled-buffer send path every Endpoint offers. It
 // accepts payload buffers drawn from GetBuf and takes ownership: once the
@@ -89,10 +83,14 @@ type OwnedSender interface {
 }
 
 // bufPool recycles payload buffers between the protocol encoders and the
-// transports' write paths. Buffers are pooled as *[]byte so Get avoids an
-// allocation; the steady-state encode path costs zero allocations once the
-// pool is warm.
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+// transports' write paths. A buffer rests in the pool in a *[]byte box, so
+// Get avoids an allocation; GetBuf leaves the emptied box in boxPool for
+// the next PutBuf, so Put avoids one too. The steady-state encode and send
+// path costs zero allocations once the pools are warm.
+var (
+	bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+	boxPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // maxPooledBuf bounds what PutBuf keeps: buffers grown by a jumbo frame
 // (state transfers can reach megabytes) are dropped so the pool does not
@@ -103,7 +101,11 @@ const maxPooledBuf = 1 << 20
 // it, hand the result to SendOwned, and the transport recycles it; on any
 // other path the buffer is garbage collected like a plain allocation.
 func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	box := bufPool.Get().(*[]byte)
+	b := *box
+	*box = nil
+	boxPool.Put(box)
+	return b[:0]
 }
 
 // PutBuf returns a buffer to the shared pool. Callers must guarantee no
@@ -112,7 +114,9 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	bufPool.Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b
+	bufPool.Put(box)
 }
 
 // Endpoint is one node's attachment to the network. Send never blocks on
